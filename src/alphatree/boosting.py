@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class InductionConfig:
     min_child_fraction: float = 0.10
     min_child_count: int = 30
     scoring: str = "conservative"
-    leaf_policy: str = "heaviest"
     entropy_improvement_tol: float = 1e-10
     alpha_cap: float = A_MAX
 
@@ -104,8 +103,6 @@ class InductionConfig:
             raise ValueError("min_child_count must be >= 1")
         if self.scoring not in ("conservative", "audacious"):
             raise ValueError(f"unknown scoring {self.scoring!r}")
-        if self.leaf_policy != "heaviest":
-            raise ValueError(f"unknown leaf policy {self.leaf_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -267,6 +264,36 @@ def conservative_label_objective(alpha: float, edge_value: float, B: float) -> f
 # ---------------------------------------------------------------------------
 
 
+class _RowSignals(NamedTuple):
+    """Per-row alignment signals of a view, aligned with its rows.
+
+    wy, wpos and wneg are the view weight times (2*eta - 1) * nlogit and
+    times the aligned / misaligned parts of |nlogit|: the per-row terms
+    whose per-leaf sums give the edge and its signed parts.
+    """
+
+    eta: np.ndarray
+    w: np.ndarray
+    wy: np.ndarray
+    wpos: np.ndarray
+    wneg: np.ndarray
+
+
+def _row_signals(v: View, eta_t, scores, B: float, nlogit_values=None) -> _RowSignals:
+    nl = _nlogit_rows(v, scores, B, nlogit_values)
+    eta = _eta_rows(v, eta_t)
+    w = v.weights
+    pos = np.maximum(nl, 0.0)
+    neg = np.maximum(-nl, 0.0)
+    return _RowSignals(
+        eta=eta,
+        w=w,
+        wy=w * ((2.0 * eta - 1.0) * nl),
+        wpos=w * (eta * pos + (1.0 - eta) * neg),
+        wneg=w * (eta * neg + (1.0 - eta) * pos),
+    )
+
+
 def leaf_stats(
     v: View,
     tree: AlphaTree,
@@ -275,39 +302,48 @@ def leaf_stats(
     B: float,
     nlogit_values=None,
     leaf_ids_rows: np.ndarray | None = None,
+    *,
+    signals: _RowSignals | None = None,
 ) -> dict[int, LeafStats]:
-    """Edge, signed parts, mass, entropy, and count per reached leaf."""
+    """Edge, signed parts, mass, entropy, and count per reached leaf.
+
+    leaf_ids_rows (the leaf id of each view row) and signals (the view's
+    per-row signals) skip routing and signal computation when the caller
+    already holds them.  Every per-leaf sum is one bincount over the view's
+    rows, so the cost is O(view rows) whatever the number of leaves.
+    """
     from .core import route_rows
 
     if leaf_ids_rows is None:
         leaf_ids_rows = route_rows(tree, v.base.columns, v.base.n)[v.indices]
-    nl = _nlogit_rows(v, scores, B, nlogit_values)
-    eta = _eta_rows(v, eta_t)
-    w = v.weights
-    y_signal = (2.0 * eta - 1.0) * nl
-    pos_part = eta * np.maximum(nl, 0.0) + (1.0 - eta) * np.maximum(-nl, 0.0)
-    neg_part = eta * np.maximum(-nl, 0.0) + (1.0 - eta) * np.maximum(nl, 0.0)
+    if signals is None:
+        signals = _row_signals(v, eta_t, scores, B, nlogit_values)
+    ids = leaf_ids_rows
+    if ids.min() < 0 or ids.max() > 2 * ids.shape[0] + 64:
+        # bincount needs ids >= 0 and makes max id + 1 bins: renumber densely
+        lids, ids = np.unique(ids, return_inverse=True)
+    else:
+        lids = np.arange(int(ids.max()) + 1)
+    count = np.bincount(ids)
+    mass = np.bincount(ids, weights=signals.w)
+    e_sum = np.bincount(ids, weights=signals.wy)
+    ep_sum = np.bincount(ids, weights=signals.wpos)
+    en_sum = np.bincount(ids, weights=signals.wneg)
 
-    out: dict[int, LeafStats] = {}
-    for lid in np.unique(leaf_ids_rows):
-        mask = leaf_ids_rows == lid
-        mass = float(w[mask].sum())
-        if mass <= 0.0:
-            continue
-        e = float(np.dot(w[mask], y_signal[mask])) / mass
-        e = min(1.0, max(-1.0, e))
-        ep = max(0.0, float(np.dot(w[mask], pos_part[mask])) / mass)
-        en = max(0.0, float(np.dot(w[mask], neg_part[mask])) / mass)
-        out[int(lid)] = LeafStats(
-            leaf_id=int(lid),
-            edge=e,
-            edge_pos=ep,
-            edge_neg=en,
-            mass=mass,
-            entropy=leaf_entropy(e),
-            count=int(mask.sum()),
+    reached = np.flatnonzero(count)
+    reached = reached[mass[reached] > 0.0]
+    m = mass[reached]
+    e = np.clip(e_sum[reached] / m, -1.0, 1.0)
+    ep = np.maximum(ep_sum[reached] / m, 0.0)
+    en = np.maximum(en_sum[reached] / m, 0.0)
+    h = binary_entropy(0.5 * (1.0 + e))
+    return {
+        lid: LeafStats(leaf_id=lid, edge=e_, edge_pos=ep_, edge_neg=en_, mass=m_, entropy=h_, count=c_)
+        for lid, e_, ep_, en_, m_, h_, c_ in zip(
+            lids[reached].tolist(), e.tolist(), ep.tolist(), en.tolist(),
+            m.tolist(), h.tolist(), count[reached].tolist(),
         )
-    return out
+    }
 
 
 def tree_entropy(tree: AlphaTree, v: View, eta_t, scores, B: float, nlogit_values=None) -> float:
@@ -457,11 +493,6 @@ def _view_risk(v: View, q_view: np.ndarray, eta_view: np.ndarray) -> float:
     return float(np.dot(v.weights, terms))
 
 
-def _leaf_view(v: View, leaf_ids_rows: np.ndarray, lid: int) -> View:
-    mask = leaf_ids_rows == lid
-    return make_view(v.base, v.indices[mask], raw_weights=v.weights[mask])
-
-
 def topdown(
     v: View,
     eta_t,
@@ -482,6 +513,10 @@ def topdown(
     leaf that admits a size-feasible, entropy-improving split.  Stops when
     the budget runs out, no leaf can be split, or the view risk reaches
     risk_stop.  The per-iteration tree entropy sequence is non-increasing.
+
+    The view's rows are routed once; afterwards every row keeps its leaf
+    id, and a split rewrites only the ids of the rows of the leaf it
+    splits.
     """
     from .core import route_rows
 
@@ -491,30 +526,31 @@ def topdown(
         schema = v.base.feature_kinds()
 
     scores_rows = v.pick(scores)
-    eta_rows = _eta_rows(v, eta_t)
+    signals = _row_signals(v, eta_t, scores, B, nlogit_values)
+    view_columns = {name: col[v.indices] for name, col in v.base.columns.items()}
+    leaf_ids_rows = route_rows(tree0, view_columns, v.n)
     tree = tree0
 
-    def sync(tree: AlphaTree) -> tuple[AlphaTree, dict[int, LeafStats], np.ndarray]:
-        leaf_ids_rows = route_rows(tree, v.base.columns, v.base.n)[v.indices]
+    def sync(tree: AlphaTree) -> tuple[AlphaTree, dict[int, LeafStats]]:
         stats = leaf_stats(
-            v, tree, eta_t, scores, B, nlogit_values, leaf_ids_rows=leaf_ids_rows
+            v, tree, eta_t, scores, B, nlogit_values,
+            leaf_ids_rows=leaf_ids_rows, signals=signals,
         )
-        tree = relabel_leaves(tree, stats, cfg.scoring, B, cfg.alpha_cap)
-        return tree, stats, leaf_ids_rows
+        return relabel_leaves(tree, stats, cfg.scoring, B, cfg.alpha_cap), stats
 
-    def emit(it: int, tree: AlphaTree, stats, leaf_ids_rows, event: str = "") -> float:
+    def emit(it: int, tree: AlphaTree, stats, event: str = "") -> float:
         h = float(sum(st.mass * st.entropy for st in stats.values()))
         lut = np.zeros(tree.max_leaf_id() + 1, dtype=float)
         for leaf in tree.leaves():
             lut[leaf.leaf_id] = leaf.alpha
         q_f = apply_alpha(scores_rows, lut[leaf_ids_rows])
-        risk = _view_risk(v, q_f, eta_rows)
+        risk = _view_risk(v, q_f, signals.eta)
         trace.add(iteration_start + it, "tree_entropy", h, event=event)
         trace.add(iteration_start + it, "risk", risk)
         return risk
 
-    tree, stats, leaf_ids_rows = sync(tree)
-    risk = emit(0, tree, stats, leaf_ids_rows)
+    tree, stats = sync(tree)
+    risk = emit(0, tree, stats)
     if risk_stop is not None and risk <= risk_stop:
         return tree, trace
 
@@ -524,19 +560,23 @@ def topdown(
         for st in order:
             if st.count < 2 * cfg.min_child_count:
                 continue
-            leaf_v = _leaf_view(v, leaf_ids_rows, st.leaf_id)
+            rows = np.flatnonzero(leaf_ids_rows == st.leaf_id)
+            leaf_v = make_view(v.base, v.indices[rows], raw_weights=v.weights[rows])
             cand = best_split(leaf_v, schema, eta_t, scores, B, cfg, nlogit_values)
             if cand is not None:
-                chosen = (st, cand)
+                chosen = (st, cand, rows)
                 break
         if chosen is None:
             break
-        st, cand = chosen
+        st, cand, rows = chosen
+        test = cand.test()
         base_id = tree.max_leaf_id()
-        subtree = Node(cand.test(), Leaf(base_id + 1, 1.0), Leaf(base_id + 2, 1.0))
+        subtree = Node(test, Leaf(base_id + 1, 1.0), Leaf(base_id + 2, 1.0))
         tree = tree.replace_leaf(st.leaf_id, subtree)
-        tree, stats, leaf_ids_rows = sync(tree)
-        risk = emit(it, tree, stats, leaf_ids_rows, event=f"split leaf={st.leaf_id} {cand.test().describe()}")
+        passes = test.passes_rows(view_columns[test.feature][rows])
+        leaf_ids_rows[rows] = np.where(passes, base_id + 1, base_id + 2)
+        tree, stats = sync(tree)
+        risk = emit(it, tree, stats, event=f"split leaf={st.leaf_id} {test.describe()}")
         if risk_stop is not None and risk <= risk_stop:
             break
 

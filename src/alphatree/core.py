@@ -287,11 +287,15 @@ class AlphaTree:
 
 
 def _iter_leaves(node: Node | Leaf) -> Iterator[Leaf]:
-    if isinstance(node, Leaf):
-        yield node
-    else:
-        yield from _iter_leaves(node.left)
-        yield from _iter_leaves(node.right)
+    """Leaves from left to right; one explicit stack, so O(nodes) at any depth."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            yield node
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
 
 
 def _replace(node: Node | Leaf, leaf_id: int, subtree: Node | Leaf):

@@ -308,21 +308,26 @@ def advantage_rate(ds: Dataset, tree: AlphaTree, group, schedule_groups=None) ->
 
     A wrapped score of exactly 1/2 counts as a negative prediction.
     """
-    groups_arr = _groups_array(ds, schedule_groups)
-    mask = (groups_arr == group) & (ds.labels == 1)
-    idx = np.flatnonzero(mask)
+    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    return _advantage_rate(ds, q_f, _groups_array(ds, schedule_groups), group)
+
+
+def _advantage_rate(ds: Dataset, q_f: np.ndarray, groups_arr: np.ndarray, group) -> float:
+    """advantage_rate from wrapped scores already computed for every row."""
+    idx = np.flatnonzero((groups_arr == group) & (ds.labels == 1))
     if idx.size == 0:
         raise EmptyMeasureError(f"group {group!r} has no positive rows")
     v = make_view(ds, idx, raw_weights=ds.weights[idx])
-    q_f = wrapped_scores(tree, ds.columns, ds.scores)[idx]
-    return float(np.dot(v.weights, (q_f > 0.5).astype(float)))
+    return float(np.dot(v.weights, (q_f[idx] > 0.5).astype(float)))
 
 
 def _rates(ds, tree, modalities, schedule_groups):
+    groups_arr = _groups_array(ds, schedule_groups)
+    q_f = wrapped_scores(tree, ds.columns, ds.scores)
     out = {}
     for g in modalities:
         try:
-            out[g] = advantage_rate(ds, tree, g, schedule_groups)
+            out[g] = _advantage_rate(ds, q_f, groups_arr, g)
         except EmptyMeasureError:
             continue
     if len(out) < 2:

@@ -92,11 +92,24 @@ def _parse_target(raw: str, row: int) -> float:
     return v
 
 
-def _is_float(raw: str) -> bool:
+def _parse_floats(raw: list[str]) -> np.ndarray | None:
+    """Every cell as a float, or None when some cell does not parse."""
     try:
-        return math.isfinite(float(raw))
+        return np.fromiter(map(float, raw), dtype=float, count=len(raw))
     except ValueError:
-        return False
+        return None
+
+
+def _first_bad_number(raw: list[str]) -> tuple[int, str, str]:
+    """1-based row, cell and reason of the first cell that is not a finite float."""
+    for r, v in enumerate(raw, start=1):
+        try:
+            fv = float(v)
+        except ValueError:
+            return r, v, "is not numeric"
+        if not math.isfinite(fv):
+            return r, v, "is not finite"
+    raise AssertionError("every cell is a finite float")
 
 
 def load_dataset(
@@ -113,9 +126,10 @@ def load_dataset(
     """Read a headed CSV into a Dataset, clipping scores on ingest.
 
     Columns other than the label/group/score/weight ones are features.  A
-    feature is numeric when every value parses to a finite float, else
-    categorical; explicit kinds override the inference, and a numeric value
-    that then fails to parse is reported with its 1-based data-row number.
+    feature is numeric when every value parses as a float, else categorical;
+    explicit kinds override the inference.  A numeric feature value that does
+    not parse or is not finite (nan, inf) is reported with its 1-based
+    data-row number.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -162,18 +176,15 @@ def load_dataset(
     for name in feature_names:
         raw = [row[col_index[name]] for row in rows]
         kind = kinds.get(name) if kinds else None
-        if kind is None:
-            kind = "numeric" if all(_is_float(v) for v in raw) else "categorical"
+        values = None
+        if kind in (None, "numeric"):
+            values = _parse_floats(raw)
+            if kind is None:
+                kind = "categorical" if values is None else "numeric"
         if kind == "numeric":
-            values = np.empty(len(raw), dtype=float)
-            for r, v in enumerate(raw, start=1):
-                try:
-                    fv = float(v)
-                except ValueError:
-                    raise LoadError(f"row {r}: feature {name!r} value {v!r} is not numeric") from None
-                if not math.isfinite(fv):
-                    raise LoadError(f"row {r}: feature {name!r} value {v!r} is not finite")
-                values[r - 1] = fv
+            if values is None or not np.all(np.isfinite(values)):
+                r, v, why = _first_bad_number(raw)
+                raise LoadError(f"row {r}: feature {name!r} value {v!r} {why}")
             features[name] = values
         elif kind == "categorical":
             features[name] = np.array(raw, dtype=object)

@@ -1,16 +1,24 @@
 """Edges, leaf labels, split search, and top-down induction."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+import alphatree.boosting as boosting
 from alphatree import (
     A_MAX,
+    AlphaTree,
     DegenerateLeafError,
     DomainError,
     InductionConfig,
+    Leaf,
+    LeafStats,
+    Node,
     SplitTest,
     UndefinedLeafError,
     audacious_leaf_bound,
@@ -21,6 +29,7 @@ from alphatree import (
     edge,
     edge_pos_neg,
     full_view,
+    init_stump,
     leaf_alpha_audacious,
     leaf_alpha_conservative,
     leaf_entropy,
@@ -28,6 +37,7 @@ from alphatree import (
     make_dataset,
     make_view,
     relabel_leaves,
+    route_rows,
     single_leaf_tree,
     stump,
     topdown,
@@ -407,5 +417,149 @@ def test_induction_config_validation():
         InductionConfig(min_child_fraction=0.6)
     with pytest.raises(ValueError):
         InductionConfig(min_child_count=0)
-    with pytest.raises(ValueError):
-        InductionConfig(leaf_policy="lightest")
+
+
+# ---------------------------------------------------------------------------
+# incremental leaf ids and bincount statistics against the simple paths
+# ---------------------------------------------------------------------------
+
+
+def masked_leaf_stats(v, leaf_ids_rows, eta, scores, B):
+    """Reference leaf statistics: one boolean mask and one sum per leaf."""
+    nl = np.log(v.pick(scores) / (1.0 - v.pick(scores))) / B
+    e_rows = v.pick(eta)
+    w = v.weights
+    y_signal = (2.0 * e_rows - 1.0) * nl
+    pos = e_rows * np.maximum(nl, 0.0) + (1.0 - e_rows) * np.maximum(-nl, 0.0)
+    neg = e_rows * np.maximum(-nl, 0.0) + (1.0 - e_rows) * np.maximum(nl, 0.0)
+    out = {}
+    for lid in np.unique(leaf_ids_rows).tolist():
+        mask = leaf_ids_rows == lid
+        mass = float(w[mask].sum())
+        if mass <= 0.0:
+            continue
+        e = min(1.0, max(-1.0, float(np.dot(w[mask], y_signal[mask])) / mass))
+        out[lid] = LeafStats(
+            leaf_id=lid,
+            edge=e,
+            edge_pos=max(0.0, float(np.dot(w[mask], pos[mask])) / mass),
+            edge_neg=max(0.0, float(np.dot(w[mask], neg[mask])) / mass),
+            mass=mass,
+            entropy=leaf_entropy(e),
+            count=int(mask.sum()),
+        )
+    return out
+
+
+def assert_stats_match(got, ref):
+    """bincount sums differ from masked sums only in summation order."""
+    assert sorted(got) == sorted(ref)
+    for lid, expect in ref.items():
+        assert got[lid].count == expect.count
+        for key in ("edge", "edge_pos", "edge_neg", "mass", "entropy"):
+            assert abs(getattr(got[lid], key) - getattr(expect, key)) <= 1e-12, (lid, key)
+
+
+def rerouting_topdown(v, eta, scores, B, tree, cfg):
+    """Reference induction: re-route every base row from the root after each split."""
+    def sync(tree):
+        ids = route_rows(tree, v.base.columns, v.base.n)[v.indices]
+        stats = masked_leaf_stats(v, ids, eta, scores, B)
+        return relabel_leaves(tree, stats, cfg.scoring, B, cfg.alpha_cap), stats, ids
+
+    tree, stats, ids = sync(tree)
+    for _ in range(cfg.max_iterations):
+        chosen = None
+        for leaf in sorted(stats.values(), key=lambda s: (-s.mass, s.leaf_id)):
+            if leaf.count < 2 * cfg.min_child_count:
+                continue
+            mask = ids == leaf.leaf_id
+            leaf_v = make_view(v.base, v.indices[mask], raw_weights=v.weights[mask])
+            cand = best_split(leaf_v, None, eta, scores, B, cfg)
+            if cand is not None:
+                chosen = (leaf.leaf_id, cand)
+                break
+        if chosen is None:
+            break
+        base_id = tree.max_leaf_id()
+        subtree = Node(chosen[1].test(), Leaf(base_id + 1, 1.0), Leaf(base_id + 2, 1.0))
+        tree, stats, ids = sync(tree.replace_leaf(chosen[0], subtree))
+    return tree
+
+
+def tree_shape(node):
+    if isinstance(node, Leaf):
+        return node.leaf_id
+    return (node.test, tree_shape(node.left), tree_shape(node.right))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 300),
+    n_numeric=st.integers(1, 3),
+    n_categorical=st.integers(1, 2),
+    decimals=st.integers(0, 2),
+    view=st.sampled_from(["all", "g0", "g1"]),
+    stump_start=st.booleans(),
+    max_iterations=st.integers(0, 8),
+    min_child_count=st.integers(1, 12),
+)
+def test_topdown_incremental_leaf_ids_match_full_routing(
+    seed, n, n_numeric, n_categorical, decimals, view, stump_start, max_iterations,
+    min_child_count,
+):
+    rng = np.random.default_rng(seed)
+    B = float(rng.uniform(0.5, 3.0))
+    features, kinds = {}, {}
+    for j in range(n_numeric):
+        # few decimals force ties between rows, and so the threshold guard
+        features[f"x{j}"] = np.round(rng.normal(0.0, 1.0, n), decimals)
+        kinds[f"x{j}"] = "numeric"
+    for j in range(n_categorical):
+        features[f"c{j}"] = rng.choice(np.array(list("abcd"), dtype=object), n)
+        kinds[f"c{j}"] = "categorical"
+    scores = expit(B * rng.uniform(-1.0, 1.0, n))
+    eta = rng.uniform(0.05, 0.95, n)
+    labels = np.where(rng.random(n) < eta, 1, -1)
+    groups = np.where(rng.random(n) < 0.6, "g0", "g1").astype(object)
+    groups[:2] = ["g0", "g1"]
+    ds = make_dataset(features, kinds, labels, groups, scores, B,
+                      weights=rng.uniform(0.5, 2.0, n))
+    v = full_view(ds) if view == "all" else make_view(ds, np.flatnonzero(ds.groups == view))
+    tree0 = init_stump(["g0", "g1"]) if stump_start else single_leaf_tree()
+    cfg = InductionConfig(max_iterations=max_iterations, min_child_count=min_child_count,
+                          min_child_fraction=0.05)
+
+    real_leaf_stats = boosting.leaf_stats
+    calls = []
+
+    def checked_leaf_stats(v_, tree, eta_t, scores_, B_, nlogit_values=None,
+                           leaf_ids_rows=None, **kwargs):
+        routed = route_rows(tree, ds.columns, ds.n)[v_.indices]
+        np.testing.assert_array_equal(leaf_ids_rows, routed)
+        out = real_leaf_stats(v_, tree, eta_t, scores_, B_, nlogit_values,
+                              leaf_ids_rows=leaf_ids_rows, **kwargs)
+        assert_stats_match(out, masked_leaf_stats(v_, routed, eta, ds.scores, B))
+        calls.append(tree)
+        return out
+
+    with mock.patch.object(boosting, "leaf_stats", checked_leaf_stats):
+        tree, trace = topdown(v, eta, ds.scores, B, tree0, cfg)
+    splits = sum(1 for r in trace.rows if r.event.startswith("split"))
+    assert len(calls) == splits + 1
+    expected = rerouting_topdown(v, eta, ds.scores, B, tree0, cfg)
+    assert tree_shape(tree.root) == tree_shape(expected.root)
+    for leaf in tree.leaves():
+        assert leaf.alpha == pytest.approx(expected.alpha_of(leaf.leaf_id), rel=1e-9, abs=1e-9)
+
+
+def test_leaf_stats_negative_and_sparse_leaf_ids():
+    rng = np.random.default_rng(13)
+    ds, eta = random_dataset(rng, n_min=120, n_max=120)
+    v = full_view(ds)
+    tree = AlphaTree(Node(SplitTest("x0", "numeric", 0.0, None), Leaf(-5, 1.0), Leaf(10**12, 1.0)))
+    ids = route_rows(tree, ds.columns, ds.n)
+    stats = leaf_stats(v, tree, eta, ds.scores, ds.clip_B)
+    assert sorted(stats) == [-5, 10**12]
+    assert_stats_match(stats, masked_leaf_stats(v, ids, eta, ds.scores, ds.clip_B))

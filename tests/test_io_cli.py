@@ -151,6 +151,17 @@ def test_load_dataset_numeric_feature_errors(tmp_path):
         load_dataset(path, 1.0, kinds={"x": "numeric"})
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_dataset_rejects_non_finite_cell_in_inferred_column(tmp_path, cell):
+    # every cell parses as a float, so the column is numeric and the one
+    # non-finite cell is an error, not a reason to read it as categorical
+    path = tmp_path / "d.csv"
+    write_csv(path, ["x", "label", "group", "score"],
+              [[0.5, "+1", "g", 0.5], [1.5, "-1", "g", 0.5], [cell, "+1", "g", 0.5]])
+    with pytest.raises(LoadError, match=f"row 3: feature 'x' value '{cell}' is not finite"):
+        load_dataset(path, 1.0)
+
+
 def test_load_dataset_custom_column_names(tmp_path):
     path = tmp_path / "d.csv"
     write_csv(path, ["x", "y", "who", "q"],
@@ -520,6 +531,22 @@ def test_cli_user_errors_exit_2(tmp_path, capsys):
     ragged.write_text("x,group,label,score\n1,a,+1\n", encoding="utf-8")
     assert main(train_args(ragged, model)) == 2
     assert "error: row 1" in capsys.readouterr().err
+
+
+def test_cli_train_and_eval_reject_nan_feature(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    model = tmp_path / "m.json"
+    assert main(train_args(data, model)) == 0
+    capsys.readouterr()
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[7] = "nan" + lines[7][lines[7].index(","):]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = "error: row 7: feature 'x' value 'nan' is not finite"
+    assert main(train_args(data, tmp_path / "m2.json")) == 2
+    assert message in capsys.readouterr().err
+    assert main(["eval", "--data", str(data), "--model", str(model), "--split", "all"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_schema_file(tmp_path, capsys):
