@@ -8,7 +8,6 @@ choice of fairness driver (worst-group CVaR, equal opportunity, statistical
 parity) and quantifies the harm of wrapping through KL drift bounds.
 """
 
-from ._kernels import active_backend, set_backend
 from .boosting import (
     BalancedWeights,
     DegenerateLeafError,

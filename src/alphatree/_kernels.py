@@ -1,142 +1,69 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Split scans: score every boundary of a sorted column at once.
 
-The split-candidate scan dominates induction time (per leaf, per feature:
-walk every boundary between consecutive distinct sorted values and score the
-weighted two-child entropy).  Both backends consume identical presummed
-inputs and evaluate the same elementwise expression, so they pick the same
-candidate; tests and benchmarks/split_bench.py compare them.
+A scan takes one feature's values in sorted order plus prefix sums of what
+the children need, and returns the boundary with the lowest weighted
+two-child entropy.  A boundary before position i puts i rows left.  Both
+scans draw their candidates from `split_boundaries` (distinct neighbours,
+at least `min_count` rows per side), and both callers turn the winning
+boundary into a threshold with `midpoint_threshold`.
 
-Backend selection: env var ALPHATREE_KERNELS=numpy forces the fallback,
-ALPHATREE_KERNELS=numba forces the jit path (error if numba is missing),
-anything else auto-detects.  set_backend() overrides at runtime.
+- `numeric_split_scan` scores binary alignment entropy for the alpha-tree
+  (`boosting.best_split`).
+- `class_split_scan` scores multiclass entropy of class counts for the
+  proxy group tree (`estimators.proxy_group_tree`), the class-count scan
+  over a sorted attribute of SLIQ (Mehta et al., EDBT 1996).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in normal installs
-    HAVE_NUMBA = False
-
 __all__ = [
-    "HAVE_NUMBA",
-    "active_backend",
-    "set_backend",
+    "class_entropy",
+    "class_split_scan",
+    "midpoint_threshold",
     "numeric_split_scan",
-    "numeric_split_scan_numpy",
-    "numeric_split_scan_numba",
+    "split_boundaries",
 ]
 
 
-def _backend_from_env() -> str:
-    raw = os.environ.get("ALPHATREE_KERNELS", "").strip().lower()
-    if raw == "numpy":
-        return "numpy"
-    if raw == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("ALPHATREE_KERNELS=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
+def split_boundaries(values, min_count):
+    """Mask over boundaries 1..n-1 of sorted values (entry i-1 for boundary i).
+
+    A boundary qualifies when it separates two distinct values and leaves at
+    least min_count rows on each side.
+    """
+    n = values.shape[0]
+    i = np.arange(1, n)
+    return (values[1:] != values[:-1]) & (i >= min_count) & ((n - i) >= min_count)
 
 
-_BACKEND = _backend_from_env()
+def midpoint_threshold(sorted_values, i) -> float:
+    """Threshold of the boundary before position i: rows <= it go left."""
+    thr = 0.5 * (sorted_values[i - 1] + sorted_values[i])
+    if thr >= sorted_values[i]:
+        # midpoint of adjacent floats can round up; keep the cut strictly
+        # between the two runs
+        thr = sorted_values[i - 1]
+    return float(thr)
 
 
-def active_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Switch kernel backend; returns the previous one."""
-    global _BACKEND
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    prev = _BACKEND
-    _BACKEND = name
-    return prev
-
-
-def _scan_loop(values, cumw, cuma, min_mass, min_count):
+def numeric_split_scan(values, cumw, cuma, min_mass, min_count):
     """Best boundary of a sorted leaf: returns (left_count, post_entropy).
 
     values: sorted feature values; cumw/cuma: inclusive prefix sums of row
     weight and of weight * signed alignment (w * (2 eta - 1) * nlogit).
-    A boundary before position i puts i rows left.  Children must carry at
-    least min_mass weight and min_count rows each.  Returns (-1, inf) when
-    no boundary qualifies.
+    Children must carry at least min_mass weight and min_count rows each.
+    Returns (-1, inf) when no boundary qualifies.
     """
-    n = values.shape[0]
-    total_w = cumw[n - 1]
-    total_a = cuma[n - 1]
-    best_i = -1
-    best_post = np.inf
-    for i in range(1, n):
-        if values[i] == values[i - 1]:
-            continue
-        if i < min_count or (n - i) < min_count:
-            continue
-        wl = cumw[i - 1]
-        wr = total_w - wl
-        if wl < min_mass or wr < min_mass:
-            continue
-        el = cuma[i - 1] / wl
-        er = (total_a - cuma[i - 1]) / wr
-        if el > 1.0:
-            el = 1.0
-        elif el < -1.0:
-            el = -1.0
-        if er > 1.0:
-            er = 1.0
-        elif er < -1.0:
-            er = -1.0
-        pl = 0.5 * (1.0 + el)
-        pr = 0.5 * (1.0 + er)
-        if pl <= 0.0 or pl >= 1.0:
-            hl = 0.0
-        else:
-            hl = -(pl * np.log(pl) + (1.0 - pl) * np.log(1.0 - pl))
-        if pr <= 0.0 or pr >= 1.0:
-            hr = 0.0
-        else:
-            hr = -(pr * np.log(pr) + (1.0 - pr) * np.log(1.0 - pr))
-        post = wl * hl + wr * hr
-        if post < best_post:
-            best_post = post
-            best_i = i
-    return best_i, best_post
-
-
-if HAVE_NUMBA:
-    _scan_jit = njit(cache=False)(_scan_loop)
-
-
-def numeric_split_scan_numba(values, cumw, cuma, min_mass, min_count):
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not importable")
-    i, post = _scan_jit(values, cumw, cuma, float(min_mass), int(min_count))
-    return int(i), float(post)
-
-
-def numeric_split_scan_numpy(values, cumw, cuma, min_mass, min_count):
-    """Vectorized twin of _scan_loop; same candidate set, same arithmetic."""
     n = values.shape[0]
     if n < 2:
         return -1, np.inf
     total_w = cumw[n - 1]
     total_a = cuma[n - 1]
-    i = np.arange(1, n)
     wl = cumw[:-1]
     wr = total_w - wl
-    valid = values[1:] != values[:-1]
-    valid &= (i >= min_count) & ((n - i) >= min_count)
+    valid = split_boundaries(values, min_count)
     valid &= (wl >= min_mass) & (wr >= min_mass)
     if not valid.any():
         return -1, np.inf
@@ -163,8 +90,52 @@ def numeric_split_scan_numpy(values, cumw, cuma, min_mass, min_count):
     return k + 1, float(post[k])
 
 
-def numeric_split_scan(values, cumw, cuma, min_mass, min_count):
-    """Dispatch to the active backend."""
-    if _BACKEND == "numba":
-        return numeric_split_scan_numba(values, cumw, cuma, min_mass, min_count)
-    return numeric_split_scan_numpy(values, cumw, cuma, min_mass, min_count)
+def class_entropy(counts):
+    """Entropy -sum p log p of class counts over the last axis, p = count / total.
+
+    A 1-D input gives a float, summed over its nonzero classes; a row of
+    zeros has entropy 0.  A 2-D input gives one entropy per row, equal bit
+    for bit to that row's 1-D entropy.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim == 1:
+        total = counts.sum()
+        if total == 0:
+            return 0.0
+        p = counts[counts > 0] / total
+        return float(-(p * np.log(p)).sum())
+    total = counts.sum(axis=1)
+    nonzero = counts > 0
+    if nonzero.all():
+        p = counts / total[:, None]
+        return -(p * np.log(p)).sum(axis=1)
+    # rows with the same number of nonzero classes share one (rows, width)
+    # block, so each row sums exactly its nonzero terms, in class order
+    width = nonzero.sum(axis=1)
+    out = np.zeros(counts.shape[0])
+    for k in np.unique(width[width > 0]):
+        rows = width == k
+        p = counts[rows][nonzero[rows]].reshape(-1, k) / total[rows, None]
+        out[rows] = -(p * np.log(p)).sum(axis=1)
+    return out
+
+
+def class_split_scan(values, cumc, min_count):
+    """Best boundary of a sorted node by class counts: (left_count, weighted entropy).
+
+    values: sorted feature values; cumc: (rows, classes) inclusive prefix
+    counts of each class in that order.  The score of boundary i is
+    H(left) * i + H(right) * (rows - i); ties go to the lowest boundary.
+    Returns (-1, inf) when no boundary qualifies.
+    """
+    n = values.shape[0]
+    if n < 2:
+        return -1, np.inf
+    at = np.flatnonzero(split_boundaries(values, min_count)) + 1
+    if at.size == 0:
+        return -1, np.inf
+    left = cumc[at - 1]
+    right = cumc[n - 1] - left
+    h = class_entropy(left) * at + class_entropy(right) * (n - at)
+    k = int(np.argmin(h))
+    return int(at[k]), float(h[k])

@@ -429,15 +429,10 @@ def best_split(
             i, post = _kernels.numeric_split_scan(sv, cumw, cuma, min_mass, cfg.min_child_count)
             if i < 0:
                 continue
-            thr = 0.5 * (sv[i - 1] + sv[i])
-            if thr >= sv[i]:
-                # midpoint of adjacent floats can round up; keep the cut
-                # strictly between the two runs
-                thr = float(sv[i - 1])
             cand = SplitCandidate(
                 feature=feature,
                 kind="numeric",
-                threshold=float(thr),
+                threshold=_kernels.midpoint_threshold(sv, i),
                 modality=None,
                 post_entropy=float(post),
                 parent_entropy=parent_h,

@@ -38,6 +38,8 @@ from .io_cli import (
     LoadError,
     ModelFormatError,
     ModelMeta,
+    _parse_feature,
+    _parse_score,
     load_dataset,
     load_model,
     resolve_seed,
@@ -336,6 +338,8 @@ def _cmd_apply(args) -> int:
         except StopIteration:
             raise LoadError("file has no header row") from None
         rows = list(reader)
+    if len(set(header)) != len(header):
+        raise LoadError("duplicate column names in header")
     if args.score_column not in header:
         raise LoadError(f"missing required column {args.score_column!r}")
     if not rows:
@@ -345,15 +349,12 @@ def _cmd_apply(args) -> int:
         if len(row) != len(header):
             raise LoadError(f"row {r}: expected {len(header)} fields, got {len(row)}")
 
+    # read only the columns the model tests, each as the kind of its tests
     columns: dict[str, np.ndarray] = {}
-    for name in header:
-        raw = [row[idx[name]] for row in rows]
-        try:
-            columns[name] = np.array([float(v) for v in raw], dtype=float)
-        except ValueError:
-            columns[name] = np.array(raw, dtype=object)
-
-    from .io_cli import _parse_score
+    for name, kind in tree.feature_kinds().items():
+        if name not in idx:
+            raise LoadError(f"missing feature column {name!r}, which the model tests")
+        columns[name], _ = _parse_feature(name, [row[idx[name]] for row in rows], kind)
 
     scores = np.array(
         [_parse_score(row[idx[args.score_column]], r) for r, row in enumerate(rows, start=1)]

@@ -265,6 +265,24 @@ class AlphaTree:
     def n_leaves(self) -> int:
         return sum(1 for _ in _iter_leaves(self.root))
 
+    def feature_kinds(self) -> dict[str, str]:
+        """Kind of test ("numeric" or "categorical") on each feature the tree tests.
+
+        Raises SchemaError when one feature is tested as both kinds.
+        """
+        kinds: dict[str, str] = {}
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                continue
+            test = node.test
+            if kinds.setdefault(test.feature, test.kind) != test.kind:
+                raise SchemaError(f"feature {test.feature!r} is tested as both numeric and categorical")
+            stack.append(node.right)
+            stack.append(node.left)
+        return kinds
+
     def max_leaf_id(self) -> int:
         return max(leaf.leaf_id for leaf in _iter_leaves(self.root))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, single_leaf_tree
 
 __all__ = [
@@ -228,16 +229,15 @@ class ProxyTree:
         self._fill(node.right, columns, idx[~go_left], out)
 
 
-def _class_entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log(p)).sum())
-
-
 def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int = 30) -> ProxyTree:
-    """Multiclass entropy tree predicting the group from ordinary features."""
+    """Multiclass entropy tree predicting the group from ordinary features.
+
+    Each node takes the split with the lowest count-weighted class entropy
+    of its children, each child holding at least min_leaf rows; ties go to
+    the earliest feature in schema order, then the lowest threshold / first
+    modality in sorted order.  A node splits only when that beats its own
+    weighted entropy by more than 1e-12.
+    """
     groups = np.asarray(groups, dtype=object)
     classes = tuple(sorted(set(groups.tolist())))
     class_index = {c: i for i, c in enumerate(classes)}
@@ -245,6 +245,7 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     n = len(y)
     if n == 0:
         raise DomainError("need at least one row")
+    one_hot = np.eye(len(classes), dtype=np.int64)
 
     def counts_of(idx):
         return np.bincount(y[idx], minlength=len(classes))
@@ -257,7 +258,7 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
         counts = counts_of(idx)
         if depth >= max_depth or len(idx) < 2 * min_leaf or np.count_nonzero(counts) <= 1:
             return ProxyLeaf(majority(idx))
-        parent_h = _class_entropy(counts) * len(idx)
+        parent_h = _kernels.class_entropy(counts) * len(idx)
         best = None
         for name, kind in kinds.items():
             values = np.asarray(columns[name])[idx]
@@ -265,20 +266,11 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
                 values = values.astype(float)
                 order = np.argsort(values, kind="stable")
                 sv = values[order]
-                sy = y[idx][order]
-                left_counts = np.zeros(len(classes))
-                for i in range(1, len(idx)):
-                    left_counts[sy[i - 1]] += 1
-                    if sv[i] == sv[i - 1]:
-                        continue
-                    if i < min_leaf or len(idx) - i < min_leaf:
-                        continue
-                    h = _class_entropy(left_counts) * i + _class_entropy(counts - left_counts) * (len(idx) - i)
-                    if best is None or h < best[0]:
-                        thr = 0.5 * (sv[i - 1] + sv[i])
-                        if thr >= sv[i]:
-                            thr = float(sv[i - 1])
-                        best = (h, SplitTest(name, "numeric", float(thr), None))
+                cumc = np.cumsum(one_hot[y[idx][order]], axis=0)
+                i, h = _kernels.class_split_scan(sv, cumc, min_leaf)
+                if i >= 0 and (best is None or h < best[0]):
+                    thr = _kernels.midpoint_threshold(sv, i)
+                    best = (h, SplitTest(name, "numeric", thr, None))
             else:
                 for m in sorted(set(values.tolist())):
                     mask = values == m
@@ -286,7 +278,7 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
                     if cl < min_leaf or len(idx) - cl < min_leaf:
                         continue
                     lc = counts_of(idx[mask])
-                    h = _class_entropy(lc) * cl + _class_entropy(counts - lc) * (len(idx) - cl)
+                    h = _kernels.class_entropy(lc) * cl + _kernels.class_entropy(counts - lc) * (len(idx) - cl)
                     if best is None or h < best[0]:
                         best = (h, SplitTest(name, "categorical", None, m))
         if best is None or best[0] >= parent_h - 1e-12:

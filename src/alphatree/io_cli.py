@@ -100,6 +100,28 @@ def _parse_floats(raw: list[str]) -> np.ndarray | None:
         return None
 
 
+def _parse_feature(name: str, raw: list[str], kind: str | None) -> tuple[np.ndarray, str]:
+    """One feature column from its cells: (values, kind).
+
+    With kind None the column is numeric when every cell parses as a float,
+    else categorical.  A numeric cell that does not parse or is not finite
+    is a LoadError naming its 1-based data row and the column.
+    """
+    values = None
+    if kind in (None, "numeric"):
+        values = _parse_floats(raw)
+        if kind is None:
+            kind = "categorical" if values is None else "numeric"
+    if kind == "numeric":
+        if values is None or not np.all(np.isfinite(values)):
+            r, v, why = _first_bad_number(raw)
+            raise LoadError(f"row {r}: feature {name!r} value {v!r} {why}")
+        return values, kind
+    if kind == "categorical":
+        return np.array(raw, dtype=object), kind
+    raise LoadError(f"feature {name!r} has unknown kind {kind!r}")
+
+
 def _first_bad_number(raw: list[str]) -> tuple[int, str, str]:
     """1-based row, cell and reason of the first cell that is not a finite float."""
     for r, v in enumerate(raw, start=1):
@@ -176,21 +198,7 @@ def load_dataset(
     for name in feature_names:
         raw = [row[col_index[name]] for row in rows]
         kind = kinds.get(name) if kinds else None
-        values = None
-        if kind in (None, "numeric"):
-            values = _parse_floats(raw)
-            if kind is None:
-                kind = "categorical" if values is None else "numeric"
-        if kind == "numeric":
-            if values is None or not np.all(np.isfinite(values)):
-                r, v, why = _first_bad_number(raw)
-                raise LoadError(f"row {r}: feature {name!r} value {v!r} {why}")
-            features[name] = values
-        elif kind == "categorical":
-            features[name] = np.array(raw, dtype=object)
-        else:
-            raise LoadError(f"feature {name!r} has unknown kind {kind!r}")
-        out_kinds[name] = kind
+        features[name], out_kinds[name] = _parse_feature(name, raw, kind)
 
     return make_dataset(
         features,

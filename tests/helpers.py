@@ -3,7 +3,8 @@
 import numpy as np
 from scipy.special import expit
 
-from alphatree import AlphaTree, Leaf, Node, SplitTest, make_dataset
+from alphatree import AlphaTree, DomainError, Leaf, Node, SplitTest, make_dataset
+from alphatree.estimators import ProxyLeaf, ProxyNode, ProxyTree
 
 
 def random_dataset(rng, n_min=80, n_max=400, b_range=(0.5, 3.0), plugin_prob=0.4):
@@ -87,3 +88,129 @@ def probe_columns(rng, n):
         "x1": rng.normal(0.0, 1.0, n),
         "c0": rng.choice(np.array(list("abcd"), dtype=object), n),
     }
+
+
+# ---------------------------------------------------------------------------
+# loop references for the vectorized split scans
+# ---------------------------------------------------------------------------
+
+
+def numeric_split_scan_reference(values, cumw, cuma, min_mass, min_count):
+    """Best boundary of a sorted leaf: returns (left_count, post_entropy).
+
+    values: sorted feature values; cumw/cuma: inclusive prefix sums of row
+    weight and of weight * signed alignment (w * (2 eta - 1) * nlogit).
+    A boundary before position i puts i rows left.  Children must carry at
+    least min_mass weight and min_count rows each.  Returns (-1, inf) when
+    no boundary qualifies.
+    """
+    n = values.shape[0]
+    total_w = cumw[n - 1]
+    total_a = cuma[n - 1]
+    best_i = -1
+    best_post = np.inf
+    for i in range(1, n):
+        if values[i] == values[i - 1]:
+            continue
+        if i < min_count or (n - i) < min_count:
+            continue
+        wl = cumw[i - 1]
+        wr = total_w - wl
+        if wl < min_mass or wr < min_mass:
+            continue
+        el = cuma[i - 1] / wl
+        er = (total_a - cuma[i - 1]) / wr
+        if el > 1.0:
+            el = 1.0
+        elif el < -1.0:
+            el = -1.0
+        if er > 1.0:
+            er = 1.0
+        elif er < -1.0:
+            er = -1.0
+        pl = 0.5 * (1.0 + el)
+        pr = 0.5 * (1.0 + er)
+        if pl <= 0.0 or pl >= 1.0:
+            hl = 0.0
+        else:
+            hl = -(pl * np.log(pl) + (1.0 - pl) * np.log(1.0 - pl))
+        if pr <= 0.0 or pr >= 1.0:
+            hr = 0.0
+        else:
+            hr = -(pr * np.log(pr) + (1.0 - pr) * np.log(1.0 - pr))
+        post = wl * hl + wr * hr
+        if post < best_post:
+            best_post = post
+            best_i = i
+    return best_i, best_post
+
+
+def _class_entropy(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log(p)).sum())
+
+
+def proxy_group_tree_reference(columns, kinds, groups, max_depth: int = 8, min_leaf: int = 30) -> ProxyTree:
+    """Row-by-row proxy tree search that `proxy_group_tree` must reproduce exactly."""
+    groups = np.asarray(groups, dtype=object)
+    classes = tuple(sorted(set(groups.tolist())))
+    class_index = {c: i for i, c in enumerate(classes)}
+    y = np.array([class_index[g] for g in groups.tolist()])
+    n = len(y)
+    if n == 0:
+        raise DomainError("need at least one row")
+
+    def counts_of(idx):
+        return np.bincount(y[idx], minlength=len(classes))
+
+    def majority(idx):
+        c = counts_of(idx)
+        return classes[int(np.argmax(c))]
+
+    def build(idx: np.ndarray, depth: int):
+        counts = counts_of(idx)
+        if depth >= max_depth or len(idx) < 2 * min_leaf or np.count_nonzero(counts) <= 1:
+            return ProxyLeaf(majority(idx))
+        parent_h = _class_entropy(counts) * len(idx)
+        best = None
+        for name, kind in kinds.items():
+            values = np.asarray(columns[name])[idx]
+            if kind == "numeric":
+                values = values.astype(float)
+                order = np.argsort(values, kind="stable")
+                sv = values[order]
+                sy = y[idx][order]
+                left_counts = np.zeros(len(classes))
+                for i in range(1, len(idx)):
+                    left_counts[sy[i - 1]] += 1
+                    if sv[i] == sv[i - 1]:
+                        continue
+                    if i < min_leaf or len(idx) - i < min_leaf:
+                        continue
+                    h = _class_entropy(left_counts) * i + _class_entropy(counts - left_counts) * (len(idx) - i)
+                    if best is None or h < best[0]:
+                        thr = 0.5 * (sv[i - 1] + sv[i])
+                        if thr >= sv[i]:
+                            thr = float(sv[i - 1])
+                        best = (h, SplitTest(name, "numeric", float(thr), None))
+            else:
+                for m in sorted(set(values.tolist())):
+                    mask = values == m
+                    cl = int(mask.sum())
+                    if cl < min_leaf or len(idx) - cl < min_leaf:
+                        continue
+                    lc = counts_of(idx[mask])
+                    h = _class_entropy(lc) * cl + _class_entropy(counts - lc) * (len(idx) - cl)
+                    if best is None or h < best[0]:
+                        best = (h, SplitTest(name, "categorical", None, m))
+        if best is None or best[0] >= parent_h - 1e-12:
+            return ProxyLeaf(majority(idx))
+        test = best[1]
+        values = np.asarray(columns[test.feature])[idx]
+        go_left = test.passes_rows(values)
+        return ProxyNode(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
+
+    return ProxyTree(root=build(np.arange(n), 0), classes=classes)

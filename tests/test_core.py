@@ -225,6 +225,18 @@ def test_tree_leaf_listing_and_alpha_lookup():
         assert t.alpha_of(l.leaf_id) == l.alpha
 
 
+def test_feature_kinds_lists_tested_features():
+    t = AlphaTree(Node(SplitTest("x", "numeric", 0.0, None),
+                       Node(SplitTest("c", "categorical", None, "0"), Leaf(0, 1.0), Leaf(1, 1.0)),
+                       Node(SplitTest("x", "numeric", 1.0, None), Leaf(2, 1.0), Leaf(3, 1.0))))
+    assert t.feature_kinds() == {"x": "numeric", "c": "categorical"}
+    assert single_leaf_tree().feature_kinds() == {}
+    mixed = AlphaTree(Node(SplitTest("x", "numeric", 0.0, None), Leaf(0, 1.0),
+                           Node(SplitTest("x", "categorical", None, "a"), Leaf(1, 1.0), Leaf(2, 1.0))))
+    with pytest.raises(SchemaError, match="'x' is tested as both"):
+        mixed.feature_kinds()
+
+
 def test_alpha_at_rows_matches_pointwise_routing():
     rng = np.random.default_rng(13)
     t = random_tree(rng, max_depth=5)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphatree import (
     DomainError,
@@ -17,6 +19,8 @@ from alphatree import (
     route_rows,
 )
 from alphatree.estimators import ProxyLeaf
+
+from helpers import proxy_group_tree_reference
 
 
 def test_label_plugin_maps_signs():
@@ -197,3 +201,48 @@ def test_alpha_tree_from_proxy_identity_partition():
     pred = proxy.predict({"x": x, "z": z})
     for lid in np.unique(ids):
         assert len(set(pred[ids == lid].tolist())) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 400),
+    n_classes=st.integers(2, 5),
+    numeric=st.lists(st.sampled_from(["round2", "ulp"]), max_size=3),
+    n_categorical=st.integers(0, 2),
+    duplicate=st.booleans(),
+    min_leaf=st.sampled_from([1, 5, 30]),
+    max_depth=st.sampled_from([0, 1, 8]),
+)
+def test_proxy_tree_matches_row_loop_reference(
+    seed, n, n_classes, numeric, n_categorical, duplicate, min_leaf, max_depth,
+):
+    rng = np.random.default_rng(seed)
+    # the last class is rare, so many nodes lack it
+    p = np.full(n_classes, 1.0)
+    p[-1] = 0.1
+    y = rng.choice(n_classes, n, p=p / p.sum())
+    groups = np.array([f"g{c}" for c in y], dtype=object)
+    columns, kinds = {}, {}
+    for j, style in enumerate(numeric):
+        signal = y + rng.normal(0.0, rng.choice([0.3, 1.0, 3.0]), n)
+        if style == "round2":
+            # heavy ties: a narrow range at two decimals
+            values = np.round(0.1 * signal, 2)
+        else:
+            # neighbouring floats: midpoints of odd/even pairs round up
+            values = 1.0 + np.spacing(1.0) * np.clip(np.round(signal), 0, 6)
+        columns[f"x{j}"], kinds[f"x{j}"] = values, "numeric"
+    for j in range(n_categorical):
+        codes = np.where(rng.random(n) < 0.6, y, rng.integers(0, 4, n)) % 4
+        columns[f"c{j}"] = np.array(list("abcd"), dtype=object)[codes]
+        kinds[f"c{j}"] = "categorical"
+    if not kinds:
+        columns["x"], kinds["x"] = np.round(rng.normal(0.0, 1.0, n), 2), "numeric"
+    if duplicate:
+        # an exact copy ties every split with its source: the earlier name must win
+        first = next(iter(kinds))
+        columns["dup"], kinds["dup"] = columns[first].copy(), kinds[first]
+    fast = proxy_group_tree(columns, kinds, groups, max_depth=max_depth, min_leaf=min_leaf)
+    ref = proxy_group_tree_reference(columns, kinds, groups, max_depth=max_depth, min_leaf=min_leaf)
+    assert fast == ref

@@ -549,6 +549,50 @@ def test_cli_train_and_eval_reject_nan_feature(tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_cli_apply_reads_tested_columns_by_kind(tmp_path, capsys):
+    # group labels "0"/"1"/"2" look numeric, but the model tests the group
+    # column by equality, so apply must keep it as strings, as train did
+    rng = np.random.default_rng(12)
+    n = 20_000
+    g = rng.integers(0, 3, n)
+    x = np.round(rng.normal(0.0, 1.0, n), 3)
+    scores = np.round(expit(x + 0.6 * g - 0.6), 4)
+    labels = np.where(rng.random(n) < expit(1.5 * x), 1, -1)
+    rows = [[x[i], str(g[i]), labels[i], scores[i]] for i in range(n)]
+    data = tmp_path / "d.csv"
+    write_csv(data, ["x", "group", "label", "score"], rows)
+    model = tmp_path / "m.json"
+    assert main(train_args(data, model)) == 0
+    tree, _ = load_model(model)
+    assert tree.feature_kinds() == {"group": "categorical", "x": "numeric"}
+
+    applied = tmp_path / "out.csv"
+    assert main(["apply", "--data", str(data), "--model", str(model),
+                 "--out", str(applied)]) == 0
+    capsys.readouterr()
+    got = np.array([float(line.split(",")[-2])
+                    for line in applied.read_text().splitlines()[1:]])
+    ds = load_dataset(data, 3.0)
+    expect = wrapped_scores(tree, ds.columns, ds.scores)
+    assert np.max(np.abs(got - expect)) <= 1e-12
+
+    rows[4][0] = "nan"
+    write_csv(data, ["x", "group", "label", "score"], rows)
+    assert main(["apply", "--data", str(data), "--model", str(model),
+                 "--out", str(applied)]) == 2
+    assert "error: row 5: feature 'x' value 'nan' is not finite" in capsys.readouterr().err
+
+    write_csv(data, ["group", "label", "score"], [row[1:] for row in rows[:10]])
+    assert main(["apply", "--data", str(data), "--model", str(model),
+                 "--out", str(applied)]) == 2
+    assert "error: missing feature column 'x'" in capsys.readouterr().err
+
+    write_csv(data, ["x", "x", "group", "label", "score"], [[1.0] + row for row in rows[:10]])
+    assert main(["apply", "--data", str(data), "--model", str(model),
+                 "--out", str(applied)]) == 2
+    assert "error: duplicate column names in header" in capsys.readouterr().err
+
+
 def test_cli_schema_file(tmp_path, capsys):
     data = tmp_path / "d.csv"
     rows = [[i, "a" if i % 2 else "b", "+1" if i % 3 else "-1", 0.5 + 0.004 * i]

@@ -1,20 +1,10 @@
-"""Backend parity for the split-scan kernels."""
+"""The split scans against their loop references, and their boundary rules."""
 
 import numpy as np
-import pytest
 
-from alphatree import InductionConfig, best_split, full_view, set_backend
-from alphatree._kernels import (
-    HAVE_NUMBA,
-    active_backend,
-    numeric_split_scan,
-    numeric_split_scan_numba,
-    numeric_split_scan_numpy,
-)
+from alphatree._kernels import class_entropy, class_split_scan, midpoint_threshold, numeric_split_scan
 
-from helpers import random_dataset
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
+from helpers import _class_entropy, numeric_split_scan_reference
 
 
 def scan_inputs(rng, n, tie_prob=0.3):
@@ -30,19 +20,18 @@ def scan_inputs(rng, n, tie_prob=0.3):
     return values, cumw, cuma
 
 
-@needs_numba
-def test_backends_agree_bitwise():
+def test_scan_matches_loop_reference_bitwise():
     rng = np.random.default_rng(0)
     for _ in range(200):
         n = int(rng.integers(2, 200))
         values, cumw, cuma = scan_inputs(rng, n)
         min_mass = float(rng.choice([0.0, 0.05, 0.2]))
         min_count = int(rng.choice([1, 2, 5]))
-        i_np, post_np = numeric_split_scan_numpy(values, cumw, cuma, min_mass, min_count)
-        i_nb, post_nb = numeric_split_scan_numba(values, cumw, cuma, min_mass, min_count)
-        assert i_np == i_nb
+        i_np, post_np = numeric_split_scan(values, cumw, cuma, min_mass, min_count)
+        i_ref, post_ref = numeric_split_scan_reference(values, cumw, cuma, min_mass, min_count)
+        assert i_np == i_ref
         # same arithmetic on both paths, so bitwise equality is required
-        assert post_np == post_nb or (np.isinf(post_np) and np.isinf(post_nb))
+        assert post_np == post_ref or (np.isinf(post_np) and np.isinf(post_ref))
 
 
 def test_no_boundary_between_equal_values():
@@ -50,16 +39,16 @@ def test_no_boundary_between_equal_values():
     w = np.full(10, 0.1)
     cumw = np.cumsum(w)
     cuma = np.cumsum(w * 0.5)
-    i, post = numeric_split_scan_numpy(values, cumw, cuma, 0.0, 1)
+    i, post = numeric_split_scan(values, cumw, cuma, 0.0, 1)
     assert i == -1 and np.isinf(post)
 
 
 def test_min_count_rejects_thin_children():
     rng = np.random.default_rng(1)
     values, cumw, cuma = scan_inputs(rng, 8, tie_prob=0.0)
-    i, post = numeric_split_scan_numpy(values, cumw, cuma, 0.0, 5)
+    i, post = numeric_split_scan(values, cumw, cuma, 0.0, 5)
     assert i == -1 and np.isinf(post)
-    i, post = numeric_split_scan_numpy(values, cumw, cuma, 0.0, 4)
+    i, post = numeric_split_scan(values, cumw, cuma, 0.0, 4)
     assert i in (-1, 4)
 
 
@@ -70,9 +59,9 @@ def test_min_mass_rejects_light_children():
     cumw = np.cumsum(w)
     cuma = np.cumsum(w * align)
     # only the 3|1 boundary leaves >= 0.3 on both sides
-    i, post = numeric_split_scan_numpy(values, cumw, cuma, 0.3, 1)
+    i, post = numeric_split_scan(values, cumw, cuma, 0.3, 1)
     assert i == 3
-    i, post = numeric_split_scan_numpy(values, cumw, cuma, 0.5, 1)
+    i, post = numeric_split_scan(values, cumw, cuma, 0.5, 1)
     assert i == -1
 
 
@@ -83,40 +72,41 @@ def test_scan_prefers_pure_boundary():
     align = np.array([-1.0, -1.0, 1.0, 1.0])
     cumw = np.cumsum(w)
     cuma = np.cumsum(w * align)
-    i, post = numeric_split_scan_numpy(values, cumw, cuma, 0.0, 1)
+    i, post = numeric_split_scan(values, cumw, cuma, 0.0, 1)
     assert i == 2
     assert post == 0.0
 
 
-def test_set_backend_round_trip():
-    prev = set_backend("numpy")
-    try:
-        assert active_backend() == "numpy"
-        values, cumw, cuma = scan_inputs(np.random.default_rng(2), 50)
-        assert numeric_split_scan(values, cumw, cuma, 0.0, 1) == \
-            numeric_split_scan_numpy(values, cumw, cuma, 0.0, 1)
-    finally:
-        set_backend(prev)
-    assert active_backend() == prev
+def test_midpoint_threshold_stays_below_upper_run():
+    u = np.spacing(1.0)
+    # (1+u + 1+2u) / 2 rounds up to 1+2u; the cut falls back to the lower run
+    sv = np.array([1.0 + u, 1.0 + 2 * u])
+    assert midpoint_threshold(sv, 1) == 1.0 + u
+    assert midpoint_threshold(np.array([0.0, 1.0]), 1) == 0.5
 
 
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        set_backend("fortran")
+def test_class_entropy_rows_match_scalar_bitwise():
+    rng = np.random.default_rng(4)
+    for k in (1, 2, 3, 5, 8, 9, 12):
+        full = rng.integers(1, 50, (300, k))
+        # zero out classes per row so rows differ in nonzero width
+        sparse = np.where(rng.random((300, k)) < 0.3, 0, full)
+        sparse[0] = 0
+        for counts in (full, sparse):
+            rows = class_entropy(counts)
+            expected = np.array([_class_entropy(c.astype(float)) for c in counts])
+            assert np.array_equal(rows, expected)
+            assert class_entropy(counts[1]) == expected[1]
 
 
-@needs_numba
-def test_best_split_identical_across_backends():
-    rng = np.random.default_rng(3)
-    cfg = InductionConfig(min_child_count=5, min_child_fraction=0.02)
-    for _ in range(20):
-        ds, eta = random_dataset(rng, n_min=100, n_max=300)
-        v = full_view(ds)
-        prev = set_backend("numpy")
-        try:
-            cand_np = best_split(v, None, eta, ds.scores, ds.clip_B, cfg)
-            set_backend("numba")
-            cand_nb = best_split(v, None, eta, ds.scores, ds.clip_B, cfg)
-        finally:
-            set_backend(prev)
-        assert cand_np == cand_nb
+def test_class_split_scan_scores_every_boundary():
+    values = np.array([0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+    labels = np.array([0, 0, 1, 1, 1, 1])
+    cumc = np.cumsum(np.eye(2, dtype=np.int64)[labels], axis=0)
+    assert class_split_scan(values, cumc, 1) == (2, 0.0)
+    # three rows per side allow only the impure boundary 3
+    i, h = class_split_scan(values, cumc, 3)
+    assert i == 3 and h == 3 * _class_entropy(np.array([2.0, 1.0]))
+    i, h = class_split_scan(values, cumc, 4)
+    assert i == -1 and np.isinf(h)
+    assert class_split_scan(values[:1], cumc[:1], 1)[0] == -1
