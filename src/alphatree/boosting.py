@@ -27,6 +27,7 @@ from .core import (
     SplitTest,
     apply_alpha,
     nlogit,
+    xlogy,
 )
 from .data import RunTrace, View, binary_entropy, make_view
 
@@ -482,8 +483,6 @@ def best_split(
 
 
 def _view_risk(v: View, q_view: np.ndarray, eta_view: np.ndarray) -> float:
-    from scipy.special import xlogy
-
     terms = -(xlogy(eta_view, q_view) + xlogy(1.0 - eta_view, 1.0 - q_view))
     return float(np.dot(v.weights, terms))
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "A_MAX",
@@ -43,6 +42,8 @@ __all__ = [
     "clip_bounds",
     "clip_score",
     "logit",
+    "expit",
+    "xlogy",
     "nlogit",
     "apply_alpha",
     "compose_alpha",
@@ -128,6 +129,25 @@ def logit(u):
         raise DomainError("logit requires 0 < u < 1")
     out = np.log(arr) - np.log1p(-arr)
     return float(out) if scalar else out
+
+
+def expit(x):
+    """Logistic sigmoid 1/(1+exp(-x)): 0 at -inf, 1 at +inf, nan at nan.
+
+    Below about -709.78, exp(-x) overflows to inf and the result is 0,
+    with no warning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def xlogy(x, y):
+    """x*log(y), taken as 0 where x == 0 and y is not nan (so 0 log 0 = 0)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x * np.log(y)
+    return np.where((x == 0.0) & ~np.isnan(y), 0.0, out)
 
 
 def nlogit(u, B: float):

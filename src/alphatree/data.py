@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.special import xlogy
 
-from .core import AlphaTree, DomainError, clip_score, route_rows
+from .core import AlphaTree, DomainError, clip_score, route_rows, xlogy
 
 __all__ = [
     "EmptyMeasureError",

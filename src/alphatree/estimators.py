@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, single_leaf_tree
+from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, expit, single_leaf_tree
 
 __all__ = [
     "label_plugin",
@@ -141,8 +141,6 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
 
 def gaussian_plugin_eval(model: GaussianPlugin, columns) -> np.ndarray:
     """Posterior P(Y=+1 | x) per row, clamped into [1e-15, 1 - 1e-15]."""
-    from scipy.special import expit
-
     first = next(iter(model.kinds))
     n = len(columns[first])
     margin = np.full(n, model.log_prior_pos - model.log_prior_neg)

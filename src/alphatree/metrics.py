@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
-from .core import AlphaTree, DomainError, alpha_at_rows, logit, wrapped_scores
+from .core import AlphaTree, DomainError, alpha_at_rows, logit, wrapped_scores, xlogy
 from .data import Dataset, full_view, make_view
 from .fairness import _group_weights, advantage_rate, cvar_value, subgroup_risks
 
@@ -96,23 +95,14 @@ def metric_auc(ds: Dataset, tree: AlphaTree) -> float:
     order = np.argsort(q_f, kind="stable")
     sw = w[order]
     sp = pos[order]
-    wp = np.where(sp, sw, 0.0)
-    wn = np.where(sp, 0.0, sw)
-    # process runs of tied scores in one block
-    auc = 0.0
-    neg_below = 0.0
-    i = 0
-    n = len(order)
     sq = q_f[order]
-    while i < n:
-        j = i
-        while j < n and sq[j] == sq[i]:
-            j += 1
-        block_pos = float(wp[i:j].sum())
-        block_neg = float(wn[i:j].sum())
-        auc += block_pos * (neg_below + 0.5 * block_neg)
-        neg_below += block_neg
-        i = j
+    # one block per run of tied scores; a positive counts every negative in
+    # the blocks below its own and half of those in its own block
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sq)) + 1))
+    block_pos = np.add.reduceat(np.where(sp, sw, 0.0), starts)
+    block_neg = np.add.reduceat(np.where(sp, 0.0, sw), starts)
+    neg_below = np.concatenate(([0.0], np.cumsum(block_neg)[:-1]))
+    auc = float(np.dot(block_pos, neg_below + 0.5 * block_neg))
     return auc / (w_pos * w_neg)
 
 

@@ -1,9 +1,11 @@
 """Shared synthetic-data builders for the test suite."""
 
-import numpy as np
-from scipy.special import expit
+import math
 
-from alphatree import AlphaTree, DomainError, Leaf, Node, SplitTest, make_dataset
+import numpy as np
+
+from alphatree import AlphaTree, DomainError, Leaf, Node, SplitTest, full_view, make_dataset, wrapped_scores
+from alphatree.core import expit
 from alphatree.estimators import ProxyLeaf, ProxyNode, ProxyTree
 
 
@@ -214,3 +216,63 @@ def proxy_group_tree_reference(columns, kinds, groups, max_depth: int = 8, min_l
         return ProxyNode(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
 
     return ProxyTree(root=build(np.arange(n), 0), classes=classes)
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the numpy transforms in core
+# ---------------------------------------------------------------------------
+
+
+def expit_reference(x: float) -> float:
+    """1/(1+exp(-x)) in scalar math; 0 where exp(-x) overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def xlogy_reference(x: float, y: float) -> float:
+    """x*log(y) in scalar math, 0 where x == 0 and y is not nan; y > 0."""
+    if x == 0.0 and not math.isnan(y):
+        return 0.0
+    return x * math.log(y)
+
+
+# ---------------------------------------------------------------------------
+# loop reference for the vectorized ROC area
+# ---------------------------------------------------------------------------
+
+
+def metric_auc_reference(ds, tree: AlphaTree) -> float:
+    """Weighted ROC area of the wrapped scores against the labels.
+
+    Ties in the score contribute half, the usual rank convention.
+    """
+    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    w = full_view(ds).weights
+    pos = ds.labels == 1
+    w_pos = float(w[pos].sum())
+    w_neg = float(w[~pos].sum())
+    if w_pos <= 0.0 or w_neg <= 0.0:
+        raise DomainError("AUC needs both classes present with weight")
+    order = np.argsort(q_f, kind="stable")
+    sw = w[order]
+    sp = pos[order]
+    wp = np.where(sp, sw, 0.0)
+    wn = np.where(sp, 0.0, sw)
+    # process runs of tied scores in one block
+    auc = 0.0
+    neg_below = 0.0
+    i = 0
+    n = len(order)
+    sq = q_f[order]
+    while i < n:
+        j = i
+        while j < n and sq[j] == sq[i]:
+            j += 1
+        block_pos = float(wp[i:j].sum())
+        block_neg = float(wn[i:j].sum())
+        auc += block_pos * (neg_below + 0.5 * block_neg)
+        neg_below += block_neg
+        i = j
+    return auc / (w_pos * w_neg)

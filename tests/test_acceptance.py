@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from alphatree import (
     CvarSpec,
@@ -50,6 +49,7 @@ from alphatree import (
     wrap_chain,
     wrapped_scores,
 )
+from alphatree.core import expit
 from alphatree.io_cli import model_to_json
 
 from helpers import probe_columns, random_dataset, random_tree, saturated_dataset

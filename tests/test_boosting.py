@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 import alphatree.boosting as boosting
 from alphatree import (
@@ -44,6 +43,7 @@ from alphatree import (
     tree_entropy,
     wha_check,
 )
+from alphatree.core import expit
 
 from helpers import random_dataset, saturated_dataset
 

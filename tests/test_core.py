@@ -1,6 +1,7 @@
 """Alpha wrapping, clipping, and tree evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from alphatree import (
     wrap_chain,
     wrapped_scores,
 )
+from alphatree.core import expit, xlogy
 
-from helpers import probe_columns, random_tree
+from helpers import expit_reference, probe_columns, random_tree, xlogy_reference
 
 
 def test_clip_bounds_unit():
@@ -82,6 +84,80 @@ def test_nlogit_stays_near_unit_band():
         q = clip_score(rng.random(500), B)
         nl = nlogit(q, B)
         assert np.all(np.abs(nl) <= 1.0 + 1e-12)
+
+
+def _within_ulps(got, ref, ulps):
+    return abs(float(got) - ref) <= ulps * math.ulp(ref)
+
+
+@given(xs=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_expit_within_two_ulp_of_scalar_reference(xs):
+    # an overflow RuntimeWarning from exp(-x) must not escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = expit(np.array(xs))
+        first = expit(xs[0])
+    for x, got in zip(xs, out):
+        assert _within_ulps(got, expit_reference(x), 2)
+    assert _within_ulps(first, expit_reference(xs[0]), 2)
+
+
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            st.floats(0.0, 1.0, exclude_min=True),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_xlogy_within_two_ulp_of_scalar_reference(pairs):
+    x = np.array([p[0] for p in pairs])
+    y = np.array([p[1] for p in pairs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = xlogy(x, y)
+        first = xlogy(x[0], y[0])
+    for (xi, yi), got in zip(pairs, out):
+        assert _within_ulps(got, xlogy_reference(xi, yi), 2)
+    assert _within_ulps(first, xlogy_reference(*pairs[0]), 2)
+
+
+EXPIT_EDGES = [
+    (math.inf, 1.0),
+    (-math.inf, 0.0),
+    (math.nan, math.nan),
+    (-709.5, 7.38014831401258e-309),
+    (-745.0, 0.0),
+]
+
+XLOGY_EDGES = [
+    (0.0, 0.0, 0.0),
+    (0.0, math.inf, 0.0),
+    (0.0, math.nan, math.nan),
+    (1.0, 0.0, -math.inf),
+]
+
+
+def _same(got, want):
+    return (math.isnan(want) and math.isnan(got)) or got == want
+
+
+def test_expit_and_xlogy_edge_values():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, want in EXPIT_EDGES:
+            assert _same(float(expit(x)), want), x
+            assert _same(float(expit(np.array(x))), want), x
+        out = expit(np.array([x for x, _ in EXPIT_EDGES]))
+        assert all(_same(float(g), w) for g, (_, w) in zip(out, EXPIT_EDGES))
+        for x, y, want in XLOGY_EDGES:
+            assert _same(float(xlogy(x, y)), want), (x, y)
+        out = xlogy(np.array([e[0] for e in XLOGY_EDGES]), np.array([e[1] for e in XLOGY_EDGES]))
+        assert all(_same(float(g), e[2]) for g, e in zip(out, XLOGY_EDGES))
 
 
 def test_apply_alpha_oracle():

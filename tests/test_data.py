@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from alphatree import (
     DomainError,

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from alphatree import (
     CvarSpec,
@@ -27,6 +26,7 @@ from alphatree import (
     single_leaf_tree,
     subgroup_risks,
 )
+from alphatree.core import expit
 
 
 def test_cvar_quantile_oracle():

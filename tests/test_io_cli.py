@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
+import alphatree
 from alphatree import (
     AlphaTree,
     DomainError,
@@ -30,6 +34,7 @@ from alphatree import (
     wrapped_scores,
 )
 from alphatree.cli import main
+from alphatree.core import expit
 
 from helpers import probe_columns, random_tree
 
@@ -430,6 +435,23 @@ def train_args(data, out, extra=()):
             "--direction", "up", "--clip-B", "3", "--split", "all",
             "--rounds", "2", "--iterations", "4", "--epsilon", "0.1",
             "--out", str(out), *extra]
+
+
+def test_cli_import_loads_nothing_beyond_numpy():
+    # every command is a fresh process that pays the cli's import time, so
+    # the cli may load only itself, numpy and the standard library
+    src = str(Path(alphatree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, numpy\n"
+        "def tops(): return {m.split('.')[0] for m in sys.modules}\n"
+        "before = tops()\n"
+        "import alphatree.cli\n"
+        "print(sorted(tops() - before - set(sys.stdlib_module_names)))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "['alphatree']"
 
 
 def test_cli_train_apply_eval_inspect(tmp_path, capsys):

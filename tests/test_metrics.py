@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphatree import (
     DomainError,
@@ -25,9 +26,10 @@ from alphatree import (
     subgroup_risks,
     wrapped_scores,
 )
+from alphatree.core import expit
 from alphatree.metrics import S2_CONSTANT
 
-from helpers import probe_columns, random_dataset, random_tree
+from helpers import metric_auc_reference, probe_columns, random_dataset, random_tree
 
 
 def featureless(scores, labels, groups, B=3.0, weights=None):
@@ -150,6 +152,28 @@ def test_metric_auc_weight_equals_duplication():
     ds_dup = featureless([0.9] + scores, [1] + labels, ["g"] * 5)
     assert metric_auc(ds_w, single_leaf_tree()) == pytest.approx(
         metric_auc(ds_dup, single_leaf_tree()), abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    decimals=st.integers(0, 2),
+    single_block=st.booleans(),
+    wrapped=st.booleans(),
+)
+def test_metric_auc_matches_block_loop_reference(seed, n, decimals, single_block, wrapped):
+    rng = np.random.default_rng(seed)
+    if single_block:
+        scores = np.full(n, np.round(rng.uniform(0.05, 0.95), decimals))
+    else:
+        scores = np.round(rng.uniform(0.0, 1.0, n), decimals)
+    labels = np.where(rng.random(n) < 0.5, 1, -1)
+    labels[:2] = (1, -1)
+    ds = make_dataset(probe_columns(rng, n), {"x0": "numeric", "x1": "numeric", "c0": "categorical"},
+                      labels, ["g"] * n, scores, 3.0, weights=rng.uniform(0.1, 5.0, n))
+    tree = random_tree(rng, max_depth=3) if wrapped else single_leaf_tree()
+    assert abs(metric_auc(ds, tree) - metric_auc_reference(ds, tree)) <= 1e-12
 
 
 def test_metric_cvar_delegates_to_group_tail():
