@@ -19,10 +19,8 @@ from .boosting import (
     audacious_leaf_bound,
     balanced_weights,
     best_split,
-    conservative_label_objective,
     decrease_certificate,
     edge,
-    edge_pos_neg,
     leaf_alpha_audacious,
     leaf_alpha_conservative,
     leaf_entropy,
@@ -50,6 +48,7 @@ from .core import (
     invert_tree,
     logit,
     nlogit,
+    route_rows,
     single_leaf_tree,
     stump,
     wrap,
@@ -65,14 +64,10 @@ from .data import (
     View,
     binary_entropy,
     condition_on_group,
-    condition_on_leaf,
-    condition_positive,
     empirical_risk,
     full_view,
-    leaf_weights,
     make_dataset,
     make_view,
-    route_rows,
 )
 from .estimators import (
     GaussianPlugin,
@@ -91,6 +86,7 @@ from .fairness import (
     advantage_rate,
     cvar_quantile,
     cvar_value,
+    group_means,
     pushup_posterior,
     run_cvar,
     run_eoo,
@@ -101,7 +97,6 @@ from .io_cli import (
     LoadError,
     ModelFormatError,
     ModelMeta,
-    fold_plan,
     load_dataset,
     load_model,
     model_from_json,

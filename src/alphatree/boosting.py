@@ -11,8 +11,8 @@ splits minimize the weighted two-child entropy H((1+edge)/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "WhaReport",
     "BalancedWeights",
     "edge",
-    "edge_pos_neg",
     "leaf_alpha_conservative",
     "leaf_alpha_audacious",
     "leaf_entropy",
@@ -53,10 +52,12 @@ __all__ = [
     "balanced_weights",
     "wha_check",
     "decrease_certificate",
-    "conservative_label_objective",
 ]
 
 LOG2 = math.log(2.0)
+
+# a split must lower the leaf's weighted entropy by more than this
+ENTROPY_IMPROVEMENT_TOL = 1e-10
 
 
 class UndefinedLeafError(ValueError):
@@ -92,18 +93,16 @@ class InductionConfig:
     min_child_fraction: float = 0.10
     min_child_count: int = 30
     scoring: str = "conservative"
-    entropy_improvement_tol: float = 1e-10
-    alpha_cap: float = A_MAX
 
     def __post_init__(self):
         if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+            raise DomainError("max_iterations must be >= 0")
         if not (0.0 < self.min_child_fraction < 0.5):
-            raise ValueError("min_child_fraction must lie in (0, 0.5)")
+            raise DomainError("min_child_fraction must lie in (0, 0.5)")
         if self.min_child_count < 1:
-            raise ValueError("min_child_count must be >= 1")
+            raise DomainError("min_child_count must be >= 1")
         if self.scoring not in ("conservative", "audacious"):
-            raise ValueError(f"unknown scoring {self.scoring!r}")
+            raise DomainError(f"unknown scoring {self.scoring!r}")
 
 
 @dataclass(frozen=True)
@@ -191,27 +190,16 @@ def edge(v: View, eta_t, scores, B: float, nlogit_values=None) -> float:
     return min(1.0, max(-1.0, e))
 
 
-def edge_pos_neg(v: View, eta_t, scores, B: float, nlogit_values=None) -> tuple[float, float]:
-    """Signed edge parts (e+, e-): expected aligned / misaligned |nlogit|."""
-    nl = _nlogit_rows(v, scores, B, nlogit_values)
-    eta = _eta_rows(v, eta_t)
-    pos_part = np.maximum(nl, 0.0)
-    neg_part = np.maximum(-nl, 0.0)
-    e_pos = float(np.dot(v.weights, eta * pos_part + (1.0 - eta) * neg_part))
-    e_neg = float(np.dot(v.weights, eta * neg_part + (1.0 - eta) * pos_part))
-    return max(0.0, e_pos), max(0.0, e_neg)
-
-
-def leaf_alpha_conservative(edge_value: float, B: float, alpha_cap: float = A_MAX) -> float:
+def leaf_alpha_conservative(edge_value: float, B: float) -> float:
     """Leaf label (1/B) * log((1+edge)/(1-edge)), clamped near |edge| = 1."""
     e = min(1.0, max(-1.0, float(edge_value)))
     if abs(e) >= 1.0 - EDGE_EPS:
-        return math.copysign(alpha_cap, e)
+        return math.copysign(A_MAX, e)
     a = math.log((1.0 + e) / (1.0 - e)) / float(B)
-    return min(alpha_cap, max(-alpha_cap, a))
+    return min(A_MAX, max(-A_MAX, a))
 
 
-def leaf_alpha_audacious(e_pos: float, e_neg: float, B: float, alpha_cap: float = A_MAX) -> float:
+def leaf_alpha_audacious(e_pos: float, e_neg: float, B: float) -> float:
     """Leaf label (1/B) * log(e+/e-), clamped when either part vanishes."""
     e_pos = float(e_pos)
     e_neg = float(e_neg)
@@ -220,11 +208,11 @@ def leaf_alpha_audacious(e_pos: float, e_neg: float, B: float, alpha_cap: float 
     if e_pos < EDGE_EPS and e_neg < EDGE_EPS:
         raise UndefinedLeafError("leaf has no alignment signal (e+ = e- = 0)")
     if e_neg < EDGE_EPS:
-        return alpha_cap
+        return A_MAX
     if e_pos < EDGE_EPS:
-        return -alpha_cap
+        return -A_MAX
     a = math.log(e_pos / e_neg) / float(B)
-    return min(alpha_cap, max(-alpha_cap, a))
+    return min(A_MAX, max(-A_MAX, a))
 
 
 def leaf_entropy(edge_value: float) -> float:
@@ -247,17 +235,6 @@ def audacious_leaf_bound(e_pos: float, e_neg: float) -> float:
     if s == 0.0:
         return LOG2
     return LOG2 + s * (float(binary_entropy(e_pos / s)) - LOG2)
-
-
-def conservative_label_objective(alpha: float, edge_value: float, B: float) -> float:
-    """Per-leaf upper-hull objective log(1+exp(alpha*B)) - alpha*B*(1+edge)/2.
-
-    The conservative label is its unique minimizer; exposed for diagnostics
-    and tests.
-    """
-    t = float(alpha) * float(B)
-    softplus = math.log1p(math.exp(-abs(t))) + max(t, 0.0)
-    return softplus - t * (1.0 + float(edge_value)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +335,6 @@ def relabel_leaves(
     stats: Mapping[int, LeafStats],
     scoring: str,
     B: float,
-    alpha_cap: float = A_MAX,
 ) -> AlphaTree:
     """Set every reached leaf's alpha from its current stats.
 
@@ -372,9 +348,9 @@ def relabel_leaves(
         if st is None:
             continue
         if scoring == "conservative":
-            a = leaf_alpha_conservative(st.edge, B, alpha_cap)
+            a = leaf_alpha_conservative(st.edge, B)
         else:
-            a = leaf_alpha_audacious(st.edge_pos, st.edge_neg, B, alpha_cap)
+            a = leaf_alpha_audacious(st.edge_pos, st.edge_neg, B)
         updates[leaf.leaf_id] = Leaf(leaf.leaf_id, a, edge=st.edge, mass=st.mass)
     return tree.with_leaf_updates(updates)
 
@@ -386,7 +362,6 @@ def relabel_leaves(
 
 def best_split(
     v_at_leaf: View,
-    schema: Mapping[str, str] | None,
     eta_t,
     scores,
     B: float,
@@ -395,16 +370,15 @@ def best_split(
 ) -> SplitCandidate | None:
     """Best axis-aligned split of a leaf view, or None.
 
-    Candidates are each observed categorical modality and each midpoint
-    between consecutive distinct sorted numeric values; children must carry
-    cfg.min_child_fraction of the leaf's mass AND cfg.min_child_count rows.
-    The winner minimizes the mass-weighted two-child entropy and must beat
-    the leaf's own entropy by more than cfg.entropy_improvement_tol.
-    Ties resolve to the earliest feature in schema order, then the lowest
-    threshold / first modality in sorted order.
+    Candidates are each observed categorical modality of a declared feature
+    and each midpoint between consecutive distinct sorted numeric values;
+    children must carry cfg.min_child_fraction of the leaf's mass AND
+    cfg.min_child_count rows.  The winner minimizes the mass-weighted
+    two-child entropy and must beat the leaf's own entropy by more than
+    ENTROPY_IMPROVEMENT_TOL.  Ties resolve to the earliest feature in
+    declaration order, then the lowest threshold / first modality in sorted
+    order.
     """
-    if schema is None:
-        schema = v_at_leaf.base.feature_kinds()
     nl = _nlogit_rows(v_at_leaf, scores, B, nlogit_values)
     eta = _eta_rows(v_at_leaf, eta_t)
     w = v_at_leaf.weights
@@ -417,11 +391,8 @@ def best_split(
 
     best: SplitCandidate | None = None
     n = v_at_leaf.n
-    for feature, kind in schema.items():
-        col = v_at_leaf.base.columns.get(feature)
-        if col is None:
-            raise DomainError(f"schema feature {feature!r} not in dataset")
-        values = col[v_at_leaf.indices]
+    for feature, kind in v_at_leaf.base.feature_kinds().items():
+        values = v_at_leaf.base.columns[feature][v_at_leaf.indices]
         if kind == "numeric":
             order = np.argsort(values, kind="stable")
             sv = np.ascontiguousarray(values[order].astype(float))
@@ -472,7 +443,7 @@ def best_split(
 
     if best is None:
         return None
-    if best.parent_entropy - best.post_entropy <= cfg.entropy_improvement_tol:
+    if best.parent_entropy - best.post_entropy <= ENTROPY_IMPROVEMENT_TOL:
         return None
     return best
 
@@ -482,9 +453,9 @@ def best_split(
 # ---------------------------------------------------------------------------
 
 
-def _view_risk(v: View, q_view: np.ndarray, eta_view: np.ndarray) -> float:
-    terms = -(xlogy(eta_view, q_view) + xlogy(1.0 - eta_view, 1.0 - q_view))
-    return float(np.dot(v.weights, terms))
+def _risk_terms(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Per-row log-loss of posterior q against target eta."""
+    return -(xlogy(eta, q) + xlogy(1.0 - eta, 1.0 - q))
 
 
 def topdown(
@@ -495,7 +466,6 @@ def topdown(
     tree0: AlphaTree,
     cfg: InductionConfig,
     *,
-    schema: Mapping[str, str] | None = None,
     nlogit_values=None,
     trace: RunTrace | None = None,
     iteration_start: int = 0,
@@ -516,8 +486,6 @@ def topdown(
 
     if trace is None:
         trace = RunTrace()
-    if schema is None:
-        schema = v.base.feature_kinds()
 
     scores_rows = v.pick(scores)
     signals = _row_signals(v, eta_t, scores, B, nlogit_values)
@@ -530,7 +498,7 @@ def topdown(
             v, tree, eta_t, scores, B, nlogit_values,
             leaf_ids_rows=leaf_ids_rows, signals=signals,
         )
-        return relabel_leaves(tree, stats, cfg.scoring, B, cfg.alpha_cap), stats
+        return relabel_leaves(tree, stats, cfg.scoring, B), stats
 
     def emit(it: int, tree: AlphaTree, stats, event: str = "") -> float:
         h = float(sum(st.mass * st.entropy for st in stats.values()))
@@ -538,7 +506,7 @@ def topdown(
         for leaf in tree.leaves():
             lut[leaf.leaf_id] = leaf.alpha
         q_f = apply_alpha(scores_rows, lut[leaf_ids_rows])
-        risk = _view_risk(v, q_f, signals.eta)
+        risk = float(np.dot(v.weights, _risk_terms(q_f, signals.eta)))
         trace.add(iteration_start + it, "tree_entropy", h, event=event)
         trace.add(iteration_start + it, "risk", risk)
         return risk
@@ -556,7 +524,7 @@ def topdown(
                 continue
             rows = np.flatnonzero(leaf_ids_rows == st.leaf_id)
             leaf_v = make_view(v.base, v.indices[rows], raw_weights=v.weights[rows])
-            cand = best_split(leaf_v, schema, eta_t, scores, B, cfg, nlogit_values)
+            cand = best_split(leaf_v, eta_t, scores, B, cfg, nlogit_values)
             if cand is not None:
                 chosen = (st, cand, rows)
                 break

@@ -178,17 +178,29 @@ def _schema_file(args) -> dict:
     return raw
 
 
-def _load(args, clip_B: float | None = None) -> Dataset:
-    """Read the data file; explicit flags beat the schema file beat defaults."""
+def _load(args, clip_B: float | None = None, tree: AlphaTree | None = None) -> Dataset:
+    """Read the data file; explicit flags beat the schema file beat defaults.
+
+    With a tree, every column it tests is read as the kind of its tests, and
+    a schema kind that contradicts them is a SchemaError.
+    """
     schema = _schema_file(args)
     if clip_B is None:
         clip_B = getattr(args, "clip_B", None)
     if clip_B is None:
         clip_B = schema.get("clip_B", 1.0)
+    kinds = schema.get("feature_kinds")
+    if tree is not None:
+        kinds = dict(kinds or {})
+        for name, kind in tree.feature_kinds().items():
+            if kinds.setdefault(name, kind) != kind:
+                raise SchemaError(
+                    f"schema reads feature {name!r} as {kinds[name]}, but the model tests it as {kind}"
+                )
     ds = load_dataset(
         args.data,
         clip_B,
-        kinds=schema.get("feature_kinds"),
+        kinds=kinds,
         label_column=args.label_column or schema.get("label_column") or "label",
         group_column=args.group_column or schema.get("group_column") or "group",
         score_column=args.score_column or schema.get("score_column") or "score",
@@ -374,7 +386,7 @@ def _cmd_apply(args) -> int:
 def _cmd_eval(args) -> int:
     tree, meta = load_model(args.model)
     clip_B = meta.clip_B
-    ds = _load(args, clip_B)
+    ds = _load(args, clip_B, tree)
     eta = label_plugin(ds.labels)
     w = full_view(ds).weights
     q_f = wrapped_scores(tree, ds.columns, ds.scores)

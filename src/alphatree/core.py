@@ -438,7 +438,14 @@ def _route_rows(node, columns, idx, out):
     feature = node.test.feature
     if feature not in columns:
         raise SchemaError(f"rows are missing feature {feature!r}")
-    mask = node.test.passes_rows(columns[feature][idx])
+    col = columns[feature]
+    # a modality string never equals a number: such rows would all go right
+    if node.test.kind == "categorical" and np.issubdtype(col.dtype, np.number):
+        raise SchemaError(f"feature {feature!r} is tested as categorical but its column is numeric")
+    try:
+        mask = node.test.passes_rows(col[idx])
+    except (TypeError, ValueError):
+        raise SchemaError(f"feature {feature!r} is tested as numeric but its column is not") from None
     _route_rows(node.left, columns, idx[mask], out)
     _route_rows(node.right, columns, idx[~mask], out)
 

@@ -17,7 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import AlphaTree, DomainError, clip_score, route_rows, xlogy
+# route_rows is not called here; it stays bound for perfbench/tracer.py, which swaps it by name
+from .core import DomainError, clip_score, route_rows, xlogy
 
 __all__ = [
     "EmptyMeasureError",
@@ -28,9 +29,6 @@ __all__ = [
     "make_view",
     "full_view",
     "condition_on_group",
-    "condition_positive",
-    "condition_on_leaf",
-    "leaf_weights",
     "empirical_risk",
     "binary_entropy",
     "TraceRow",
@@ -72,9 +70,6 @@ class Dataset:
 
     def feature_kinds(self) -> dict[str, str]:
         return {name: self.kinds[name] for name in self.feature_names}
-
-    def modalities(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.groups.tolist())))
 
 
 def make_dataset(
@@ -202,35 +197,6 @@ def condition_on_group(ds: Dataset, s) -> View:
         raise EmptyMeasureError(f"group modality {s!r} not observed")
     mask = ds.groups == s
     return make_view(ds, np.flatnonzero(mask))
-
-
-def condition_positive(ds: Dataset, s) -> View:
-    """View of the positively labeled rows of group s."""
-    if s not in set(ds.groups.tolist()):
-        raise EmptyMeasureError(f"group modality {s!r} not observed")
-    mask = (ds.groups == s) & (ds.labels == 1)
-    idx = np.flatnonzero(mask)
-    if idx.shape[0] == 0:
-        raise EmptyMeasureError(f"group {s!r} has no positive rows")
-    return make_view(ds, idx)
-
-
-def condition_on_leaf(v: View, tree: AlphaTree, leaf_id: int) -> View:
-    """Sub-view of v routed to the given leaf, renormalized."""
-    leaf_ids = route_rows(tree, v.base.columns, v.base.n)[v.indices]
-    mask = leaf_ids == leaf_id
-    if not mask.any():
-        raise EmptyMeasureError(f"no rows of the view reach leaf {leaf_id}")
-    return make_view(v.base, v.indices[mask], raw_weights=v.weights[mask])
-
-
-def leaf_weights(v: View, tree: AlphaTree) -> dict[int, float]:
-    """Mass of each tree leaf under the view (zero for unreached leaves)."""
-    leaf_ids = route_rows(tree, v.base.columns, v.base.n)[v.indices]
-    out = {leaf.leaf_id: 0.0 for leaf in tree.leaves()}
-    for lid in np.unique(leaf_ids):
-        out[int(lid)] = float(v.weights[leaf_ids == lid].sum())
-    return out
 
 
 def empirical_risk(v: View, q, eta_t) -> float:

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .boosting import InductionConfig, _view_risk, topdown
+from .boosting import InductionConfig, _risk_terms, topdown
 from .core import AlphaTree, DomainError, wrapped_scores
 from .data import Dataset, EmptyMeasureError, RunTrace, View, binary_entropy, make_view
 from .estimators import init_stump, label_plugin
@@ -26,6 +26,7 @@ __all__ = [
     "EooSpec",
     "SpSpec",
     "PushupParams",
+    "group_means",
     "subgroup_risks",
     "cvar_quantile",
     "cvar_value",
@@ -143,6 +144,24 @@ def _eta_base(ds: Dataset, eta_t) -> np.ndarray:
     return eta
 
 
+def group_means(values: np.ndarray, groups: np.ndarray, weights: np.ndarray) -> dict:
+    """Weighted mean of a per-row quantity over each group's rows.
+
+    Groups come in sorted order.  Each group's weights are normalized to sum
+    1 and dotted with its values, the arithmetic of a group View.  A group
+    whose rows carry no weight raises EmptyMeasureError.
+    """
+    out = {}
+    for g in sorted(set(groups.tolist())):
+        idx = np.flatnonzero(groups == g)
+        w = weights[idx]
+        total = w.sum()
+        if total <= 0:
+            raise EmptyMeasureError(f"group {g!r} has zero total weight")
+        out[g] = float(np.dot(w / total, values[idx]))
+    return out
+
+
 def subgroup_risks(ds: Dataset, tree: AlphaTree, eta_t=None, schedule_groups=None) -> dict:
     """Wrapped log-loss risk of every group's conditional measure.
 
@@ -151,11 +170,7 @@ def subgroup_risks(ds: Dataset, tree: AlphaTree, eta_t=None, schedule_groups=Non
     groups_arr = _groups_array(ds, schedule_groups)
     eta = label_plugin(ds.labels) if eta_t is None else _eta_base(ds, eta_t)
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    out = {}
-    for g in sorted(set(groups_arr.tolist())):
-        v = _group_view(ds, groups_arr, g)
-        out[g] = _view_risk(v, q_f[v.indices], eta[v.indices])
-    return out
+    return group_means(_risk_terms(q_f, eta), groups_arr, ds.weights)
 
 
 def cvar_quantile(risks: Mapping, beta: float) -> tuple[float, list]:
@@ -303,33 +318,41 @@ def pushup_posterior(eta, v: View, p: float, delta: float) -> tuple[np.ndarray, 
     return out, params
 
 
+def _positive_rates(ds: Dataset, q_f: np.ndarray, groups_arr: np.ndarray, rows=True) -> dict:
+    """Weighted P(q_f > 1/2 | Y = +1, group) of every group with positive rows.
+
+    Only rows selected by the boolean mask rows take part.  A wrapped score
+    of exactly 1/2 counts as a negative prediction.
+    """
+    rows = rows & (ds.labels == 1)
+    return group_means((q_f[rows] > 0.5).astype(float), groups_arr[rows], ds.weights[rows])
+
+
 def advantage_rate(ds: Dataset, tree: AlphaTree, group, schedule_groups=None) -> float:
     """Weighted P(prediction = 1 | Y = +1, group) under the wrapped scores.
 
     A wrapped score of exactly 1/2 counts as a negative prediction.
     """
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    return _advantage_rate(ds, q_f, _groups_array(ds, schedule_groups), group)
-
-
-def _advantage_rate(ds: Dataset, q_f: np.ndarray, groups_arr: np.ndarray, group) -> float:
-    """advantage_rate from wrapped scores already computed for every row."""
-    idx = np.flatnonzero((groups_arr == group) & (ds.labels == 1))
-    if idx.size == 0:
-        raise EmptyMeasureError(f"group {group!r} has no positive rows")
-    v = make_view(ds, idx, raw_weights=ds.weights[idx])
-    return float(np.dot(v.weights, (q_f[idx] > 0.5).astype(float)))
-
-
-def _rates(ds, tree, modalities, schedule_groups):
     groups_arr = _groups_array(ds, schedule_groups)
+    rates = _positive_rates(ds, q_f, groups_arr, groups_arr == group)
+    if group not in rates:
+        raise EmptyMeasureError(f"group {group!r} has no positive rows")
+    return rates[group]
+
+
+def _rates(ds: Dataset, tree: AlphaTree, groups_arr: np.ndarray) -> dict:
+    """Advantage rate of every group whose positive rows carry weight.
+
+    A group without such rows has no rate and is skipped.
+    """
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    out = {}
-    for g in modalities:
-        try:
-            out[g] = _advantage_rate(ds, q_f, groups_arr, g)
-        except EmptyMeasureError:
-            continue
+    pos = ds.labels == 1
+    rows = np.ones(ds.n, dtype=bool)
+    for g in set(groups_arr[pos & (ds.weights == 0)].tolist()):
+        if not ds.weights[pos & (groups_arr == g)].any():
+            rows &= groups_arr != g
+    out = _positive_rates(ds, q_f, groups_arr, rows)
     if len(out) < 2:
         raise EmptyMeasureError("equal opportunity needs >= 2 groups with positives")
     return out
@@ -376,7 +399,7 @@ def run_eoo(
     eta = _eta_base(ds, eta_estimate)
     eps = spec.eps
 
-    rates = _rates(ds, tree, modalities, schedule_groups)
+    rates = _rates(ds, tree, groups_arr)
     s_star = max(sorted(rates, key=str), key=lambda g: rates[g])
     rate_star = rates[s_star]
     k = _raise_k(float(spec.K), eps, rate_star)
@@ -388,7 +411,7 @@ def run_eoo(
     s_low_prev = None
     pushed = None
     for step in range(spec.induction.max_iterations):
-        rates = _rates(ds, tree, modalities, schedule_groups)
+        rates = _rates(ds, tree, groups_arr)
         gap = rates[s_star] - min(rates.values())
         trace.add(it, "eoo_gap", gap, event=f"step {step} reference={s_star}")
         for g in sorted(rates, key=str):
@@ -414,7 +437,7 @@ def run_eoo(
         if risk_now <= stop or tree.n_leaves == n_before:
             break
 
-    rates = _rates(ds, tree, modalities, schedule_groups)
+    rates = _rates(ds, tree, groups_arr)
     gap = rates[s_star] - min(rates.values())
     trace.add(it, "eoo_gap", gap, event="final")
     for g in sorted(rates, key=str):
@@ -425,15 +448,6 @@ def run_eoo(
 # ---------------------------------------------------------------------------
 # statistical parity
 # ---------------------------------------------------------------------------
-
-
-def _group_means(ds, tree, groups_arr, modalities) -> dict:
-    q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    out = {}
-    for g in modalities:
-        v = _group_view(ds, groups_arr, g)
-        out[g] = float(np.dot(v.weights, q_f[v.indices]))
-    return out
 
 
 def run_sp(
@@ -460,9 +474,10 @@ def run_sp(
     if trace is None:
         trace = RunTrace()
 
+    score_means = group_means(ds.scores, groups_arr, ds.weights)
     it = 0
     for r in range(spec.outer_rounds):
-        means = _group_means(ds, tree, groups_arr, modalities)
+        means = group_means(wrapped_scores(tree, ds.columns, ds.scores), groups_arr, ds.weights)
         s_hi = max(sorted(means, key=str), key=lambda g: means[g])
         s_lo = min(sorted(means, key=str), key=lambda g: means[g])
         gap = means[s_hi] - means[s_lo]
@@ -472,18 +487,16 @@ def run_sp(
         if gap <= spec.eps:
             return tree, trace
         grow, ref = (s_lo, s_hi) if spec.direction == "up" else (s_hi, s_lo)
-        v_ref = _group_view(ds, groups_arr, ref)
-        target = float(np.dot(v_ref.weights, ds.scores[v_ref.indices]))
         v = _group_view(ds, groups_arr, grow)
         eta_round = np.full(ds.n, 0.5)
-        eta_round[v.indices] = target
+        eta_round[v.indices] = score_means[ref]
         tree, trace = topdown(
             v, eta_round, ds.scores, ds.clip_B, tree, spec.induction,
             trace=trace, iteration_start=it,
         )
         it = trace.last_iteration() + 1
 
-    means = _group_means(ds, tree, groups_arr, modalities)
+    means = group_means(wrapped_scores(tree, ds.columns, ds.scores), groups_arr, ds.weights)
     gap = max(means.values()) - min(means.values())
     trace.add(it, "sp_gap", gap, event="final")
     for g in modalities:

@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -30,7 +29,6 @@ __all__ = [
     "model_to_json",
     "model_from_json",
     "split_plan",
-    "fold_plan",
     "resolve_seed",
 ]
 
@@ -393,7 +391,6 @@ def load_model(path) -> tuple[AlphaTree, ModelMeta]:
 
 SPLIT_ROLES = ("train", "cal", "test")
 SPLIT_FRACTIONS = (0.4, 0.4, 0.2)
-N_FOLDS = 5
 
 
 def resolve_seed(flag_value: int | None) -> int:
@@ -441,36 +438,3 @@ def split_plan(labels, groups, seed: int) -> np.ndarray:
             start += count
     return out
 
-
-def fold_plan(labels, groups, seed: int, n_folds: int = N_FOLDS) -> np.ndarray:
-    """Assign rows round-robin to fold ids 0..n_folds-1, stratified as above.
-
-    The round-robin counter carries over between strata so fold sizes stay
-    balanced overall.  A stratum smaller than the fold count cannot reach
-    every fold; that only degrades stratification, so it warns instead of
-    failing.
-    """
-    y = np.asarray(labels)
-    g = np.asarray(groups, dtype=object)
-    if y.shape[0] != g.shape[0] or y.shape[0] == 0:
-        raise DomainError("labels and groups must align and be nonempty")
-    if n_folds < 2:
-        raise DomainError("need at least two folds")
-    rng = np.random.default_rng(seed)
-    out = np.empty(y.shape[0], dtype=int)
-    strata = sorted({(int(yy), gg) for yy, gg in zip(y.tolist(), g.tolist())}, key=str)
-    small = 0
-    offset = 0
-    for ylab, grp in strata:
-        idx = np.flatnonzero((y == ylab) & (g == grp))
-        if idx.shape[0] < n_folds:
-            small += 1
-        idx = idx[rng.permutation(idx.shape[0])]
-        out[idx] = (np.arange(idx.shape[0]) + offset) % n_folds
-        offset = (offset + idx.shape[0]) % n_folds
-    if small:
-        warnings.warn(
-            f"{small} strata have fewer rows than {n_folds} folds; stratification degraded",
-            stacklevel=2,
-        )
-    return out

@@ -13,8 +13,16 @@ import math
 import numpy as np
 
 from .core import AlphaTree, DomainError, alpha_at_rows, logit, wrapped_scores, xlogy
-from .data import Dataset, full_view, make_view
-from .fairness import _group_weights, advantage_rate, cvar_value, subgroup_risks
+from .data import Dataset, EmptyMeasureError, full_view
+# advantage_rate is not called here; it stays bound for perfbench/tracer.py, which swaps it by name
+from .fairness import (
+    _group_weights,
+    _positive_rates,
+    advantage_rate,
+    cvar_value,
+    group_means,
+    subgroup_risks,
+)
 
 __all__ = [
     "metric_eoo_gap",
@@ -34,37 +42,30 @@ __all__ = [
 S2_CONSTANT = math.pi**2 / 24.0
 
 
-def _group_ids(ds: Dataset):
-    return sorted(set(ds.groups.tolist()))
+def _spread(means: dict) -> float:
+    return float(max(means.values()) - min(means.values()))
 
 
 def metric_eoo_gap(ds: Dataset, tree: AlphaTree) -> float:
     """Largest spread of P(pred = 1 | Y = +1, group) across groups."""
-    rates = [advantage_rate(ds, tree, g) for g in _group_ids(ds)]
-    return float(max(rates) - min(rates))
+    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    rates = _positive_rates(ds, q_f, ds.groups)
+    missing = sorted(set(ds.groups.tolist()) - rates.keys())
+    if missing:
+        raise EmptyMeasureError(f"group {missing[0]!r} has no positive rows")
+    return _spread(rates)
 
 
 def metric_sp_gap(ds: Dataset, tree: AlphaTree) -> float:
     """Largest spread of the mean wrapped score across groups."""
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    means = []
-    for g in _group_ids(ds):
-        idx = np.flatnonzero(ds.groups == g)
-        v = make_view(ds, idx, raw_weights=ds.weights[idx])
-        means.append(float(np.dot(v.weights, q_f[idx])))
-    return float(max(means) - min(means))
+    return _spread(group_means(q_f, ds.groups, ds.weights))
 
 
 def metric_md(ds: Dataset, tree: AlphaTree) -> float:
     """Largest spread of P(pred = 1 | group) across groups."""
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    preds = (q_f > 0.5).astype(float)
-    rates = []
-    for g in _group_ids(ds):
-        idx = np.flatnonzero(ds.groups == g)
-        v = make_view(ds, idx, raw_weights=ds.weights[idx])
-        rates.append(float(np.dot(v.weights, preds[idx])))
-    return float(max(rates) - min(rates))
+    return _spread(group_means((q_f > 0.5).astype(float), ds.groups, ds.weights))
 
 
 def metric_zero_one(ds: Dataset, tree: AlphaTree) -> float:

@@ -4,7 +4,17 @@ import math
 
 import numpy as np
 
-from alphatree import AlphaTree, DomainError, Leaf, Node, SplitTest, full_view, make_dataset, wrapped_scores
+from alphatree import (
+    AlphaTree,
+    DomainError,
+    Leaf,
+    Node,
+    SplitTest,
+    full_view,
+    make_dataset,
+    make_view,
+    wrapped_scores,
+)
 from alphatree.core import expit
 from alphatree.estimators import ProxyLeaf, ProxyNode, ProxyTree
 
@@ -276,3 +286,33 @@ def metric_auc_reference(ds, tree: AlphaTree) -> float:
         neg_below += block_neg
         i = j
     return auc / (w_pos * w_neg)
+
+
+# ---------------------------------------------------------------------------
+# loop reference for the group reducer
+# ---------------------------------------------------------------------------
+
+
+def group_means_reference(ds, values) -> dict:
+    """Weighted mean of base-aligned values over each group's View of ds."""
+    out = {}
+    for g in sorted(set(ds.groups.tolist())):
+        idx = np.flatnonzero(ds.groups == g)
+        v = make_view(ds, idx, raw_weights=ds.weights[idx])
+        out[g] = float(np.dot(v.weights, values[idx]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# oracle of the conservative leaf label
+# ---------------------------------------------------------------------------
+
+
+def conservative_label_objective(alpha: float, edge_value: float, B: float) -> float:
+    """Per-leaf upper-hull objective log(1+exp(alpha*B)) - alpha*B*(1+edge)/2.
+
+    The conservative label is its unique minimizer.
+    """
+    t = float(alpha) * float(B)
+    softplus = math.log1p(math.exp(-abs(t))) + max(t, 0.0)
+    return softplus - t * (1.0 + float(edge_value)) / 2.0

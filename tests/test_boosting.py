@@ -23,10 +23,8 @@ from alphatree import (
     audacious_leaf_bound,
     balanced_weights,
     best_split,
-    conservative_label_objective,
     decrease_certificate,
     edge,
-    edge_pos_neg,
     full_view,
     init_stump,
     leaf_alpha_audacious,
@@ -45,7 +43,7 @@ from alphatree import (
 )
 from alphatree.core import expit
 
-from helpers import random_dataset, saturated_dataset
+from helpers import conservative_label_objective, random_dataset, saturated_dataset
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -70,9 +68,9 @@ def test_edge_two_row_oracle():
 def test_edge_parts_two_row_oracle():
     ds, eta = two_row_dataset()
     v = full_view(ds)
-    ep, en = edge_pos_neg(v, eta, ds.scores, 1.0)
-    assert ep == 0.5
-    assert en == 0.0
+    st = leaf_stats(v, single_leaf_tree(), eta, ds.scores, 1.0)[0]
+    assert st.edge_pos == 0.5
+    assert st.edge_neg == 0.0
 
 
 def test_edge_part_identities():
@@ -82,7 +80,8 @@ def test_edge_part_identities():
         ds, eta = random_dataset(rng, n_min=50, n_max=200)
         v = full_view(ds)
         e = edge(v, eta, ds.scores, ds.clip_B)
-        ep, en = edge_pos_neg(v, eta, ds.scores, ds.clip_B)
+        st = leaf_stats(v, single_leaf_tree(), eta, ds.scores, ds.clip_B)[0]
+        ep, en = st.edge_pos, st.edge_neg
         assert ep - en == pytest.approx(e, abs=1e-12)
         nl = np.clip(np.log(ds.scores / (1 - ds.scores)) / ds.clip_B, -1, 1)
         assert ep + en == pytest.approx(float(np.dot(v.weights, np.abs(nl))), abs=1e-12)
@@ -269,7 +268,7 @@ def test_best_split_pure_alignment_fixture():
                       np.array([1] * 4 + [-1] * 4), ["g"] * n, scores, 1.0)
     v = full_view(ds)
     cfg = InductionConfig(min_child_count=1, min_child_fraction=0.01)
-    cand = best_split(v, None, eta, ds.scores, 1.0, cfg)
+    cand = best_split(v, eta, ds.scores, 1.0, cfg)
     assert cand is not None
     assert cand.feature == "x"
     assert cand.kind == "numeric"
@@ -289,11 +288,11 @@ def test_best_split_tie_break_prefers_earliest_feature():
     labels = np.array([1] * 4 + [-1] * 4)
     ds = make_dataset({"b": col, "a": col.copy()}, {"a": "numeric", "b": "numeric"},
                       labels, ["g"] * n, scores, 1.0)
-    cand = best_split(full_view(ds), None, eta, ds.scores, 1.0, cfg)
+    cand = best_split(full_view(ds), eta, ds.scores, 1.0, cfg)
     assert cand.feature == "b"
     ds2 = make_dataset({"a": col, "b": col.copy()}, {"a": "numeric", "b": "numeric"},
                        labels, ["g"] * n, scores, 1.0)
-    cand2 = best_split(full_view(ds2), None, eta, ds2.scores, 1.0, cfg)
+    cand2 = best_split(full_view(ds2), eta, ds2.scores, 1.0, cfg)
     assert cand2.feature == "a"
 
 
@@ -305,7 +304,7 @@ def test_best_split_categorical():
     ds = make_dataset({"c": col}, {"c": "categorical"},
                       np.array([1] * 3 + [-1] * 6), ["g"] * n, scores, 1.0)
     cfg = InductionConfig(min_child_count=1, min_child_fraction=0.01)
-    cand = best_split(full_view(ds), None, eta, ds.scores, 1.0, cfg)
+    cand = best_split(full_view(ds), eta, ds.scores, 1.0, cfg)
     assert cand.kind == "categorical"
     assert cand.modality == "u"
     assert cand.post_entropy == pytest.approx(0.0, abs=1e-12)
@@ -318,7 +317,7 @@ def test_best_split_none_when_nothing_qualifies():
                       np.full(n, 0.6), 1.0)
     eta = np.array([1.0, 0.0] * 3)
     cfg = InductionConfig(min_child_count=1, min_child_fraction=0.01)
-    assert best_split(full_view(ds), None, eta, ds.scores, 1.0, cfg) is None
+    assert best_split(full_view(ds), eta, ds.scores, 1.0, cfg) is None
 
 
 def test_best_split_threshold_separates_children():
@@ -326,7 +325,7 @@ def test_best_split_threshold_separates_children():
     cfg = InductionConfig(min_child_count=5, min_child_fraction=0.02)
     for _ in range(20):
         ds, eta = random_dataset(rng, n_min=100, n_max=250)
-        cand = best_split(full_view(ds), None, eta, ds.scores, ds.clip_B, cfg)
+        cand = best_split(full_view(ds), eta, ds.scores, ds.clip_B, cfg)
         if cand is None:
             continue
         assert cand.post_entropy <= cand.parent_entropy + 1e-12
@@ -465,7 +464,7 @@ def rerouting_topdown(v, eta, scores, B, tree, cfg):
     def sync(tree):
         ids = route_rows(tree, v.base.columns, v.base.n)[v.indices]
         stats = masked_leaf_stats(v, ids, eta, scores, B)
-        return relabel_leaves(tree, stats, cfg.scoring, B, cfg.alpha_cap), stats, ids
+        return relabel_leaves(tree, stats, cfg.scoring, B), stats, ids
 
     tree, stats, ids = sync(tree)
     for _ in range(cfg.max_iterations):
@@ -475,7 +474,7 @@ def rerouting_topdown(v, eta, scores, B, tree, cfg):
                 continue
             mask = ids == leaf.leaf_id
             leaf_v = make_view(v.base, v.indices[mask], raw_weights=v.weights[mask])
-            cand = best_split(leaf_v, None, eta, scores, B, cfg)
+            cand = best_split(leaf_v, eta, scores, B, cfg)
             if cand is not None:
                 chosen = (leaf.leaf_id, cand)
                 break

@@ -10,18 +10,18 @@ from alphatree import (
     EmptyMeasureError,
     InfiniteRiskError,
     RunTrace,
+    SchemaError,
+    SplitTest,
     binary_entropy,
     clip_bounds,
     condition_on_group,
-    condition_on_leaf,
-    condition_positive,
     empirical_risk,
     evaluate_tree,
     full_view,
-    leaf_weights,
     make_dataset,
     make_view,
     route_rows,
+    stump,
 )
 
 from helpers import probe_columns, random_dataset, random_tree
@@ -86,7 +86,6 @@ def test_group_column_routable_but_not_a_feature():
     assert "group" in ds.columns
     assert "group" not in ds.feature_names
     assert ds.kinds["group"] == "categorical"
-    assert ds.modalities() == ("a", "b")
 
 
 def test_default_weights_are_unit():
@@ -128,13 +127,6 @@ def test_condition_on_group_selects_rows():
         condition_on_group(ds, "zzz")
 
 
-def test_condition_positive_selects_positive_rows_of_group():
-    ds = tiny_dataset()
-    vp = condition_positive(ds, "a")
-    assert np.array_equal(vp.indices, [0, 2])
-    assert vp.weights.sum() == pytest.approx(1.0, abs=1e-15)
-
-
 def test_route_rows_matches_pointwise_evaluation():
     rng = np.random.default_rng(3)
     tree = random_tree(rng, max_depth=4)
@@ -146,29 +138,15 @@ def test_route_rows_matches_pointwise_evaluation():
         assert ids[i] == lid
 
 
-def test_condition_on_leaf_and_leaf_weights_agree():
-    rng = np.random.default_rng(4)
-    n = 150
-    cols = probe_columns(rng, n)
-    ds = make_dataset(cols, {"x0": "numeric", "x1": "numeric", "c0": "categorical"},
-                      np.where(rng.random(n) < 0.5, 1, -1), ["g"] * n,
-                      rng.uniform(0.3, 0.7, n), 1.0,
-                      weights=rng.uniform(0.5, 2.0, n))
-    tree = random_tree(rng, max_depth=3)
-    v = full_view(ds)
-    masses = leaf_weights(v, tree)
-    assert sum(masses.values()) == pytest.approx(1.0, abs=1e-12)
-    total = 0
-    for leaf in tree.leaves():
-        if masses.get(leaf.leaf_id, 0.0) == 0.0:
-            continue
-        vl = condition_on_leaf(v, tree, leaf.leaf_id)
-        total += vl.n
-        # view weights renormalize; the leaf mass tracks the unnormalized share
-        picked = v.pick(np.arange(ds.n))
-        routed = route_rows(tree, {k: ds.columns[k] for k in ds.columns}, ds.n)
-        assert np.all(routed[vl.indices] == leaf.leaf_id)
-    assert total == ds.n
+def test_route_rows_rejects_a_column_of_the_wrong_kind():
+    # a modality string never equals a number, so every row would go right
+    cat = stump(SplitTest("code", "categorical", None, "7"), 1.0, 2.0)
+    with pytest.raises(SchemaError, match="feature 'code' is tested as categorical"):
+        route_rows(cat, {"code": np.array([7.0, 8.0])}, 2)
+    assert route_rows(cat, {"code": np.array(["7", "8"], dtype=object)}, 2).tolist() == [0, 1]
+    num = stump(SplitTest("x", "numeric", 0.5, None), 1.0, 2.0)
+    with pytest.raises(SchemaError, match="feature 'x' is tested as numeric"):
+        route_rows(num, {"x": np.array(["A1", "0.2"], dtype=object)}, 2)
 
 
 def test_binary_entropy_oracle_and_edges():
@@ -247,13 +225,12 @@ def test_empirical_risk_tower_over_leaves():
     q = np.clip(rng.uniform(0.1, 0.9, ds.n), 0.1, 0.9)
     v = full_view(ds)
     total = empirical_risk(v, q, eta)
-    masses = leaf_weights(v, tree)
+    leaf_ids = route_rows(tree, ds.columns, ds.n)[v.indices]
     acc = 0.0
-    for leaf_id, mass in masses.items():
-        if mass == 0.0:
-            continue
-        vl = condition_on_leaf(v, tree, leaf_id)
-        acc += mass * empirical_risk(vl, q, eta)
+    for leaf_id in np.unique(leaf_ids):
+        rows = leaf_ids == leaf_id
+        vl = make_view(ds, v.indices[rows], raw_weights=v.weights[rows])
+        acc += float(v.weights[rows].sum()) * empirical_risk(vl, q, eta)
     assert acc == pytest.approx(total, abs=1e-12)
 
 

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import alphatree.fairness as fairness
 from alphatree import (
     CvarSpec,
     DomainError,
@@ -17,8 +20,10 @@ from alphatree import (
     cvar_quantile,
     cvar_value,
     full_view,
+    group_means,
     label_plugin,
     make_dataset,
+    metric_eoo_gap,
     pushup_posterior,
     run_cvar,
     run_eoo,
@@ -27,6 +32,8 @@ from alphatree import (
     subgroup_risks,
 )
 from alphatree.core import expit
+
+from helpers import group_means_reference
 
 
 def test_cvar_quantile_oracle():
@@ -244,6 +251,64 @@ def test_advantage_rate_needs_positives():
                       np.array([-1, -1]), ["g", "g"], np.full(2, 0.6), 1.0)
     with pytest.raises(EmptyMeasureError):
         advantage_rate(ds, single_leaf_tree(), "g")
+
+
+def test_eoo_rates_skip_groups_without_weighted_positives():
+    # A and B have weighted positive rows; C has no positive row, and the
+    # positive rows of D all weigh 0
+    hi, lo = float(expit(1.0)), float(expit(-1.0))
+    ds = make_dataset(
+        {"x": np.zeros(11)}, {"x": "numeric"},
+        np.array([1, 1, -1, 1, 1, -1, -1, -1, 1, 1, -1]),
+        ["A"] * 3 + ["B"] * 3 + ["C"] * 2 + ["D"] * 3,
+        np.array([hi, lo, hi, hi, lo, hi, hi, lo, hi, hi, lo]), 1.0,
+        weights=np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0]),
+    )
+    t = single_leaf_tree()
+    rates = fairness._rates(ds, t, ds.groups)
+    assert rates == {"A": advantage_rate(ds, t, "A"), "B": advantage_rate(ds, t, "B")}
+    assert rates["A"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert rates["B"] == pytest.approx(0.5, abs=1e-15)
+    for g in ("C", "D"):
+        with pytest.raises(EmptyMeasureError):
+            advantage_rate(ds, t, g)
+    with pytest.raises(EmptyMeasureError):
+        metric_eoo_gap(ds, t)
+    # run_eoo skips C and D as _rates does; the gap 1/6 is within eps
+    spec = EooSpec(eps=0.5, K=2.0, induction=InductionConfig(max_iterations=4))
+    tree, trace = run_eoo(ds, spec, eta_estimate=label_plugin(ds.labels))
+    assert tree.n_leaves == 4
+    assert {r.group for r in trace.rows if r.metric == "advantage_rate"} == {"A", "B"}
+    assert trace.values("eoo_gap") == [pytest.approx(1.0 / 6.0, abs=1e-15)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_groups=st.integers(1, 5),
+    n=st.integers(1, 120),
+    zero_group=st.booleans(),
+)
+def test_group_means_equals_view_loop(seed, n_groups, n, zero_group):
+    rng = np.random.default_rng(seed)
+    groups = rng.choice(np.array([f"g{k}" for k in range(n_groups)], dtype=object), n)
+    weights = rng.uniform(0.0, 3.0, n)
+    weights[rng.random(n) < 0.2] = 0.0
+    if zero_group:
+        weights[groups == min(groups.tolist())] = 0.0
+    assume(weights.sum() > 0.0)
+    ds = make_dataset({"x": np.zeros(n)}, {"x": "numeric"}, np.ones(n, dtype=int),
+                      groups, np.full(n, 0.5), 1.0, weights=weights)
+    values = np.round(rng.normal(size=n), int(rng.integers(0, 6)))
+    try:
+        expect = group_means_reference(ds, values)
+    except EmptyMeasureError:
+        with pytest.raises(EmptyMeasureError):
+            group_means(values, ds.groups, ds.weights)
+        return
+    got = group_means(values, ds.groups, ds.weights)
+    assert list(got) == list(expect)
+    assert got == expect
 
 
 def test_run_eoo_requires_estimate_and_two_groups():

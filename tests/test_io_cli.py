@@ -20,17 +20,23 @@ from alphatree import (
     ModelMeta,
     Node,
     SplitTest,
-    fold_plan,
+    empirical_kl,
+    full_view,
     label_plugin,
     load_dataset,
     load_model,
+    metric_auc,
     metric_cvar,
+    metric_eoo_gap,
+    metric_md,
+    metric_sp_gap,
     metric_zero_one,
     model_from_json,
     model_to_json,
     resolve_seed,
     save_model,
     split_plan,
+    subgroup_risks,
     wrapped_scores,
 )
 from alphatree.cli import main
@@ -380,28 +386,6 @@ def test_split_plan_deterministic_in_seed():
         split_plan([1, 1], ["a"], seed=0)
 
 
-def test_fold_plan_balanced_and_seeded():
-    labels = [1] * 10
-    groups = ["g"] * 10
-    folds = fold_plan(labels, groups, seed=0)
-    assert sorted(np.bincount(folds, minlength=5)) == [2, 2, 2, 2, 2]
-    assert np.array_equal(folds, fold_plan(labels, groups, seed=0))
-    with pytest.raises(DomainError):
-        fold_plan(labels, groups, seed=0, n_folds=1)
-    with pytest.raises(DomainError):
-        fold_plan([], [], seed=0)
-
-
-def test_fold_plan_carries_round_robin_across_strata():
-    # two strata of 3 rows with 5 folds: each stratum alone cannot reach
-    # every fold (warns), but the carried counter still balances the total
-    labels = [1] * 3 + [-1] * 3
-    groups = ["g"] * 6
-    with pytest.warns(UserWarning, match="fewer rows than 5 folds"):
-        folds = fold_plan(labels, groups, seed=2)
-    assert sorted(np.bincount(folds, minlength=5)) == [1, 1, 1, 1, 2]
-
-
 def test_resolve_seed_precedence(monkeypatch):
     monkeypatch.delenv("ALPHATREE_SEED", raising=False)
     assert resolve_seed(None) == 0
@@ -613,6 +597,69 @@ def test_cli_apply_reads_tested_columns_by_kind(tmp_path, capsys):
     assert main(["apply", "--data", str(data), "--model", str(model),
                  "--out", str(applied)]) == 2
     assert "error: duplicate column names in header" in capsys.readouterr().err
+
+
+def test_cli_eval_reads_tested_columns_by_kind(tmp_path, capsys):
+    # train sees codes A1, B2, 7 and 8, so it reads code as categorical; the
+    # eval file holds only 7 and 8, which on their own would read as numbers
+    rng = np.random.default_rng(5)
+
+    def write_rows(path, n, codes):
+        code = rng.choice(np.array(codes), n)
+        group = rng.choice(np.array(["a", "b"]), n)
+        x = np.round(rng.normal(size=n), 3)
+        # the black box ignores code, which flips the label odds on 7 and 8
+        p = np.select([code == "7", code == "8"], [0.1, 0.9], expit(2 * x))
+        labels = np.where(rng.random(n) < p, 1, -1)
+        scores = np.round(expit(2 * x), 4)
+        write_csv(path, ["x", "code", "label", "group", "score"],
+                  zip(x, code, labels, group, scores))
+
+    train, holdout, model = tmp_path / "train.csv", tmp_path / "eval.csv", tmp_path / "m.json"
+    write_rows(train, 4000, ["A1", "B2", "7", "8"])
+    write_rows(holdout, 4000, ["7", "8"])
+    assert main(["train", "--data", str(train), "--strategy", "cvar", "--iterations", "8",
+                 "--min-child-count", "200", "--out", str(model)]) == 0
+    tree, meta = load_model(model)
+    assert tree.feature_kinds()["code"] == "categorical"
+    text = model.read_text(encoding="utf-8")
+    assert '"modality": "7"' in text or '"modality": "8"' in text
+    capsys.readouterr()
+
+    assert main(["eval", "--data", str(holdout), "--model", str(model)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    ds = load_dataset(holdout, meta.clip_B, kinds={"code": "categorical"})
+    eta = label_plugin(ds.labels)
+    expect = {
+        "zero_one": metric_zero_one(ds, tree),
+        "auc": metric_auc(ds, tree),
+        "eoo_gap": metric_eoo_gap(ds, tree),
+        "sp_gap": metric_sp_gap(ds, tree),
+        "md": metric_md(ds, tree),
+        "cvar": metric_cvar(ds, tree, eta, 0.5),
+        "empirical_kl": empirical_kl(full_view(ds).weights, ds.scores,
+                                     wrapped_scores(tree, ds.columns, ds.scores)),
+    }
+    for key, value in expect.items():
+        assert abs(report[key] - value) <= 1e-12, key
+    for g, risk in subgroup_risks(ds, tree, eta).items():
+        assert abs(report["subgroup_risks"][g] - risk) <= 1e-12, g
+
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"feature_kinds": {"code": "numeric"}}), encoding="utf-8")
+    assert main(["eval", "--data", str(holdout), "--model", str(model),
+                 "--schema", str(schema)]) == 2
+    assert ("error: schema reads feature 'code' as numeric, but the model tests it as categorical"
+            in capsys.readouterr().err)
+
+
+def test_cli_bad_induction_flags_exit_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    for flag, value in (("--min-child-fraction", "0.6"), ("--min-child-count", "0"),
+                        ("--iterations", "-1")):
+        assert main(train_args(data, tmp_path / "m.json", [flag, value])) == 2, flag
+        assert capsys.readouterr().err.startswith("error: "), flag
 
 
 def test_cli_schema_file(tmp_path, capsys):

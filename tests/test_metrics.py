@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from alphatree import (
     DomainError,
+    EmptyMeasureError,
     cvar_value,
     empirical_kl,
     kl_bound_s1,
@@ -58,6 +59,12 @@ def test_metric_eoo_gap_is_two_sided_spread():
 def test_metric_eoo_gap_degenerate_groups():
     ds = featureless([0.6] * 4, [1, 1, 1, -1], ["g"] * 4)
     assert metric_eoo_gap(ds, single_leaf_tree()) == 0.0
+
+
+def test_metric_eoo_gap_needs_positives_in_every_group():
+    ds = featureless([0.6] * 4, [1, 1, -1, -1], ["a", "a", "b", "b"])
+    with pytest.raises(EmptyMeasureError, match="group 'b' has no positive rows"):
+        metric_eoo_gap(ds, single_leaf_tree())
 
 
 def test_metric_sp_gap_constant_posteriors():
