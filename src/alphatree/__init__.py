@@ -71,7 +71,6 @@ from .data import (
 )
 from .estimators import (
     GaussianPlugin,
-    alpha_tree_from_proxy,
     gaussian_plugin_eval,
     gaussian_plugin_fit,
     init_stump,

@@ -25,6 +25,7 @@ from .core import (
     Leaf,
     Node,
     SplitTest,
+    alpha_table,
     apply_alpha,
     nlogit,
     xlogy,
@@ -502,10 +503,7 @@ def topdown(
 
     def emit(it: int, tree: AlphaTree, stats, event: str = "") -> float:
         h = float(sum(st.mass * st.entropy for st in stats.values()))
-        lut = np.zeros(tree.max_leaf_id() + 1, dtype=float)
-        for leaf in tree.leaves():
-            lut[leaf.leaf_id] = leaf.alpha
-        q_f = apply_alpha(scores_rows, lut[leaf_ids_rows])
+        q_f = apply_alpha(scores_rows, alpha_table(tree)[leaf_ids_rows])
         risk = float(np.dot(v.weights, _risk_terms(q_f, signals.eta)))
         trace.add(iteration_start + it, "tree_entropy", h, event=event)
         trace.add(iteration_start + it, "risk", risk)

@@ -27,7 +27,6 @@ from .core import (
 )
 from .data import Dataset, EmptyMeasureError, InfiniteRiskError, RunTrace, full_view, make_dataset
 from .estimators import (
-    alpha_tree_from_proxy,
     gaussian_plugin_eval,
     gaussian_plugin_fit,
     label_plugin,
@@ -38,10 +37,11 @@ from .io_cli import (
     LoadError,
     ModelFormatError,
     ModelMeta,
-    _parse_feature,
-    _parse_score,
     load_dataset,
     load_model,
+    parse_features,
+    parse_probabilities,
+    read_csv,
     resolve_seed,
     save_model,
     split_plan,
@@ -258,7 +258,7 @@ def _run_driver(args) -> tuple[AlphaTree, RunTrace, Dataset]:
         features = {name: ds.columns[name] for name in ds.feature_names}
         proxy = proxy_group_tree(features, ds.feature_kinds(), ds.groups, max_depth=args.proxy_depth)
         schedule = proxy.predict(features)
-        tree0 = alpha_tree_from_proxy(proxy)
+        tree0 = proxy.tree
     if args.strategy == "cvar":
         spec = CvarSpec(
             beta=args.beta,
@@ -343,34 +343,11 @@ def _cmd_trace(args) -> int:
 def _cmd_apply(args) -> int:
     tree, meta = load_model(args.model)
     clip_B = meta.clip_B
-    with open(args.data, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError("file has no header row") from None
-        rows = list(reader)
-    if len(set(header)) != len(header):
-        raise LoadError("duplicate column names in header")
-    if args.score_column not in header:
-        raise LoadError(f"missing required column {args.score_column!r}")
-    if not rows:
-        raise LoadError("file has no data rows")
-    idx = {name: i for i, name in enumerate(header)}
-    for r, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise LoadError(f"row {r}: expected {len(header)} fields, got {len(row)}")
-
     # read only the columns the model tests, each as the kind of its tests
-    columns: dict[str, np.ndarray] = {}
-    for name, kind in tree.feature_kinds().items():
-        if name not in idx:
-            raise LoadError(f"missing feature column {name!r}, which the model tests")
-        columns[name], _ = _parse_feature(name, [row[idx[name]] for row in rows], kind)
-
-    scores = np.array(
-        [_parse_score(row[idx[args.score_column]], r) for r, row in enumerate(rows, start=1)]
-    )
+    kinds = tree.feature_kinds()
+    header, rows = read_csv(args.data, [args.score_column], kinds)
+    columns, _ = parse_features(header, rows, kinds)
+    scores = parse_probabilities(header, rows, args.score_column, "score")
     q_f = wrapped_scores(tree, columns, clip_score(scores, clip_B))
     preds = np.where(q_f > 0.5, 1, -1)
 
@@ -390,13 +367,18 @@ def _cmd_eval(args) -> int:
     eta = label_plugin(ds.labels)
     w = full_view(ds).weights
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    try:
+        eoo_gap = metric_eoo_gap(ds, tree)
+    except EmptyMeasureError:
+        # a group without weighted positive rows has no true-positive rate
+        eoo_gap = None
     report = {
         "n": ds.n,
         "clip_B": clip_B,
         "n_leaves": tree.n_leaves,
         "zero_one": metric_zero_one(ds, tree),
         "auc": metric_auc(ds, tree),
-        "eoo_gap": metric_eoo_gap(ds, tree),
+        "eoo_gap": eoo_gap,
         "sp_gap": metric_sp_gap(ds, tree),
         "md": metric_md(ds, tree),
         "cvar": metric_cvar(ds, tree, eta, args.beta),

@@ -55,6 +55,7 @@ __all__ = [
     "single_leaf_tree",
     "stump",
     "route_rows",
+    "alpha_table",
     "alpha_at_rows",
 ]
 
@@ -450,13 +451,17 @@ def _route_rows(node, columns, idx, out):
     _route_rows(node.right, columns, idx[~mask], out)
 
 
+def alpha_table(tree: AlphaTree) -> np.ndarray:
+    """Leaf exponents indexed by leaf id; 0 at ids no leaf holds."""
+    table = np.zeros(tree.max_leaf_id() + 1, dtype=float)
+    for leaf in tree.leaves():
+        table[leaf.leaf_id] = leaf.alpha
+    return table
+
+
 def alpha_at_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
     """Per-row leaf exponent for n rows of column arrays."""
-    leaf_ids = route_rows(tree, columns, n)
-    lut = np.zeros(tree.max_leaf_id() + 1, dtype=float)
-    for leaf in tree.leaves():
-        lut[leaf.leaf_id] = leaf.alpha
-    return lut[leaf_ids]
+    return alpha_table(tree)[route_rows(tree, columns, n)]
 
 
 def wrapped_scores(tree: AlphaTree, columns: Mapping[str, np.ndarray], scores: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, expit, single_leaf_tree
+from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, expit, route_rows, single_leaf_tree
 
 __all__ = [
     "label_plugin",
@@ -22,11 +22,8 @@ __all__ = [
     "gaussian_plugin_fit",
     "gaussian_plugin_eval",
     "init_stump",
-    "ProxyLeaf",
-    "ProxyNode",
     "ProxyTree",
     "proxy_group_tree",
-    "alpha_tree_from_proxy",
 ]
 
 ETA_CLAMP = 1e-15
@@ -193,38 +190,21 @@ def init_stump(group_modalities, group_column: str = "group") -> AlphaTree:
 
 
 @dataclass(frozen=True)
-class ProxyLeaf:
-    label: object
-
-
-@dataclass(frozen=True)
-class ProxyNode:
-    test: SplitTest
-    left: "ProxyNode | ProxyLeaf"
-    right: "ProxyNode | ProxyLeaf"
-
-
-@dataclass(frozen=True)
 class ProxyTree:
-    root: object
+    """Group predictor: an identity alpha-tree whose leaf i predicts labels[i].
+
+    Its leaf ids run 0..L-1 from left to right and every alpha is 1, so the
+    tree itself is the starting tree of `run_cvar`, `run_eoo` or `run_sp`
+    on the proxy partition.
+    """
+
+    tree: AlphaTree
+    labels: tuple
     classes: tuple
 
     def predict(self, columns) -> np.ndarray:
-        first_col = next(iter(columns.values()))
-        n = len(first_col)
-        out = np.empty(n, dtype=object)
-        idx = np.arange(n)
-        self._fill(self.root, columns, idx, out)
-        return out
-
-    def _fill(self, node, columns, idx, out):
-        if isinstance(node, ProxyLeaf):
-            out[idx] = node.label
-            return
-        values = np.asarray(columns[node.test.feature])[idx]
-        go_left = node.test.passes_rows(values)
-        self._fill(node.left, columns, idx[go_left], out)
-        self._fill(node.right, columns, idx[~go_left], out)
+        n = len(next(iter(columns.values())))
+        return np.array(self.labels, dtype=object)[route_rows(self.tree, columns, n)]
 
 
 def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int = 30) -> ProxyTree:
@@ -248,14 +228,17 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     def counts_of(idx):
         return np.bincount(y[idx], minlength=len(classes))
 
-    def majority(idx):
-        c = counts_of(idx)
-        return classes[int(np.argmax(c))]
+    labels: list = []
+
+    def leaf(idx):
+        # leaves are built left to right, so ids follow that order
+        labels.append(classes[int(np.argmax(counts_of(idx)))])
+        return Leaf(len(labels) - 1, 1.0)
 
     def build(idx: np.ndarray, depth: int):
         counts = counts_of(idx)
         if depth >= max_depth or len(idx) < 2 * min_leaf or np.count_nonzero(counts) <= 1:
-            return ProxyLeaf(majority(idx))
+            return leaf(idx)
         parent_h = _kernels.class_entropy(counts) * len(idx)
         best = None
         for name, kind in kinds.items():
@@ -280,29 +263,12 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
                     if best is None or h < best[0]:
                         best = (h, SplitTest(name, "categorical", None, m))
         if best is None or best[0] >= parent_h - 1e-12:
-            return ProxyLeaf(majority(idx))
+            return leaf(idx)
         test = best[1]
         values = np.asarray(columns[test.feature])[idx]
         go_left = test.passes_rows(values)
-        return ProxyNode(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
+        return Node(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
 
-    return ProxyTree(root=build(np.arange(n), 0), classes=classes)
+    root = build(np.arange(n), 0)
+    return ProxyTree(tree=AlphaTree(root), labels=tuple(labels), classes=classes)
 
-
-def alpha_tree_from_proxy(proxy: ProxyTree) -> AlphaTree:
-    """Identity wrapper tree over the proxy partition.
-
-    Reuses the proxy's tests so routing never touches the group column;
-    leaves get ids 0..L-1 left to right, all alphas 1.  Use this as tree0
-    when scheduling drivers on proxy groups.
-    """
-    counter = [0]
-
-    def build(node):
-        if isinstance(node, ProxyLeaf):
-            leaf = Leaf(counter[0], 1.0)
-            counter[0] += 1
-            return leaf
-        return Node(node.test, build(node.left), build(node.right))
-
-    return AlphaTree(build(proxy.root))

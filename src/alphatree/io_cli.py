@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -23,6 +23,9 @@ __all__ = [
     "LoadError",
     "ModelFormatError",
     "ModelMeta",
+    "read_csv",
+    "parse_features",
+    "parse_probabilities",
     "load_dataset",
     "save_model",
     "load_model",
@@ -60,13 +63,13 @@ def _parse_label(raw: str, row: int) -> int:
     raise LoadError(f"row {row}: label {raw!r} is not one of +1, 1, 0, -1")
 
 
-def _parse_score(raw: str, row: int) -> float:
+def _parse_probability(raw: str, row: int, noun: str) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise LoadError(f"row {row}: score {raw!r} is not a number") from None
+        raise LoadError(f"row {row}: {noun} {raw!r} is not a number") from None
     if not math.isfinite(v) or v < 0.0 or v > 1.0:
-        raise LoadError(f"row {row}: score {raw!r} must lie in [0, 1]")
+        raise LoadError(f"row {row}: {noun} {raw!r} must lie in [0, 1]")
     return v
 
 
@@ -77,16 +80,6 @@ def _parse_weight(raw: str, row: int) -> float:
         raise LoadError(f"row {row}: weight {raw!r} is not a number") from None
     if not math.isfinite(v) or v < 0.0:
         raise LoadError(f"row {row}: weight {raw!r} must be finite and >= 0")
-    return v
-
-
-def _parse_target(raw: str, row: int) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise LoadError(f"row {row}: target {raw!r} is not a number") from None
-    if not math.isfinite(v) or v < 0.0 or v > 1.0:
-        raise LoadError(f"row {row}: target {raw!r} must lie in [0, 1]")
     return v
 
 
@@ -132,6 +125,64 @@ def _first_bad_number(raw: list[str]) -> tuple[int, str, str]:
     raise AssertionError("every cell is a finite float")
 
 
+def read_csv(path, required: Iterable[str], features: Iterable[str] = ()) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a headed CSV file, every row as wide as the header.
+
+    A file with no header row, a repeated column name, no data rows or a
+    row of another width is a LoadError.  So is a missing column: one of
+    `required`, which the caller reads for its role, or one of `features`,
+    which the caller reads by name.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise LoadError("file has no header row") from None
+        rows = list(reader)
+
+    if len(set(header)) != len(header):
+        raise LoadError("duplicate column names in header")
+    for name in required:
+        if name not in header:
+            raise LoadError(f"missing required column {name!r}")
+    if not rows:
+        raise LoadError("file has no data rows")
+    for r, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise LoadError(f"row {r}: expected {len(header)} fields, got {len(row)}")
+    for name in features:
+        if name not in header:
+            raise LoadError(f"missing feature column {name!r}")
+    return header, rows
+
+
+def parse_features(
+    header: list[str], rows: list[list[str]], kinds: Mapping[str, str | None]
+) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Columns of read_csv's rows named by `kinds`, each read as its kind: (values, kinds).
+
+    A kind of None reads the column as numeric when every cell parses as a
+    float, else as categorical.
+    """
+    col_index = {name: i for i, name in enumerate(header)}
+    features: dict[str, np.ndarray] = {}
+    out_kinds: dict[str, str] = {}
+    for name, kind in kinds.items():
+        i = col_index[name]
+        features[name], out_kinds[name] = _parse_feature(name, [row[i] for row in rows], kind)
+    return features, out_kinds
+
+
+def parse_probabilities(header: list[str], rows: list[list[str]], name: str, noun: str) -> np.ndarray:
+    """Column `name` of read_csv's rows as numbers in [0, 1].
+
+    A bad cell is a LoadError that names its 1-based row and calls it the `noun`.
+    """
+    i = header.index(name)
+    return np.array([_parse_probability(row[i], r, noun) for r, row in enumerate(rows, start=1)])
+
+
 def load_dataset(
     path,
     clip_B: float,
@@ -147,57 +198,29 @@ def load_dataset(
 
     Columns other than the label/group/score/weight ones are features.  A
     feature is numeric when every value parses as a float, else categorical;
-    explicit kinds override the inference.  A numeric feature value that does
-    not parse or is not finite (nan, inf) is reported with its 1-based
-    data-row number.
+    explicit kinds override the inference, and a kind for a column the file
+    lacks is a LoadError.  A numeric feature value that does not parse or is
+    not finite (nan, inf) is reported with its 1-based data-row number.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError("file has no header row") from None
-        rows = list(reader)
-
-    if len(set(header)) != len(header):
-        raise LoadError("duplicate column names in header")
-    for required in (label_column, group_column, score_column):
-        if required not in header:
-            raise LoadError(f"missing required column {required!r}")
-    for optional in (weight_column, target_column):
-        if optional is not None and optional not in header:
-            raise LoadError(f"missing required column {optional!r}")
-    if not rows:
-        raise LoadError("file has no data rows")
+    kinds = kinds or {}
+    required = [label_column, group_column, score_column]
+    required += [name for name in (weight_column, target_column) if name is not None]
+    header, rows = read_csv(path, required, kinds)
 
     col_index = {name: i for i, name in enumerate(header)}
-    for r, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise LoadError(f"row {r}: expected {len(header)} fields, got {len(row)}")
-
     labels = [_parse_label(row[col_index[label_column]], r) for r, row in enumerate(rows, start=1)]
-    scores = [_parse_score(row[col_index[score_column]], r) for r, row in enumerate(rows, start=1)]
+    scores = parse_probabilities(header, rows, score_column, "score")
     groups = [row[col_index[group_column]] for row in rows]
     weights = None
     if weight_column is not None:
         weights = [_parse_weight(row[col_index[weight_column]], r) for r, row in enumerate(rows, start=1)]
     target = None
     if target_column is not None:
-        target = [_parse_target(row[col_index[target_column]], r) for r, row in enumerate(rows, start=1)]
+        target = parse_probabilities(header, rows, target_column, "target")
 
-    special = {label_column, group_column, score_column}
-    for optional in (weight_column, target_column):
-        if optional is not None:
-            special.add(optional)
-    feature_names = [name for name in header if name not in special]
-
-    features: dict[str, np.ndarray] = {}
-    out_kinds: dict[str, str] = {}
-    for name in feature_names:
-        raw = [row[col_index[name]] for row in rows]
-        kind = kinds.get(name) if kinds else None
-        features[name], out_kinds[name] = _parse_feature(name, raw, kind)
-
+    features, out_kinds = parse_features(
+        header, rows, {name: kinds.get(name) for name in header if name not in required}
+    )
     return make_dataset(
         features,
         out_kinds,

@@ -16,7 +16,7 @@ from alphatree import (
     wrapped_scores,
 )
 from alphatree.core import expit
-from alphatree.estimators import ProxyLeaf, ProxyNode, ProxyTree
+from alphatree.estimators import ProxyTree
 
 
 def random_dataset(rng, n_min=80, n_max=400, b_range=(0.5, 3.0), plugin_prob=0.4):
@@ -182,10 +182,16 @@ def proxy_group_tree_reference(columns, kinds, groups, max_depth: int = 8, min_l
         c = counts_of(idx)
         return classes[int(np.argmax(c))]
 
+    labels = []
+
+    def leaf(label):
+        labels.append(label)
+        return Leaf(len(labels) - 1, 1.0)
+
     def build(idx: np.ndarray, depth: int):
         counts = counts_of(idx)
         if depth >= max_depth or len(idx) < 2 * min_leaf or np.count_nonzero(counts) <= 1:
-            return ProxyLeaf(majority(idx))
+            return leaf(majority(idx))
         parent_h = _class_entropy(counts) * len(idx)
         best = None
         for name, kind in kinds.items():
@@ -219,13 +225,33 @@ def proxy_group_tree_reference(columns, kinds, groups, max_depth: int = 8, min_l
                     if best is None or h < best[0]:
                         best = (h, SplitTest(name, "categorical", None, m))
         if best is None or best[0] >= parent_h - 1e-12:
-            return ProxyLeaf(majority(idx))
+            return leaf(majority(idx))
         test = best[1]
         values = np.asarray(columns[test.feature])[idx]
         go_left = test.passes_rows(values)
-        return ProxyNode(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
+        return Node(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
 
-    return ProxyTree(root=build(np.arange(n), 0), classes=classes)
+    root = build(np.arange(n), 0)
+    return ProxyTree(tree=AlphaTree(root), labels=tuple(labels), classes=classes)
+
+
+def proxy_predict_reference(proxy: ProxyTree, columns) -> np.ndarray:
+    """Recursive row router that `ProxyTree.predict` must reproduce exactly."""
+    first_col = next(iter(columns.values()))
+    n = len(first_col)
+    out = np.empty(n, dtype=object)
+
+    def fill(node, idx):
+        if isinstance(node, Leaf):
+            out[idx] = proxy.labels[node.leaf_id]
+            return
+        values = np.asarray(columns[node.test.feature])[idx]
+        go_left = node.test.passes_rows(values)
+        fill(node.left, idx[go_left])
+        fill(node.right, idx[~go_left])
+
+    fill(proxy.tree.root, np.arange(n))
+    return out
 
 
 # ---------------------------------------------------------------------------

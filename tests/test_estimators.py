@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from alphatree import (
     DomainError,
-    alpha_tree_from_proxy,
+    Leaf,
     evaluate_tree,
     gaussian_plugin_eval,
     gaussian_plugin_fit,
@@ -18,9 +18,7 @@ from alphatree import (
     proxy_group_tree,
     route_rows,
 )
-from alphatree.estimators import ProxyLeaf
-
-from helpers import proxy_group_tree_reference
+from helpers import proxy_group_tree_reference, proxy_predict_reference
 
 
 def test_label_plugin_maps_signs():
@@ -154,7 +152,8 @@ def test_proxy_tree_depth_zero_is_majority_vote():
     x = np.arange(10, dtype=float)
     proxy = proxy_group_tree({"x": x}, {"x": "numeric"}, groups,
                              max_depth=0, min_leaf=1)
-    assert isinstance(proxy.root, ProxyLeaf)
+    assert isinstance(proxy.tree.root, Leaf)
+    assert proxy.labels == ("a",)
     pred = proxy.predict({"x": x})
     assert np.all(pred == "a")
 
@@ -174,7 +173,7 @@ def test_proxy_tree_min_leaf_blocks_splits():
     groups = np.array(["a"] * 4 + ["b"] * 4, dtype=object)
     proxy = proxy_group_tree({"x": x}, {"x": "numeric"}, groups,
                              max_depth=3, min_leaf=5)
-    assert isinstance(proxy.root, ProxyLeaf)
+    assert isinstance(proxy.tree.root, Leaf)
 
 
 def test_alpha_tree_from_proxy_identity_partition():
@@ -185,22 +184,16 @@ def test_alpha_tree_from_proxy_identity_partition():
     groups = np.where(x + 0.3 * z > 0, "g1", "g0").astype(object)
     proxy = proxy_group_tree({"x": x, "z": z}, {"x": "numeric", "z": "numeric"},
                              groups, max_depth=3, min_leaf=20)
-    tree = alpha_tree_from_proxy(proxy)
-
-    def count_leaves(node):
-        if isinstance(node, ProxyLeaf):
-            return 1
-        return count_leaves(node.left) + count_leaves(node.right)
-
-    n_proxy = count_leaves(proxy.root)
-    assert tree.n_leaves == n_proxy
-    assert sorted(l.leaf_id for l in tree.leaves()) == list(range(n_proxy))
+    tree = proxy.tree
+    assert tree.n_leaves == len(proxy.labels) > 1
+    # ids run 0..L-1 from left to right
+    assert [l.leaf_id for l in tree.leaves()] == list(range(len(proxy.labels)))
     assert all(l.alpha == 1.0 for l in tree.leaves())
-    # rows mapping to the same converted leaf get the same proxy modality
+    # rows of one leaf get that leaf's proxy modality
     ids = route_rows(tree, {"x": x, "z": z}, n)
     pred = proxy.predict({"x": x, "z": z})
     for lid in np.unique(ids):
-        assert len(set(pred[ids == lid].tolist())) == 1
+        assert set(pred[ids == lid].tolist()) == {proxy.labels[lid]}
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,3 +239,4 @@ def test_proxy_tree_matches_row_loop_reference(
     fast = proxy_group_tree(columns, kinds, groups, max_depth=max_depth, min_leaf=min_leaf)
     ref = proxy_group_tree_reference(columns, kinds, groups, max_depth=max_depth, min_leaf=min_leaf)
     assert fast == ref
+    assert fast.predict(columns).tolist() == proxy_predict_reference(ref, columns).tolist()

@@ -14,6 +14,7 @@ import alphatree
 from alphatree import (
     AlphaTree,
     DomainError,
+    EmptyMeasureError,
     Leaf,
     LoadError,
     ModelFormatError,
@@ -110,22 +111,37 @@ def test_load_dataset_weight_and_target_columns(tmp_path):
 
 def test_load_dataset_header_errors(tmp_path):
     path = tmp_path / "d.csv"
-    path.write_text("", encoding="utf-8")
-    with pytest.raises(LoadError, match="no header row"):
-        load_dataset(path, 1.0)
-    write_csv(path, ["x", "x", "label", "group", "score"],
-              [[1, 2, "+1", "g", 0.5]])
-    with pytest.raises(LoadError, match="duplicate column names"):
-        load_dataset(path, 1.0)
     write_csv(path, ["x", "label", "group"], [[1, "+1", "g"]])
     with pytest.raises(LoadError, match="missing required column 'score'"):
-        load_dataset(path, 1.0)
-    write_csv(path, ["x", "label", "group", "score"], [])
-    with pytest.raises(LoadError, match="no data rows"):
         load_dataset(path, 1.0)
     write_csv(path, ["x", "label", "group", "score"], [[1, "+1", "g", 0.5]])
     with pytest.raises(LoadError, match="missing required column 'w'"):
         load_dataset(path, 1.0, weight_column="w")
+    with pytest.raises(LoadError, match="missing feature column 'cdoe'"):
+        load_dataset(path, 1.0, kinds={"cdoe": "categorical"})
+
+
+# the file's shape is checked by one reader, so both entry points agree
+@pytest.mark.parametrize("text, message", [
+    ("", "file has no header row"),
+    ("x,x,label,group,score\n1,2,+1,g,0.5\n", "duplicate column names in header"),
+    ("x,label,group,score\n", "file has no data rows"),
+    ("x,label,group,score\n1,+1,g,0.5\n2,-1,g\n", "row 2: expected 4 fields, got 3"),
+])
+@pytest.mark.parametrize("entry", ["load_dataset", "apply"])
+def test_csv_shape_errors_agree_across_entry_points(tmp_path, capsys, entry, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    if entry == "load_dataset":
+        with pytest.raises(LoadError, match=message):
+            load_dataset(path, 1.0)
+        return
+    model = tmp_path / "m.json"
+    save_model(model, AlphaTree(Node(SplitTest("x", "numeric", threshold=0.0), Leaf(0, 2.0), Leaf(1, 0.5))),
+               ModelMeta(clip_B=1.0))
+    assert main(["apply", "--data", str(path), "--model", str(model),
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
 
 
 def test_load_dataset_row_errors_carry_row_numbers(tmp_path):
@@ -142,9 +158,6 @@ def test_load_dataset_row_errors_carry_row_numbers(tmp_path):
               [[1, "+1", "g", 0.5, -2.0]])
     with pytest.raises(LoadError, match="row 1: weight '-2.0'"):
         load_dataset(path, 1.0, weight_column="w")
-    path.write_text("x,label,group,score\n1,+1,g,0.5\n2,-1,g\n", encoding="utf-8")
-    with pytest.raises(LoadError, match="row 2: expected 4 fields, got 3"):
-        load_dataset(path, 1.0)
 
 
 def test_load_dataset_numeric_feature_errors(tmp_path):
@@ -593,11 +606,6 @@ def test_cli_apply_reads_tested_columns_by_kind(tmp_path, capsys):
                  "--out", str(applied)]) == 2
     assert "error: missing feature column 'x'" in capsys.readouterr().err
 
-    write_csv(data, ["x", "x", "group", "label", "score"], [[1.0] + row for row in rows[:10]])
-    assert main(["apply", "--data", str(data), "--model", str(model),
-                 "--out", str(applied)]) == 2
-    assert "error: duplicate column names in header" in capsys.readouterr().err
-
 
 def test_cli_eval_reads_tested_columns_by_kind(tmp_path, capsys):
     # train sees codes A1, B2, 7 and 8, so it reads code as categorical; the
@@ -684,6 +692,42 @@ def test_cli_schema_file(tmp_path, capsys):
     assert main(["train", "--data", str(data), "--schema", str(schema),
                  "--strategy", "sp", "--split", "all", "--out", str(model)]) == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+def test_cli_schema_kind_for_a_missing_column_exits_2(tmp_path, capsys):
+    # "cdoe" is a typo for "code": silently ignored, it would leave code numeric
+    data = tmp_path / "d.csv"
+    write_csv(data, ["x", "code", "group", "label", "score"],
+              [[i % 7, 1 + i % 2, "ab"[i % 2], 1 if i % 3 else -1, 0.3 + 0.002 * i] for i in range(200)])
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"feature_kinds": {"cdoe": "categorical"}}), encoding="utf-8")
+    model = tmp_path / "m.json"
+    assert main(train_args(data, model, ["--schema", str(schema)])) == 2
+    assert capsys.readouterr().err == "error: missing feature column 'cdoe'\n"
+    assert not model.exists()
+
+
+def test_cli_eval_reports_null_eoo_gap_for_a_group_without_positives(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    n = 600
+    group = np.array(["a", "b", "c"])[np.arange(n) % 3]
+    x = np.round(rng.normal(size=n), 3)
+    labels = np.where((rng.random(n) < expit(2 * x)) & (group != "c"), 1, -1)
+    scores = np.round(expit(2 * x - (group == "b")), 4)
+    data = tmp_path / "d.csv"
+    write_csv(data, ["x", "group", "label", "score"], zip(x, group, labels, scores))
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", str(data), "--strategy", "eoo", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--model", str(model)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["eoo_gap"] is None
+    tree, meta = load_model(model)
+    ds = load_dataset(data, meta.clip_B, kinds=tree.feature_kinds())
+    with pytest.raises(EmptyMeasureError, match="group 'c' has no positive rows"):
+        metric_eoo_gap(ds, tree)
+    assert abs(report["sp_gap"] - metric_sp_gap(ds, tree)) <= 1e-12
+    assert set(report["subgroup_risks"]) == {"a", "b", "c"}
 
 
 def test_cli_split_roles_and_seed_env(tmp_path, capsys, monkeypatch):

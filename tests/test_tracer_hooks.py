@@ -19,10 +19,15 @@ def test_tracer_installs_every_hook_and_restores_it():
         sys.path.remove(PERFBENCH)
     metrics = importlib.import_module("alphatree.metrics")
     original = metrics.advantage_rate
+    # the tracer times the proxy group model by swapping this method
+    proxy_tree = importlib.import_module("alphatree.estimators").ProxyTree
+    original_predict = proxy_tree.predict
     t = tracer.Tracer()
     try:
         t.install()
         assert metrics.advantage_rate is not original
+        assert proxy_tree.predict is not original_predict
     finally:
         t.restore()
     assert metrics.advantage_rate is original
+    assert proxy_tree.predict is original_predict
