@@ -345,18 +345,24 @@ def _cmd_apply(args) -> int:
     clip_B = meta.clip_B
     # read only the columns the model tests, each as the kind of its tests
     kinds = tree.feature_kinds()
-    header, rows = read_csv(args.data, [args.score_column], kinds)
-    columns, _ = parse_features(header, rows, kinds)
-    scores = parse_probabilities(header, rows, args.score_column, "score")
+    table = read_csv(args.data, [args.score_column], kinds)
+    columns, _ = parse_features(table, kinds)
+    scores = parse_probabilities(table, args.score_column, "score")
     q_f = wrapped_scores(tree, columns, clip_score(scores, clip_B))
-    preds = np.where(q_f > 0.5, 1, -1)
+    q_fair = q_f.tolist()
+    preds = np.where(q_f > 0.5, 1, -1).tolist()
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + ["q_fair", "pred"])
-        for i, row in enumerate(rows):
-            writer.writerow(row + [repr(float(q_f[i])), int(preds[i])])
-    print(f"wrote {args.out} ({len(rows)} rows)")
+        if table.lines is None:
+            writer = csv.writer(fh)
+            writer.writerow(table.header + ["q_fair", "pred"])
+            writer.writerows([*row, repr(q), pred] for row, q, pred in zip(zip(*table.columns), q_fair, preds))
+        else:
+            # a plain line has no quote, comma-holding cell or line break for
+            # csv.writer to quote, so appending to it writes the same bytes
+            fh.write(",".join(table.header) + ",q_fair,pred\r\n")
+            fh.write("".join([f"{line},{q!r},{pred}\r\n" for line, q, pred in zip(table.lines, q_fair, preds)]))
+    print(f"wrote {args.out} ({len(q_fair)} rows)")
     return 0
 
 

@@ -439,7 +439,7 @@ def _route_rows(node, columns, idx, out):
     feature = node.test.feature
     if feature not in columns:
         raise SchemaError(f"rows are missing feature {feature!r}")
-    col = columns[feature]
+    col = np.asarray(columns[feature])
     # a modality string never equals a number: such rows would all go right
     if node.test.kind == "categorical" and np.issubdtype(col.dtype, np.number):
         raise SchemaError(f"feature {feature!r} is tested as categorical but its column is numeric")

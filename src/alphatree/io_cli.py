@@ -8,10 +8,12 @@ exactly, which is what makes model diffs trustworthy.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -23,6 +25,7 @@ __all__ = [
     "LoadError",
     "ModelFormatError",
     "ModelMeta",
+    "Table",
     "read_csv",
     "parse_features",
     "parse_probabilities",
@@ -54,13 +57,22 @@ class ModelFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+_LABELS = {"1": 1, "+1": 1, "0": -1, "-1": -1}
+
+
 def _parse_label(raw: str, row: int) -> int:
-    v = raw.strip()
-    if v in ("1", "+1"):
-        return 1
-    if v in ("-1", "0"):
-        return -1
-    raise LoadError(f"row {row}: label {raw!r} is not one of +1, 1, 0, -1")
+    v = _LABELS.get(raw.strip())
+    if v is None:
+        raise LoadError(f"row {row}: label {raw!r} is not one of +1, 1, 0, -1")
+    return v
+
+
+def _parse_labels(raw: list[str]) -> list[int]:
+    labels = list(map(_LABELS.get, raw))
+    if None in labels:
+        # padded cells such as " 1" are labels too; a bad cell raises here
+        labels = [_parse_label(v, r) for r, v in enumerate(raw, start=1)]
+    return labels
 
 
 def _parse_probability(raw: str, row: int, noun: str) -> float:
@@ -83,12 +95,43 @@ def _parse_weight(raw: str, row: int) -> float:
     return v
 
 
+def _parse_number(raw: str, row: int, name: str) -> float:
+    try:
+        v = float(raw)
+    except ValueError:
+        raise LoadError(f"row {row}: feature {name!r} value {raw!r} is not numeric") from None
+    if not math.isfinite(v):
+        raise LoadError(f"row {row}: feature {name!r} value {raw!r} is not finite")
+    return v
+
+
 def _parse_floats(raw: list[str]) -> np.ndarray | None:
     """Every cell as a float, or None when some cell does not parse."""
     try:
         return np.fromiter(map(float, raw), dtype=float, count=len(raw))
     except ValueError:
         return None
+
+
+def _in_unit_interval(values: np.ndarray) -> np.ndarray:
+    return (values >= 0.0) & (values <= 1.0)
+
+
+def _finite_nonnegative(values: np.ndarray) -> np.ndarray:
+    return (values >= 0.0) & (values < math.inf)
+
+
+def _checked(values: np.ndarray | None, raw: list[str], ok, parse_cell, *args) -> np.ndarray:
+    """`values`, the cells of `raw` as floats, when `ok(values)` holds for every one.
+
+    Otherwise, or when `values` is None because some cell does not parse,
+    the per-cell `parse_cell(cell, row, *args)` runs down `raw` and raises
+    at the first bad row.  Every `ok` of this module is False at NaN, so a
+    NaN cell always takes that path.
+    """
+    if values is None or not np.all(ok(values)):
+        values = np.array([parse_cell(v, r, *args) for r, v in enumerate(raw, start=1)])
+    return values
 
 
 def _parse_feature(name: str, raw: list[str], kind: str | None) -> tuple[np.ndarray, str]:
@@ -104,83 +147,130 @@ def _parse_feature(name: str, raw: list[str], kind: str | None) -> tuple[np.ndar
         if kind is None:
             kind = "categorical" if values is None else "numeric"
     if kind == "numeric":
-        if values is None or not np.all(np.isfinite(values)):
-            r, v, why = _first_bad_number(raw)
-            raise LoadError(f"row {r}: feature {name!r} value {v!r} {why}")
-        return values, kind
+        return _checked(values, raw, np.isfinite, _parse_number, name), kind
     if kind == "categorical":
         return np.array(raw, dtype=object), kind
     raise LoadError(f"feature {name!r} has unknown kind {kind!r}")
 
 
-def _first_bad_number(raw: list[str]) -> tuple[int, str, str]:
-    """1-based row, cell and reason of the first cell that is not a finite float."""
-    for r, v in enumerate(raw, start=1):
-        try:
-            fv = float(v)
-        except ValueError:
-            return r, v, "is not numeric"
-        if not math.isfinite(fv):
-            return r, v, "is not finite"
-    raise AssertionError("every cell is a finite float")
+@dataclass(frozen=True)
+class Table:
+    """A headed CSV file as one list of cells per header column.
+
+    `lines` holds each data row's raw text when the file was split as plain
+    text, and is None when the csv module read it.
+    """
+
+    header: list[str]
+    columns: list[list[str]]
+    lines: list[str] | None
+
+    def column(self, name: str) -> list[str]:
+        return self.columns[self.header.index(name)]
 
 
-def read_csv(path, required: Iterable[str], features: Iterable[str] = ()) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a headed CSV file, every row as wide as the header.
+def _split_plain(text: str) -> tuple[list[str], list[list[str]], list[str]] | None:
+    """(header, columns, data lines) of text the csv module would read as plain splits.
 
-    A file with no header row, a repeated column name, no data rows or a
-    row of another width is a LoadError.  So is a missing column: one of
-    `required`, which the caller reads for its role, or one of `features`,
-    which the caller reads by name.
+    That is text with no quote and no CR, a header line and at least one
+    data line, every data line holding one comma fewer than the header has
+    fields, and no field over the csv module's size limit.  Any other text
+    is None: the csv module reads it, and names the row at fault.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    head, _, body = text.partition("\n")
+    if body.endswith("\n"):
+        body = body[:-1]
+    if not head or not body:
+        return None
+    header = head.split(",")
+    width = len(header)
+    lines = body.split("\n")
+    # a blank line is an empty row to the csv module, also at width 1
+    if not all(lines) or set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    cells = body.replace("\n", ",").split(",")
+    # only a line over the limit can hold a field over it
+    limit = csv.field_size_limit()
+    if max(len(head), max(map(len, lines))) > limit and max(map(len, chain(header, cells))) > limit:
+        return None
+    return header, [cells[j::width] for j in range(width)], lines
+
+
+def _csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of text as the csv module reads it."""
+    # newline="" hands the reader each line end as the file holds it
+    rows: list[list[str]] = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        # rows holds the header and the data rows before the one at fault
+        raise LoadError(f"row {len(rows)}: {exc}" if rows else f"header row: {exc}") from None
+    if not rows:
+        raise LoadError("file has no header row")
+    return rows[0], rows[1:]
+
+
+def read_csv(path, required: Iterable[str], features: Iterable[str] = ()) -> Table:
+    """A headed CSV file as a Table, every row as wide as the header.
+
+    A file with no header row, a repeated column name, no data rows, a row
+    of another width or a field over the csv module's size limit is a
+    LoadError.  So is a missing column: one of `required`, which the caller
+    reads for its role, or one of `features`, which the caller reads by name.
+    Text with no quote and no CR is split as plain text; both ways give
+    the same cells and the same errors.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError("file has no header row") from None
-        rows = list(reader)
+        text = fh.read()
+    plain = _split_plain(text)
+    if plain is None:
+        header, rows = _csv_rows(text)
+    else:
+        header, columns, lines = plain
 
     if len(set(header)) != len(header):
         raise LoadError("duplicate column names in header")
     for name in required:
         if name not in header:
             raise LoadError(f"missing required column {name!r}")
-    if not rows:
-        raise LoadError("file has no data rows")
-    for r, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise LoadError(f"row {r}: expected {len(header)} fields, got {len(row)}")
+    if plain is None:
+        if not rows:
+            raise LoadError("file has no data rows")
+        for r, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise LoadError(f"row {r}: expected {len(header)} fields, got {len(row)}")
+        columns = [list(col) for col in zip(*rows)]
+        lines = None
     for name in features:
         if name not in header:
             raise LoadError(f"missing feature column {name!r}")
-    return header, rows
+    return Table(header, columns, lines)
 
 
 def parse_features(
-    header: list[str], rows: list[list[str]], kinds: Mapping[str, str | None]
+    table: Table, kinds: Mapping[str, str | None]
 ) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Columns of read_csv's rows named by `kinds`, each read as its kind: (values, kinds).
+    """Columns of `table` named by `kinds`, each read as its kind: (values, kinds).
 
     A kind of None reads the column as numeric when every cell parses as a
     float, else as categorical.
     """
-    col_index = {name: i for i, name in enumerate(header)}
     features: dict[str, np.ndarray] = {}
     out_kinds: dict[str, str] = {}
     for name, kind in kinds.items():
-        i = col_index[name]
-        features[name], out_kinds[name] = _parse_feature(name, [row[i] for row in rows], kind)
+        features[name], out_kinds[name] = _parse_feature(name, table.column(name), kind)
     return features, out_kinds
 
 
-def parse_probabilities(header: list[str], rows: list[list[str]], name: str, noun: str) -> np.ndarray:
-    """Column `name` of read_csv's rows as numbers in [0, 1].
+def parse_probabilities(table: Table, name: str, noun: str) -> np.ndarray:
+    """Column `name` of `table` as numbers in [0, 1].
 
     A bad cell is a LoadError that names its 1-based row and calls it the `noun`.
     """
-    i = header.index(name)
-    return np.array([_parse_probability(row[i], r, noun) for r, row in enumerate(rows, start=1)])
+    raw = table.column(name)
+    return _checked(_parse_floats(raw), raw, _in_unit_interval, _parse_probability, noun)
 
 
 def load_dataset(
@@ -205,21 +295,21 @@ def load_dataset(
     kinds = kinds or {}
     required = [label_column, group_column, score_column]
     required += [name for name in (weight_column, target_column) if name is not None]
-    header, rows = read_csv(path, required, kinds)
+    table = read_csv(path, required, kinds)
 
-    col_index = {name: i for i, name in enumerate(header)}
-    labels = [_parse_label(row[col_index[label_column]], r) for r, row in enumerate(rows, start=1)]
-    scores = parse_probabilities(header, rows, score_column, "score")
-    groups = [row[col_index[group_column]] for row in rows]
+    labels = _parse_labels(table.column(label_column))
+    scores = parse_probabilities(table, score_column, "score")
+    groups = table.column(group_column)
     weights = None
     if weight_column is not None:
-        weights = [_parse_weight(row[col_index[weight_column]], r) for r, row in enumerate(rows, start=1)]
+        raw = table.column(weight_column)
+        weights = _checked(_parse_floats(raw), raw, _finite_nonnegative, _parse_weight)
     target = None
     if target_column is not None:
-        target = parse_probabilities(header, rows, target_column, "target")
+        target = parse_probabilities(table, target_column, "target")
 
     features, out_kinds = parse_features(
-        header, rows, {name: kinds.get(name) for name in header if name not in required}
+        table, {name: kinds.get(name) for name in table.header if name not in required}
     )
     return make_dataset(
         features,

@@ -1,5 +1,6 @@
 """Shared synthetic-data builders for the test suite."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from alphatree import (
     AlphaTree,
     DomainError,
     Leaf,
+    LoadError,
     Node,
     SplitTest,
     full_view,
@@ -342,3 +344,40 @@ def conservative_label_objective(alpha: float, edge_value: float, B: float) -> f
     t = float(alpha) * float(B)
     softplus = math.log1p(math.exp(-abs(t))) + max(t, 0.0)
     return softplus - t * (1.0 + float(edge_value)) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# oracle of the CSV reader: the csv module row by row
+# ---------------------------------------------------------------------------
+
+
+def read_csv_reference(path, required, features=()) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a headed CSV file, every row as wide as the header.
+
+    A file with no header row, a repeated column name, no data rows or a
+    row of another width is a LoadError.  So is a missing column: one of
+    `required`, which the caller reads for its role, or one of `features`,
+    which the caller reads by name.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise LoadError("file has no header row") from None
+        rows = list(reader)
+
+    if len(set(header)) != len(header):
+        raise LoadError("duplicate column names in header")
+    for name in required:
+        if name not in header:
+            raise LoadError(f"missing required column {name!r}")
+    if not rows:
+        raise LoadError("file has no data rows")
+    for r, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise LoadError(f"row {r}: expected {len(header)} fields, got {len(row)}")
+    for name in features:
+        if name not in header:
+            raise LoadError(f"missing feature column {name!r}")
+    return header, rows

@@ -149,6 +149,18 @@ def test_route_rows_rejects_a_column_of_the_wrong_kind():
         route_rows(num, {"x": np.array(["A1", "0.2"], dtype=object)}, 2)
 
 
+def test_route_rows_takes_plain_list_columns():
+    num = stump(SplitTest("x", "numeric", 0.0, None), 1.0, 2.0)
+    assert route_rows(num, {"x": [-1.0, 1.0]}, 2).tolist() == [0, 1]
+    cat = stump(SplitTest("code", "categorical", None, "7"), 1.0, 2.0)
+    assert route_rows(cat, {"code": ["7", "8"]}, 2).tolist() == [0, 1]
+    # a list of the wrong kind is still a SchemaError
+    with pytest.raises(SchemaError, match="feature 'code' is tested as categorical"):
+        route_rows(cat, {"code": [7.0, 8.0]}, 2)
+    with pytest.raises(SchemaError, match="feature 'x' is tested as numeric"):
+        route_rows(num, {"x": ["A1", "0.2"]}, 2)
+
+
 def test_binary_entropy_oracle_and_edges():
     assert binary_entropy(0.75) == pytest.approx(0.5623351446188083, abs=1e-15)
     assert binary_entropy(0.5) == pytest.approx(LOG2, abs=1e-15)

@@ -1,5 +1,7 @@
 """CSV ingest, model files, split plans, and the command line."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import alphatree
 from alphatree import (
@@ -21,6 +25,7 @@ from alphatree import (
     ModelMeta,
     Node,
     SplitTest,
+    clip_score,
     empirical_kl,
     full_view,
     label_plugin,
@@ -35,6 +40,7 @@ from alphatree import (
     model_from_json,
     model_to_json,
     resolve_seed,
+    route_rows,
     save_model,
     split_plan,
     subgroup_risks,
@@ -42,8 +48,9 @@ from alphatree import (
 )
 from alphatree.cli import main
 from alphatree.core import expit
+from alphatree.io_cli import read_csv
 
-from helpers import probe_columns, random_tree
+from helpers import probe_columns, random_tree, read_csv_reference
 
 
 def write_csv(path, header, rows):
@@ -195,6 +202,152 @@ def test_load_dataset_custom_column_names(tmp_path):
     assert ds.feature_names == ("x",)
     assert ds.group_column == "who"
     assert list(ds.groups) == ["a", "b"]
+
+
+# ---------------------------------------------------------------------------
+# one reader, two ways to read: plain text is split, other text goes
+# through the csv module
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def csv_texts(draw):
+    """A headed CSV text: plain (LF ends, no quote) or with quoted cells and
+    LF, CRLF or bare-CR ends, or all three; maybe duplicate names, blank
+    lines, ragged rows, a width-1 header, no data rows and no final end.
+    Quoted cells may hold commas, doubled quotes and line breaks."""
+    # plain text, quoted cells on otherwise plain lines, or any cell at all
+    style = draw(st.sampled_from(["plain", "quoted", "any"]))
+    plain = style == "plain"
+    chars = {"plain": "a1.- \x0c", "quoted": 'a1.- \x0c"', "any": 'a1.- \x0c,"\r\n'}[style]
+    cell = st.text(alphabet=chars, max_size=4)
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "d", ""]), min_size=1, max_size=4))
+    width = len(names)
+    ragged = draw(st.integers(0, 3)) == 0
+    row = st.lists(cell, max_size=width + 1) if ragged else st.lists(cell, min_size=width, max_size=width)
+    body = draw(st.lists(row, max_size=6))
+    quote_more = style == "quoted" or style == "any" and draw(st.booleans())
+
+    def field(value):
+        if any(c in value for c in ',"\r\n') or (quote_more and draw(st.booleans())):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    lines = []
+    for cells in [names] + body:
+        if lines and draw(st.integers(0, 15)) == 0:
+            lines.append("")
+        lines.append(",".join(map(field, cells)))
+    end = "\n" if plain else draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", None]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"]) if end is None else st.just(end)
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
+    return text + draw(ends) if draw(st.booleans()) else text
+
+
+def outcome(read):
+    try:
+        return read()
+    except LoadError as exc:
+        return str(exc)
+
+
+@example(text="a,b\n1,2\r3,4\n", required=[], features=[])
+@example(text='a,b\n"x",1\n', required=[], features=[])
+@example(text="a\n1\n\n2\n", required=[], features=[])
+@example(text="a,b\n", required=["a"], features=[])
+@given(text=csv_texts(), required=st.lists(st.sampled_from(["a", "b", "zz"]), max_size=2),
+       features=st.lists(st.sampled_from(["a", "c", "zz"]), max_size=2))
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_csv_matches_csv_module_reference(tmp_path, text, required, features):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = outcome(lambda: read_csv_reference(path, required, features))
+    got = outcome(lambda: read_csv(path, required, features))
+    if isinstance(want, str):
+        assert got == want
+        return
+    header, rows = want
+    assert got.header == header
+    assert got.columns == [[row[j] for row in rows] for j in range(len(header))]
+    if header:
+        # a readable file is split as plain text exactly when it holds no quote and no CR
+        assert (got.lines is not None) == ('"' not in text and "\r" not in text)
+    if got.lines is not None:
+        assert got.lines == [",".join(row) for row in rows]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_read_csv_field_size_limit_on_both_paths(tmp_path, end):
+    limit = csv.field_size_limit()
+    path = tmp_path / "t.csv"
+    for size, error in [(limit, None), (limit + 1, f"row 2: field larger than field limit ({limit})")]:
+        long = "x" * size
+        path.write_bytes(end.join(["a,b", "1,2", f"3,{long}", "5,6", ""]).encode("utf-8"))
+        if error is None:
+            table = read_csv(path, ["a"])
+            assert table.columns == [["1", "3", "5"], ["2", long, "6"]]
+            assert (table.lines is None) == (end == "\r\n")
+        else:
+            with pytest.raises(LoadError) as info:
+                read_csv(path, ["a"])
+            assert str(info.value) == error
+    path.write_bytes(end.join(["a," + "h" * (limit + 1), "1,2", ""]).encode("utf-8"))
+    with pytest.raises(LoadError) as info:
+        read_csv(path, ["a"])
+    assert str(info.value) == f"header row: field larger than field limit ({limit})"
+
+
+def cell_error_csv(path, column, cell, end):
+    """Ten good rows with `cell` in `column` at row 7; `end` ends every line."""
+    header = ["x", "label", "group", "score", "w", "t"]
+    rows = [[f"{0.25 * i}", "+1" if i % 2 else "-1", "ab"[i % 2], "0.5", "2", "0.75"]
+            for i in range(10)]
+    rows[6][header.index(column)] = cell
+    path.write_bytes(end.join(",".join(row) for row in [header] + rows).encode("utf-8") + end.encode())
+
+
+@pytest.mark.parametrize("column, cell, message", [
+    ("label", "2", "row 7: label '2' is not one of +1, 1, 0, -1"),
+    ("label", " 1", None),
+    ("score", "1.5", "row 7: score '1.5' must lie in [0, 1]"),
+    ("score", "nan", "row 7: score 'nan' must lie in [0, 1]"),
+    ("score", "-0.1", "row 7: score '-0.1' must lie in [0, 1]"),
+    ("score", "abc", "row 7: score 'abc' is not a number"),
+    ("t", "1.25", "row 7: target '1.25' must lie in [0, 1]"),
+    ("w", "-1", "row 7: weight '-1' must be finite and >= 0"),
+    ("w", "inf", "row 7: weight 'inf' must be finite and >= 0"),
+    ("x", "abc", "row 7: feature 'x' value 'abc' is not numeric"),
+    ("x", "inf", "row 7: feature 'x' value 'inf' is not finite"),
+])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_load_dataset_cell_errors_on_both_paths(tmp_path, column, cell, message, end):
+    path = tmp_path / "d.csv"
+    cell_error_csv(path, column, cell, end)
+    # CRLF line ends send the file through the csv module
+    assert (read_csv(path, ["score"]).lines is None) == (end == "\r\n")
+
+    def load():
+        return load_dataset(path, 1.0, kinds={"x": "numeric"}, weight_column="w", target_column="t")
+
+    if message is None:
+        assert load().labels[6] == 1
+        return
+    with pytest.raises(LoadError) as info:
+        load()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_load_dataset_infers_kinds_the_same_on_both_paths(tmp_path, end):
+    path = tmp_path / "d.csv"
+    lines = ["x,c,code,oops,label,group,score", "0.5,red,7,1,+1,a,0.5",
+             "1e3,blue,8,oops,-1,b,0.5", "-2,red,7,2,1,a,0.5"]
+    path.write_bytes(end.join(lines + [""]).encode("utf-8"))
+    ds = load_dataset(path, 1.0)
+    assert ds.kinds == {"x": "numeric", "c": "categorical", "code": "numeric",
+                        "oops": "categorical", "group": "categorical"}
+    assert ds.columns["x"].tolist() == [0.5, 1000.0, -2.0]
+    assert ds.columns["oops"].tolist() == ["1", "oops", "2"]
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +821,61 @@ def test_cli_bad_induction_flags_exit_2(tmp_path, capsys):
                         ("--iterations", "-1")):
         assert main(train_args(data, tmp_path / "m.json", [flag, value])) == 2, flag
         assert capsys.readouterr().err.startswith("error: "), flag
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_cli_rejects_a_field_over_the_csv_limit(tmp_path, capsys, end):
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    model = tmp_path / "m.json"
+    assert main(train_args(data, model)) == 0
+    capsys.readouterr()
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[3] = "x" * 140_000 + lines[3][lines[3].index(","):]
+    data.write_bytes(end.join(lines + [""]).encode("utf-8"))
+    message = f"error: row 3: field larger than field limit ({csv.field_size_limit()})\n"
+    assert main(["eval", "--data", str(data), "--model", str(model), "--split", "all"]) == 2
+    assert capsys.readouterr().err == message
+    assert main(train_args(data, tmp_path / "m2.json")) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_cli_apply_writes_the_bytes_of_csv_writer(tmp_path, capsys, quoted):
+    rng = np.random.default_rng(21)
+    n = 40
+    header = ["x", "cat", "label", "group", "score"]
+    rows = [[f"{rng.normal():.4f}", "ab"[i % 2], "+1" if i % 3 else "-1", "g",
+             f"{rng.uniform(0.05, 0.95):.3f}"] for i in range(n)]
+    if quoted:
+        rows[5][1] = "a,b"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+    data = tmp_path / "d.csv"
+    data.write_text(buf.getvalue(), encoding="utf-8", newline="")
+    tree = AlphaTree(Node(SplitTest("cat", "categorical", modality="a,b" if quoted else "a"),
+                          Leaf(0, 0.5),
+                          Node(SplitTest("x", "numeric", threshold=0.0), Leaf(1, 2.0), Leaf(2, -1.0))))
+    model = tmp_path / "m.json"
+    save_model(model, tree, ModelMeta(clip_B=2.0))
+    out = tmp_path / "o.csv"
+    assert main(["apply", "--data", str(data), "--model", str(model), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} ({n} rows)\n"
+
+    columns = {"x": np.array([float(r[0]) for r in rows]), "cat": np.array([r[1] for r in rows], dtype=object)}
+    q_f = wrapped_scores(tree, columns, clip_score(np.array([float(r[4]) for r in rows]), 2.0))
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(header + ["q_fair", "pred"])
+    for row, q in zip(rows, q_f):
+        writer.writerow(row + [repr(float(q)), 1 if q > 0.5 else -1])
+    assert out.read_bytes() == want.getvalue().encode("utf-8")
+    with open(out, newline="", encoding="utf-8") as fh:
+        written = list(csv.reader(fh))
+    assert written[1:] == [row + written[i + 1][-2:] for i, row in enumerate(rows)]
+    got = np.array([float(row[-2]) for row in written[1:]])
+    assert np.max(np.abs(got - q_f)) <= 1e-12
+    assert set(route_rows(tree, columns, n).tolist()) == {0, 1, 2}
 
 
 def test_cli_schema_file(tmp_path, capsys):
