@@ -1,41 +1,34 @@
-"""Split scans: score every boundary of a sorted column at once.
+"""Split search: the lowest-scoring axis-aligned test of a node.
 
-A scan takes one feature's values in sorted order plus prefix sums of what
-the children need, and returns the boundary with the lowest weighted
-two-child entropy.  A boundary before position i puts i rows left.  Both
-scans draw their candidates from `split_boundaries` (distinct neighbours,
-at least `min_count` rows per side), and both callers turn the winning
-boundary into a threshold with `midpoint_threshold`.
+Both trees of the package pick their splits through `split_search`, each
+with its own score:
 
-- `numeric_split_scan` scores binary alignment entropy for the alpha-tree
-  (`boosting.best_split`).
-- `class_split_scan` scores multiclass entropy of class counts for the
-  proxy group tree (`estimators.proxy_group_tree`), the class-count scan
-  over a sorted attribute of SLIQ (Mehta et al., EDBT 1996).
+- `alignment_score(min_mass)` is the mass-weighted two-child entropy of the
+  alignment edge, for the alpha-tree (`boosting.best_split`);
+- `class_score` is the count-weighted class entropy of the two children,
+  for the proxy group tree (`estimators.proxy_group_tree`): the class-count
+  criterion of SLIQ (Mehta et al., EDBT 1996).
+
+The search sums per-row statistics over each candidate's children; a
+score maps those sums to one figure per candidate, inf where it rejects
+one.  A numeric feature is one stable sort, one prefix sum and one
+`numeric_split_scan` over all its boundaries at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .core import SplitTest
+
 __all__ = [
+    "alignment_score",
     "class_entropy",
-    "class_split_scan",
+    "class_score",
     "midpoint_threshold",
     "numeric_split_scan",
-    "split_boundaries",
+    "split_search",
 ]
-
-
-def split_boundaries(values, min_count):
-    """Mask over boundaries 1..n-1 of sorted values (entry i-1 for boundary i).
-
-    A boundary qualifies when it separates two distinct values and leaves at
-    least min_count rows on each side.
-    """
-    n = values.shape[0]
-    i = np.arange(1, n)
-    return (values[1:] != values[:-1]) & (i >= min_count) & ((n - i) >= min_count)
 
 
 def midpoint_threshold(sorted_values, i) -> float:
@@ -48,46 +41,103 @@ def midpoint_threshold(sorted_values, i) -> float:
     return float(thr)
 
 
-def numeric_split_scan(values, cumw, cuma, min_mass, min_count):
-    """Best boundary of a sorted leaf: returns (left_count, post_entropy).
+def numeric_split_scan(values, prefix, score, min_count):
+    """Best boundary of a sorted column: returns (left_count, score).
 
-    values: sorted feature values; cumw/cuma: inclusive prefix sums of row
-    weight and of weight * signed alignment (w * (2 eta - 1) * nlogit).
-    Children must carry at least min_mass weight and min_count rows each.
-    Returns (-1, inf) when no boundary qualifies.
+    values: sorted feature values; prefix: (k, rows) inclusive prefix sums
+    of the per-row statistics in that order.  A boundary before position i
+    puts i rows left; it qualifies when it separates two distinct values
+    and leaves at least min_count rows on each side.  `score` gets the left
+    and right sums of all qualifying boundaries in one call.  Ties go to
+    the lowest boundary.  Returns (-1, inf) when no boundary qualifies or
+    every one scores inf.
     """
     n = values.shape[0]
-    if n < 2:
+    at = np.arange(1, n)
+    at = at[(values[1:] != values[:-1]) & (at >= min_count) & (n - at >= min_count)]
+    if at.size == 0:
         return -1, np.inf
-    total_w = cumw[n - 1]
-    total_a = cuma[n - 1]
-    wl = cumw[:-1]
-    wr = total_w - wl
-    valid = split_boundaries(values, min_count)
-    valid &= (wl >= min_mass) & (wr >= min_mass)
-    if not valid.any():
-        return -1, np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        el = np.minimum(np.maximum(cuma[:-1] / wl, -1.0), 1.0)
-        er = np.minimum(np.maximum((total_a - cuma[:-1]) / wr, -1.0), 1.0)
-        pl = 0.5 * (1.0 + el)
-        pr = 0.5 * (1.0 + er)
-        hl = np.where(
-            (pl <= 0.0) | (pl >= 1.0),
-            0.0,
-            -(pl * np.log(pl) + (1.0 - pl) * np.log(1.0 - pl)),
-        )
-        hr = np.where(
-            (pr <= 0.0) | (pr >= 1.0),
-            0.0,
-            -(pr * np.log(pr) + (1.0 - pr) * np.log(1.0 - pr)),
-        )
-    post = wl * hl + wr * hr
-    post = np.where(valid, post, np.inf)
+    left = prefix.take(at - 1, axis=1)
+    post = score(left, prefix[:, -1:] - left)
     k = int(np.argmin(post))
     if not np.isfinite(post[k]):
         return -1, np.inf
-    return k + 1, float(post[k])
+    return int(at[k]), float(post[k])
+
+
+def split_search(columns, kinds, stats, score, min_count):
+    """Lowest-score test of a node: (score, SplitTest, left sums), or None.
+
+    columns maps each feature to its values at the node's rows, and kinds
+    lists the features in search order.  stats is a C-contiguous (k, rows)
+    array of per-row statistics; score(left, right) takes the (k, m) sums
+    of m candidates' children and returns their m scores.  Candidates are
+    the midpoints between consecutive distinct values of a numeric feature
+    and each observed modality of a categorical one (its rows go left);
+    each child holds at least min_count rows.  Ties go to the earliest
+    feature, then the lowest threshold or the first modality in sorted
+    order.
+    """
+    n = stats.shape[1]
+    total = stats.sum(axis=1)
+    best = None
+    for name, kind in kinds.items():
+        if kind == "numeric":
+            values = np.asarray(columns[name], dtype=float)
+            order = np.argsort(values, kind="stable")
+            sv = values[order]
+            # take keeps the gathered block C-contiguous; stats[:, order] does not
+            prefix = np.cumsum(stats.take(order, axis=1), axis=1)
+            i, post = numeric_split_scan(sv, prefix, score, min_count)
+            if i < 0:
+                continue
+            cand = (post, SplitTest(name, "numeric", midpoint_threshold(sv, i), None), prefix[:, i - 1])
+        else:
+            values = columns[name]
+            kept = []
+            sums = []
+            for m in sorted(set(values.tolist())):
+                mask = values == m
+                cl = int(mask.sum())
+                if cl >= min_count and n - cl >= min_count:
+                    kept.append(m)
+                    # row sums of a C-contiguous block, as stats.sum sums them
+                    sums.append(stats.compress(mask, axis=1).sum(axis=1))
+            if not kept:
+                continue
+            left = np.stack(sums, axis=1)
+            post = score(left, total[:, None] - left)
+            j = int(np.argmin(post))
+            if not np.isfinite(post[j]):
+                continue
+            cand = (float(post[j]), SplitTest(name, "categorical", None, kept[j]), left[:, j])
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best
+
+
+def _edge_entropy(e):
+    """H((1 + e) / 2) of edges e, clipped into [-1, 1]; 0 at a pure child."""
+    p = 0.5 * (1.0 + np.minimum(np.maximum(e, -1.0), 1.0))
+    return np.where((p <= 0.0) | (p >= 1.0), 0.0, -(p * np.log(p) + (1.0 - p) * np.log(1.0 - p)))
+
+
+def alignment_score(min_mass):
+    """Score of the alpha-tree for stats rows (weight, weight * signed alignment).
+
+    A child's edge is its signed alignment over its weight; the score is
+    w_left * H(left edge) + w_right * H(right edge), and inf where a child
+    weighs less than min_mass.
+    """
+
+    def score(left, right):
+        wl, al = left
+        wr, ar = right
+        with np.errstate(divide="ignore", invalid="ignore"):
+            post = wl * _edge_entropy(al / wl) + wr * _edge_entropy(ar / wr)
+        return np.where((wl >= min_mass) & (wr >= min_mass), post, np.inf)
+
+    return score
 
 
 def class_entropy(counts):
@@ -120,22 +170,8 @@ def class_entropy(counts):
     return out
 
 
-def class_split_scan(values, cumc, min_count):
-    """Best boundary of a sorted node by class counts: (left_count, weighted entropy).
-
-    values: sorted feature values; cumc: (rows, classes) inclusive prefix
-    counts of each class in that order.  The score of boundary i is
-    H(left) * i + H(right) * (rows - i); ties go to the lowest boundary.
-    Returns (-1, inf) when no boundary qualifies.
-    """
-    n = values.shape[0]
-    if n < 2:
-        return -1, np.inf
-    at = np.flatnonzero(split_boundaries(values, min_count)) + 1
-    if at.size == 0:
-        return -1, np.inf
-    left = cumc[at - 1]
-    right = cumc[n - 1] - left
-    h = class_entropy(left) * at + class_entropy(right) * (n - at)
-    k = int(np.argmin(h))
-    return int(at[k]), float(h[k])
+def class_score(left, right):
+    """Score of the proxy tree for one-hot class stats: H(left) n_left + H(right) n_right."""
+    # class_entropy sums each candidate's classes along a contiguous row
+    return (class_entropy(np.ascontiguousarray(left.T)) * left.sum(axis=0)
+            + class_entropy(np.ascontiguousarray(right.T)) * right.sum(axis=0))

@@ -383,70 +383,28 @@ def best_split(
     nl = _nlogit_rows(v_at_leaf, scores, B, nlogit_values)
     eta = _eta_rows(v_at_leaf, eta_t)
     w = v_at_leaf.weights
-    a = w * (2.0 * eta - 1.0) * nl
-    total_w = float(w.sum())
-    total_a = float(a.sum())
-    parent_edge = min(1.0, max(-1.0, total_a / total_w))
-    parent_h = leaf_entropy(parent_edge) * total_w
-    min_mass = cfg.min_child_fraction * total_w
-
-    best: SplitCandidate | None = None
-    n = v_at_leaf.n
-    for feature, kind in v_at_leaf.base.feature_kinds().items():
-        values = v_at_leaf.base.columns[feature][v_at_leaf.indices]
-        if kind == "numeric":
-            order = np.argsort(values, kind="stable")
-            sv = np.ascontiguousarray(values[order].astype(float))
-            cumw = np.cumsum(w[order])
-            cuma = np.cumsum(a[order])
-            i, post = _kernels.numeric_split_scan(sv, cumw, cuma, min_mass, cfg.min_child_count)
-            if i < 0:
-                continue
-            cand = SplitCandidate(
-                feature=feature,
-                kind="numeric",
-                threshold=_kernels.midpoint_threshold(sv, i),
-                modality=None,
-                post_entropy=float(post),
-                parent_entropy=parent_h,
-                mass_left=float(cumw[i - 1]),
-                mass_right=float(total_w - cumw[i - 1]),
-            )
-            if best is None or cand.post_entropy < best.post_entropy:
-                best = cand
-        elif kind == "categorical":
-            for modality in sorted(set(values.tolist())):
-                mask = values == modality
-                cl = int(mask.sum())
-                if cl < cfg.min_child_count or (n - cl) < cfg.min_child_count:
-                    continue
-                wl = float(w[mask].sum())
-                wr = total_w - wl
-                if wl < min_mass or wr < min_mass:
-                    continue
-                el = min(1.0, max(-1.0, float(a[mask].sum()) / wl))
-                er = min(1.0, max(-1.0, float(total_a - a[mask].sum()) / wr))
-                post = wl * leaf_entropy(el) + wr * leaf_entropy(er)
-                cand = SplitCandidate(
-                    feature=feature,
-                    kind="categorical",
-                    threshold=None,
-                    modality=modality,
-                    post_entropy=float(post),
-                    parent_entropy=parent_h,
-                    mass_left=wl,
-                    mass_right=wr,
-                )
-                if best is None or cand.post_entropy < best.post_entropy:
-                    best = cand
-        else:
-            raise DomainError(f"feature {feature!r} has unknown kind {kind!r}")
-
-    if best is None:
+    stats = np.stack([w, w * (2.0 * eta - 1.0) * nl])
+    total_w, total_a = stats.sum(axis=1).tolist()
+    parent_h = leaf_entropy(total_a / total_w) * total_w
+    kinds = v_at_leaf.base.feature_kinds()
+    columns = {name: v_at_leaf.base.columns[name][v_at_leaf.indices] for name in kinds}
+    score = _kernels.alignment_score(cfg.min_child_fraction * total_w)
+    found = _kernels.split_search(columns, kinds, stats, score, cfg.min_child_count)
+    if found is None:
         return None
-    if best.parent_entropy - best.post_entropy <= ENTROPY_IMPROVEMENT_TOL:
+    post, test, left = found
+    if parent_h - post <= ENTROPY_IMPROVEMENT_TOL:
         return None
-    return best
+    return SplitCandidate(
+        feature=test.feature,
+        kind=test.kind,
+        threshold=test.threshold,
+        modality=test.modality,
+        post_entropy=post,
+        parent_entropy=parent_h,
+        mass_left=float(left[0]),
+        mass_right=total_w - float(left[0]),
+    )
 
 
 # ---------------------------------------------------------------------------

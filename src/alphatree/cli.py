@@ -42,6 +42,7 @@ from .io_cli import (
     parse_features,
     parse_probabilities,
     read_csv,
+    read_text,
     resolve_seed,
     save_model,
     split_plan,
@@ -165,11 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _schema_file(args) -> dict:
     if not getattr(args, "schema", None):
         return {}
-    with open(args.schema, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"invalid schema JSON: {exc}") from None
+    try:
+        raw = json.loads(read_text(args.schema, LoadError))
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"invalid schema JSON: {exc}") from None
+    except RecursionError:
+        raise LoadError("schema nests too deeply to decode") from None
     if not isinstance(raw, dict):
         raise LoadError("schema must be a JSON object")
     extra = raw.keys() - SCHEMA_KEYS

@@ -240,33 +240,14 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
         if depth >= max_depth or len(idx) < 2 * min_leaf or np.count_nonzero(counts) <= 1:
             return leaf(idx)
         parent_h = _kernels.class_entropy(counts) * len(idx)
-        best = None
-        for name, kind in kinds.items():
-            values = np.asarray(columns[name])[idx]
-            if kind == "numeric":
-                values = values.astype(float)
-                order = np.argsort(values, kind="stable")
-                sv = values[order]
-                cumc = np.cumsum(one_hot[y[idx][order]], axis=0)
-                i, h = _kernels.class_split_scan(sv, cumc, min_leaf)
-                if i >= 0 and (best is None or h < best[0]):
-                    thr = _kernels.midpoint_threshold(sv, i)
-                    best = (h, SplitTest(name, "numeric", thr, None))
-            else:
-                for m in sorted(set(values.tolist())):
-                    mask = values == m
-                    cl = int(mask.sum())
-                    if cl < min_leaf or len(idx) - cl < min_leaf:
-                        continue
-                    lc = counts_of(idx[mask])
-                    h = _kernels.class_entropy(lc) * cl + _kernels.class_entropy(counts - lc) * (len(idx) - cl)
-                    if best is None or h < best[0]:
-                        best = (h, SplitTest(name, "categorical", None, m))
-        if best is None or best[0] >= parent_h - 1e-12:
+        node_columns = {name: np.asarray(columns[name])[idx] for name in kinds}
+        # the identity is symmetric, so its columns at y are the one-hot rows, transposed
+        stats = one_hot.take(y[idx], axis=1)
+        found = _kernels.split_search(node_columns, kinds, stats, _kernels.class_score, min_leaf)
+        if found is None or found[0] >= parent_h - 1e-12:
             return leaf(idx)
-        test = best[1]
-        values = np.asarray(columns[test.feature])[idx]
-        go_left = test.passes_rows(values)
+        test = found[1]
+        go_left = test.passes_rows(node_columns[test.feature])
         return Node(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
 
     root = build(np.arange(n), 0)

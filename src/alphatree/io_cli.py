@@ -26,6 +26,7 @@ __all__ = [
     "ModelFormatError",
     "ModelMeta",
     "Table",
+    "read_text",
     "read_csv",
     "parse_features",
     "parse_probabilities",
@@ -50,6 +51,22 @@ class LoadError(ValueError):
 
 class ModelFormatError(ValueError):
     """A model file violates the canonical layout."""
+
+
+def read_text(path, error: type[ValueError]) -> str:
+    """A UTF-8 file's text, less the byte-order mark it may start with.
+
+    Bytes that are not UTF-8 are an `error` naming the first bad byte, its
+    offset in the file and its line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        line = data.count(b"\n", 0, at) + 1
+        raise error(f"{path}: not UTF-8 text: byte {data[at]:#04x} at offset {at} (line {line})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +237,10 @@ def read_csv(path, required: Iterable[str], features: Iterable[str] = ()) -> Tab
     LoadError.  So is a missing column: one of `required`, which the caller
     reads for its role, or one of `features`, which the caller reads by name.
     Text with no quote and no CR is split as plain text; both ways give
-    the same cells and the same errors.
+    the same cells and the same errors.  A leading byte-order mark is
+    dropped, and bytes that are not UTF-8 are a LoadError.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path, LoadError)
     plain = _split_plain(text)
     if plain is None:
         header, rows = _csv_rows(text)
@@ -450,6 +467,8 @@ def model_from_json(text: str) -> tuple[AlphaTree, ModelMeta]:
         obj = json.loads(text, parse_constant=no_constants)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("model nests too deeply to decode") from None
     if not isinstance(obj, dict):
         raise ModelFormatError("top level must be an object")
     _require_keys(obj, {"clip_B", "format_version", "provenance", "scoring", "tree"}, "model")
@@ -472,7 +491,10 @@ def model_from_json(text: str) -> tuple[AlphaTree, ModelMeta]:
     for key in ("config_digest", "strategy"):
         if not isinstance(prov[key], str):
             raise ModelFormatError(f"provenance.{key} must be a string")
-    root = _obj_to_node(obj["tree"])
+    try:
+        root = _obj_to_node(obj["tree"])
+    except RecursionError:
+        raise ModelFormatError("model nests too deeply to decode") from None
     try:
         tree = AlphaTree(root)
     except ValueError as exc:
@@ -494,8 +516,7 @@ def save_model(path, tree: AlphaTree, meta: ModelMeta) -> None:
 
 
 def load_model(path) -> tuple[AlphaTree, ModelMeta]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+    return model_from_json(read_text(path, ModelFormatError))
 
 
 # ---------------------------------------------------------------------------

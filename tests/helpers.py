@@ -17,6 +17,8 @@ from alphatree import (
     make_view,
     wrapped_scores,
 )
+from alphatree._kernels import midpoint_threshold
+from alphatree.boosting import ENTROPY_IMPROVEMENT_TOL, SplitCandidate, _eta_rows, _nlogit_rows, leaf_entropy
 from alphatree.core import expit
 from alphatree.estimators import ProxyTree
 
@@ -105,7 +107,7 @@ def probe_columns(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# loop references for the vectorized split scans
+# loop references for the split search
 # ---------------------------------------------------------------------------
 
 
@@ -157,6 +159,88 @@ def numeric_split_scan_reference(values, cumw, cuma, min_mass, min_count):
             best_post = post
             best_i = i
     return best_i, best_post
+
+
+def best_split_reference(
+    v_at_leaf,
+    eta_t,
+    scores,
+    B: float,
+    cfg,
+    nlogit_values=None,
+):
+    """Per-feature split search that `best_split` must reproduce field for field.
+
+    The body of `best_split` before both trees shared one search, with the
+    numeric scan taken from `numeric_split_scan_reference`.
+    """
+    nl = _nlogit_rows(v_at_leaf, scores, B, nlogit_values)
+    eta = _eta_rows(v_at_leaf, eta_t)
+    w = v_at_leaf.weights
+    a = w * (2.0 * eta - 1.0) * nl
+    total_w = float(w.sum())
+    total_a = float(a.sum())
+    parent_edge = min(1.0, max(-1.0, total_a / total_w))
+    parent_h = leaf_entropy(parent_edge) * total_w
+    min_mass = cfg.min_child_fraction * total_w
+
+    best = None
+    n = v_at_leaf.n
+    for feature, kind in v_at_leaf.base.feature_kinds().items():
+        values = v_at_leaf.base.columns[feature][v_at_leaf.indices]
+        if kind == "numeric":
+            order = np.argsort(values, kind="stable")
+            sv = np.ascontiguousarray(values[order].astype(float))
+            cumw = np.cumsum(w[order])
+            cuma = np.cumsum(a[order])
+            i, post = numeric_split_scan_reference(sv, cumw, cuma, min_mass, cfg.min_child_count)
+            if i < 0:
+                continue
+            cand = SplitCandidate(
+                feature=feature,
+                kind="numeric",
+                threshold=midpoint_threshold(sv, i),
+                modality=None,
+                post_entropy=float(post),
+                parent_entropy=parent_h,
+                mass_left=float(cumw[i - 1]),
+                mass_right=float(total_w - cumw[i - 1]),
+            )
+            if best is None or cand.post_entropy < best.post_entropy:
+                best = cand
+        elif kind == "categorical":
+            for modality in sorted(set(values.tolist())):
+                mask = values == modality
+                cl = int(mask.sum())
+                if cl < cfg.min_child_count or (n - cl) < cfg.min_child_count:
+                    continue
+                wl = float(w[mask].sum())
+                wr = total_w - wl
+                if wl < min_mass or wr < min_mass:
+                    continue
+                el = min(1.0, max(-1.0, float(a[mask].sum()) / wl))
+                er = min(1.0, max(-1.0, float(total_a - a[mask].sum()) / wr))
+                post = wl * leaf_entropy(el) + wr * leaf_entropy(er)
+                cand = SplitCandidate(
+                    feature=feature,
+                    kind="categorical",
+                    threshold=None,
+                    modality=modality,
+                    post_entropy=float(post),
+                    parent_entropy=parent_h,
+                    mass_left=wl,
+                    mass_right=wr,
+                )
+                if best is None or cand.post_entropy < best.post_entropy:
+                    best = cand
+        else:
+            raise DomainError(f"feature {feature!r} has unknown kind {kind!r}")
+
+    if best is None:
+        return None
+    if best.parent_entropy - best.post_entropy <= ENTROPY_IMPROVEMENT_TOL:
+        return None
+    return best
 
 
 def _class_entropy(counts: np.ndarray) -> float:

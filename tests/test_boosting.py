@@ -43,7 +43,7 @@ from alphatree import (
 )
 from alphatree.core import expit
 
-from helpers import conservative_label_objective, random_dataset, saturated_dataset
+from helpers import best_split_reference, conservative_label_objective, random_dataset, saturated_dataset
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -551,6 +551,51 @@ def test_topdown_incremental_leaf_ids_match_full_routing(
     assert tree_shape(tree.root) == tree_shape(expected.root)
     for leaf in tree.leaves():
         assert leaf.alpha == pytest.approx(expected.alpha_of(leaf.leaf_id), rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    n_numeric=st.integers(0, 3),
+    n_categorical=st.integers(0, 3),
+    decimals=st.integers(0, 2),
+    zero_weight_share=st.sampled_from([0.0, 0.3, 0.9]),
+    plugin=st.booleans(),
+    subset=st.booleans(),
+    min_child_fraction=st.floats(0.001, 0.499),
+    min_child_count=st.integers(1, 30),
+)
+def test_best_split_matches_per_feature_reference(
+    seed, n, n_numeric, n_categorical, decimals, zero_weight_share, plugin, subset,
+    min_child_fraction, min_child_count,
+):
+    rng = np.random.default_rng(seed)
+    B = float(rng.uniform(0.5, 3.0))
+    features, kinds = {}, {}
+    # numeric and categorical features interleave in declaration order
+    for j in range(max(n_numeric, n_categorical)):
+        if j < n_numeric:
+            # few decimals force tied values
+            features[f"x{j}"] = np.round(rng.normal(0.0, 1.0, n), decimals)
+            kinds[f"x{j}"] = "numeric"
+        if j < n_categorical:
+            levels = np.array(list("abcd")[: int(rng.integers(1, 5))], dtype=object)
+            features[f"c{j}"] = rng.choice(levels, n, p=rng.dirichlet(np.ones(len(levels))))
+            kinds[f"c{j}"] = "categorical"
+    scores = expit(B * rng.uniform(-1.0, 1.0, n))
+    eta = np.round(rng.random(n)) if plugin else rng.uniform(0.05, 0.95, n)
+    labels = np.where(rng.random(n) < eta, 1, -1)
+    groups = np.where(rng.random(n) < 0.5, "g0", "g1").astype(object)
+    weights = rng.uniform(0.5, 2.0, n) * (rng.random(n) >= zero_weight_share)
+    weights[0] = 1.0
+    ds = make_dataset(features, kinds, labels, groups, scores, B, weights=weights)
+    rows = np.arange(n)
+    if subset:
+        rows = np.concatenate([[0], np.flatnonzero(rng.random(n - 1) < 0.6) + 1])
+    v = make_view(ds, rows)
+    cfg = InductionConfig(min_child_fraction=min_child_fraction, min_child_count=min_child_count)
+    assert best_split(v, eta, ds.scores, B, cfg) == best_split_reference(v, eta, ds.scores, B, cfg)
 
 
 def test_leaf_stats_negative_and_sparse_leaf_ids():

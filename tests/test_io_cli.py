@@ -1,5 +1,6 @@
 """CSV ingest, model files, split plans, and the command line."""
 
+import contextlib
 import csv
 import io
 import json
@@ -989,3 +990,143 @@ def test_cli_eval_reports_bound_applicability(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["kl_bound_s1"] is None
     assert report["kl_bound_s2"] is None
+
+
+def scoring_model(path):
+    """A model that tests a numeric and a categorical column of cli_csv's files."""
+    tree = AlphaTree(Node(SplitTest("x", "numeric", threshold=0.0), Leaf(0, 1.5),
+                          Node(SplitTest("group", "categorical", modality="a"), Leaf(1, 0.5), Leaf(2, 1.0))))
+    save_model(path, tree, ModelMeta(clip_B=3.0))
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_cli_reads_files_that_start_with_a_byte_order_mark(tmp_path, capsys, quoted):
+    # a quoted cell sends the file through the csv module, a plain one is split
+    plain = tmp_path / "plain.csv"
+    cli_csv(plain)
+    text = plain.read_text(encoding="utf-8")
+    if quoted:
+        text = text.replace(",a,", ',"a",', 1)
+        plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    model = tmp_path / "m.json"
+    scoring_model(model)
+    marked_model = tmp_path / "marked.json"
+    marked_model.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+    outputs = {}
+    for name, data, model_file in (("plain", plain, model), ("marked", marked, marked_model)):
+        trained = tmp_path / f"trained-{name}.json"
+        assert main(train_args(data, trained)) == 0
+        applied = tmp_path / f"applied-{name}.csv"
+        assert main(["apply", "--data", str(data), "--model", str(model_file), "--out", str(applied)]) == 0
+        assert main(["eval", "--data", str(data), "--model", str(model_file), "--split", "all"]) == 0
+        assert main(["inspect", "--model", str(model_file)]) == 0
+        # the eval report and the inspect listing, less the lines naming written files
+        printed = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("wrote ")]
+        outputs[name] = (trained.read_bytes(), applied.read_bytes(), printed)
+    assert outputs["marked"] == outputs["plain"]
+    assert outputs["marked"][1].startswith(b"x,group,label,score,q_fair,pred\r\n")
+
+
+def test_cli_names_the_offset_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    text = data.read_text(encoding="utf-8")
+    at = text.index(",b,")
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(text[:at].encode("utf-8") + ",caf\xe9,".encode("latin-1") + text[at + 3:].encode("utf-8"))
+    line = text.count("\n", 0, at) + 1
+    message = f"error: {latin}: not UTF-8 text: byte 0xe9 at offset {at + 4} (line {line})\n"
+    model = tmp_path / "m.json"
+    scoring_model(model)
+    assert main(train_args(latin, tmp_path / "m2.json")) == 2
+    assert capsys.readouterr().err == message
+    assert main(["apply", "--data", str(latin), "--model", str(model), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == message
+    assert main(["eval", "--data", str(latin), "--model", str(model), "--split", "all"]) == 2
+    assert capsys.readouterr().err == message
+
+    model_text = model.read_bytes()
+    at = model_text.index(b"conservative")
+    bad_model = tmp_path / "latin.json"
+    bad_model.write_bytes(model_text[:at] + b"\xe9" + model_text[at:])
+    line = model_text.count(b"\n", 0, at) + 1
+    message = f"error: {bad_model}: not UTF-8 text: byte 0xe9 at offset {at} (line {line})\n"
+    assert main(["inspect", "--model", str(bad_model)]) == 2
+    assert capsys.readouterr().err == message
+    assert main(["apply", "--data", str(data), "--model", str(bad_model), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == message
+
+    schema = tmp_path / "schema.json"
+    schema.write_bytes('{"group_column": "caf\xe9"}'.encode("latin-1"))
+    assert main(train_args(data, tmp_path / "m3.json", ["--schema", str(schema)])) == 2
+    assert capsys.readouterr().err == f"error: {schema}: not UTF-8 text: byte 0xe9 at offset 21 (line 1)\n"
+
+
+def test_cli_rejects_a_model_nested_too_deeply(tmp_path, capsys):
+    # a chain of 1,500 nodes, each with a leaf on its left
+    leaf = '{{"alpha": 1.0, "edge": 0.0, "kind": "leaf", "leaf_id": {}, "mass": 0.0}}'
+    depth = 1500
+    tree = "".join(
+        f'{{"kind": "node", "left": {leaf.format(i)}, "test": '
+        f'{{"feature": "x", "kind": "numeric", "threshold": {i}.0}}, "right": '
+        for i in range(depth)
+    ) + leaf.format(depth) + "}" * depth
+    text = ('{"clip_B": 1.0, "format_version": "1", "provenance": {"config_digest": "", '
+            '"iterations": 0, "strategy": "plain"}, "scoring": "conservative", "tree": ' + tree + "}")
+    with pytest.raises(ModelFormatError, match="nests too deeply"):
+        model_from_json(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["inspect", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == "error: model nests too deeply to decode\n"
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"feature_kinds": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    assert main(train_args(data, tmp_path / "m.json", ["--schema", str(schema)])) == 2
+    assert capsys.readouterr().err == "error: schema nests too deeply to decode\n"
+
+
+MUTATIONS = ("drop", "duplicate", "swap", b'"', b"\r", b"\x00", b"\xe9", b"\xef\xbb\xbf", b"a" * 200_000)
+
+
+def mutate(data: bytes, ops) -> bytes:
+    for op, at in ops:
+        i = at % (len(data) + 1)
+        if op == "drop":
+            data = data[:i] + data[i + 1:]
+        elif op == "duplicate":
+            data = data[:i] + data[i:i + 1] + data[i:]
+        elif op == "swap":
+            data = data[:i] + data[i + 1:i + 2] + data[i:i + 1] + data[i + 2:]
+        else:
+            data = data[:i] + op + data[i:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    cli_csv(root / "clean.csv", n_per_group=10)
+    scoring_model(root / "m.json")
+    return root
+
+
+@given(ops=st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**20)), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_cli_answers_every_mutated_file_with_a_result_or_one_error_line(fuzz_files, ops):
+    data = fuzz_files / "mutated.csv"
+    data.write_bytes(mutate((fuzz_files / "clean.csv").read_bytes(), ops))
+    model = fuzz_files / "m.json"
+    for argv in (train_args(data, fuzz_files / "trained.json"),
+                 ["apply", "--data", str(data), "--model", str(model), "--out", str(fuzz_files / "o.csv")],
+                 ["eval", "--data", str(data), "--model", str(model), "--split", "all"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code != 0:
+            assert code == 2, argv[0]
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv[0], lines)

@@ -1,10 +1,19 @@
-"""The split scans against their loop references, and their boundary rules."""
+"""The split scan under each tree's score against its loop reference, and its boundary rules."""
 
 import numpy as np
 
-from alphatree._kernels import class_entropy, class_split_scan, midpoint_threshold, numeric_split_scan
+from alphatree._kernels import alignment_score, class_entropy, class_score, midpoint_threshold, numeric_split_scan
 
 from helpers import _class_entropy, numeric_split_scan_reference
+
+
+def alignment_scan(values, cumw, cuma, min_mass, min_count):
+    return numeric_split_scan(values, np.stack([cumw, cuma]), alignment_score(min_mass), min_count)
+
+
+def class_scan(values, labels, classes, min_count):
+    prefix = np.cumsum(np.eye(classes, dtype=np.int64).take(labels, axis=1), axis=1)
+    return numeric_split_scan(values, prefix, class_score, min_count)
 
 
 def scan_inputs(rng, n, tie_prob=0.3):
@@ -27,7 +36,7 @@ def test_scan_matches_loop_reference_bitwise():
         values, cumw, cuma = scan_inputs(rng, n)
         min_mass = float(rng.choice([0.0, 0.05, 0.2]))
         min_count = int(rng.choice([1, 2, 5]))
-        i_np, post_np = numeric_split_scan(values, cumw, cuma, min_mass, min_count)
+        i_np, post_np = alignment_scan(values, cumw, cuma, min_mass, min_count)
         i_ref, post_ref = numeric_split_scan_reference(values, cumw, cuma, min_mass, min_count)
         assert i_np == i_ref
         # same arithmetic on both paths, so bitwise equality is required
@@ -39,16 +48,16 @@ def test_no_boundary_between_equal_values():
     w = np.full(10, 0.1)
     cumw = np.cumsum(w)
     cuma = np.cumsum(w * 0.5)
-    i, post = numeric_split_scan(values, cumw, cuma, 0.0, 1)
+    i, post = alignment_scan(values, cumw, cuma, 0.0, 1)
     assert i == -1 and np.isinf(post)
 
 
 def test_min_count_rejects_thin_children():
     rng = np.random.default_rng(1)
     values, cumw, cuma = scan_inputs(rng, 8, tie_prob=0.0)
-    i, post = numeric_split_scan(values, cumw, cuma, 0.0, 5)
+    i, post = alignment_scan(values, cumw, cuma, 0.0, 5)
     assert i == -1 and np.isinf(post)
-    i, post = numeric_split_scan(values, cumw, cuma, 0.0, 4)
+    i, post = alignment_scan(values, cumw, cuma, 0.0, 4)
     assert i in (-1, 4)
 
 
@@ -59,10 +68,14 @@ def test_min_mass_rejects_light_children():
     cumw = np.cumsum(w)
     cuma = np.cumsum(w * align)
     # only the 3|1 boundary leaves >= 0.3 on both sides
-    i, post = numeric_split_scan(values, cumw, cuma, 0.3, 1)
+    i, post = alignment_scan(values, cumw, cuma, 0.3, 1)
     assert i == 3
-    i, post = numeric_split_scan(values, cumw, cuma, 0.5, 1)
+    i, post = alignment_scan(values, cumw, cuma, 0.5, 1)
     assert i == -1
+    # a child of exactly min_mass qualifies
+    w = np.full(4, 0.25)
+    i, post = alignment_scan(values, np.cumsum(w), np.cumsum(w * align), 0.5, 1)
+    assert i == 2
 
 
 def test_scan_prefers_pure_boundary():
@@ -72,7 +85,7 @@ def test_scan_prefers_pure_boundary():
     align = np.array([-1.0, -1.0, 1.0, 1.0])
     cumw = np.cumsum(w)
     cuma = np.cumsum(w * align)
-    i, post = numeric_split_scan(values, cumw, cuma, 0.0, 1)
+    i, post = alignment_scan(values, cumw, cuma, 0.0, 1)
     assert i == 2
     assert post == 0.0
 
@@ -99,14 +112,28 @@ def test_class_entropy_rows_match_scalar_bitwise():
             assert class_entropy(counts[1]) == expected[1]
 
 
-def test_class_split_scan_scores_every_boundary():
+def test_class_score_scan_scores_every_boundary():
     values = np.array([0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
     labels = np.array([0, 0, 1, 1, 1, 1])
-    cumc = np.cumsum(np.eye(2, dtype=np.int64)[labels], axis=0)
-    assert class_split_scan(values, cumc, 1) == (2, 0.0)
+    assert class_scan(values, labels, 2, 1) == (2, 0.0)
     # three rows per side allow only the impure boundary 3
-    i, h = class_split_scan(values, cumc, 3)
+    i, h = class_scan(values, labels, 2, 3)
     assert i == 3 and h == 3 * _class_entropy(np.array([2.0, 1.0]))
-    i, h = class_split_scan(values, cumc, 4)
+    i, h = class_scan(values, labels, 2, 4)
     assert i == -1 and np.isinf(h)
-    assert class_split_scan(values[:1], cumc[:1], 1)[0] == -1
+    assert class_scan(values[:1], labels[:1], 2, 1)[0] == -1
+
+
+def test_class_score_matches_scalar_entropies_bitwise():
+    # from 8 classes on, a row sum's order depends on the block's layout
+    rng = np.random.default_rng(5)
+    for k in (2, 3, 8, 12):
+        # every boundary, and middle ones where no class is absent on either side
+        for lo, hi in ((0, 399), (150, 250)):
+            labels = rng.integers(0, k, 400)
+            prefix = np.cumsum(np.eye(k, dtype=np.int64).take(labels, axis=1), axis=1)
+            left = prefix.take(np.arange(lo, hi), axis=1)
+            right = prefix[:, -1:] - left
+            expected = [_class_entropy(lc.astype(float)) * lc.sum() + _class_entropy(rc.astype(float)) * rc.sum()
+                        for lc, rc in zip(left.T, right.T)]
+            assert np.array_equal(class_score(left, right), expected)
