@@ -27,6 +27,7 @@ from .core import (
     SplitTest,
     alpha_table,
     apply_alpha,
+    dot,
     nlogit,
     xlogy,
 )
@@ -187,7 +188,7 @@ def edge(v: View, eta_t, scores, B: float, nlogit_values=None) -> float:
     """Alignment edge E[(2*eta - 1) * nlogit(score)] under the view."""
     nl = _nlogit_rows(v, scores, B, nlogit_values)
     eta = _eta_rows(v, eta_t)
-    e = float(np.dot(v.weights, (2.0 * eta - 1.0) * nl))
+    e = dot(v.weights, (2.0 * eta - 1.0) * nl)
     return min(1.0, max(-1.0, e))
 
 
@@ -462,7 +463,7 @@ def topdown(
     def emit(it: int, tree: AlphaTree, stats, event: str = "") -> float:
         h = float(sum(st.mass * st.entropy for st in stats.values()))
         q_f = apply_alpha(scores_rows, alpha_table(tree)[leaf_ids_rows])
-        risk = float(np.dot(v.weights, _risk_terms(q_f, signals.eta)))
+        risk = dot(v.weights, _risk_terms(q_f, signals.eta))
         trace.add(iteration_start + it, "tree_entropy", h, event=event)
         trace.add(iteration_start + it, "risk", risk)
         return risk
@@ -515,7 +516,7 @@ def balanced_weights(v_at_leaf: View, eta_t, scores, B: float, nlogit_values=Non
     nl = _nlogit_rows(v_at_leaf, scores, B, nlogit_values)
     eta = _eta_rows(v_at_leaf, eta_t)
     w = v_at_leaf.weights
-    e = float(np.dot(w, (2.0 * eta - 1.0) * nl))
+    e = dot(w, (2.0 * eta - 1.0) * nl)
     e = min(1.0, max(-1.0, e))
     if abs(e) >= 1.0 - 1e-15:
         raise DegenerateLeafError(f"balanced distribution undefined at edge {e!r}")
@@ -548,7 +549,7 @@ def wha_check(v_at_leaf: View, h, eta_t, scores, B: float, nlogit_values=None) -
     nl = _nlogit_rows(v_at_leaf, scores, B, nlogit_values)
     bw = balanced_weights(v_at_leaf, eta_t, scores, B, nlogit_values)
     corr = float(np.sum(nl * hv * (bw.positive - bw.negative)))
-    cond_ii = bw.edge * float(np.dot(v_at_leaf.weights, (1.0 - nl * nl) * hv))
+    cond_ii = bw.edge * dot(v_at_leaf.weights, (1.0 - nl * nl) * hv)
     return WhaReport(gamma_witnessed=abs(corr), condition_ii_value=cond_ii, edge=bw.edge)
 
 

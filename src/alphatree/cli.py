@@ -166,9 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _schema_file(args) -> dict:
     if not getattr(args, "schema", None):
         return {}
+    text = read_text(args.schema, LoadError)
     try:
-        raw = json.loads(read_text(args.schema, LoadError))
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text)
+    except ValueError as exc:  # bad JSON, or an integer of more digits than int() takes
         raise LoadError(f"invalid schema JSON: {exc}") from None
     except RecursionError:
         raise LoadError("schema nests too deeply to decode") from None

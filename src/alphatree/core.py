@@ -47,6 +47,7 @@ __all__ = [
     "nlogit",
     "apply_alpha",
     "compose_alpha",
+    "dot",
     "evaluate_tree",
     "wrap",
     "wrap_chain",
@@ -179,8 +180,25 @@ def apply_alpha(q, alpha):
         raise DomainError("alpha must be finite")
     if not np.all(np.isfinite(qa)) or np.any(qa <= 0.0) or np.any(qa >= 1.0):
         raise DomainError("apply_alpha requires 0 < q < 1")
-    out = expit(aa * (np.log(qa) - np.log1p(-qa)))
+    # an |alpha * logit(q)| beyond the float range is inf, which expit maps to 0 or 1
+    with np.errstate(over="ignore"):
+        out = expit(aa * (np.log(qa) - np.log1p(-qa)))
     return float(out) if q_scalar and a_scalar else out
+
+
+def dot(a, b) -> float:
+    """Sum of a[i] * b[i] over two equal-length 1-D float vectors.
+
+    Every weighted mean of the package is taken here, never by BLAS: a
+    threaded BLAS dot adds its halves in another order than one thread,
+    so its last bits would depend on the BLAS thread count.  einsum sums
+    in one fixed order for a given length.  Both sides are made
+    contiguous first, because einsum sums a strided vector in another
+    order than its contiguous copy.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return float(np.einsum("i,i->", a, b))
 
 
 def compose_alpha(alpha: float, alpha2: float) -> float:

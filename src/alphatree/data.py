@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 # route_rows is not called here; it stays bound for perfbench/tracer.py, which swaps it by name
-from .core import DomainError, clip_score, route_rows, xlogy
+from .core import DomainError, clip_score, dot, route_rows, xlogy
 
 __all__ = [
     "EmptyMeasureError",
@@ -215,7 +215,7 @@ def empirical_risk(v: View, q, eta_t) -> float:
     terms = -(xlogy(ev, qv) + xlogy(1.0 - ev, 1.0 - qv))
     if not np.all(np.isfinite(terms)):
         raise InfiniteRiskError("posterior hit 0 or 1 with opposing target mass")
-    return float(np.dot(v.weights, terms))
+    return dot(v.weights, terms)
 
 
 def binary_entropy(p):

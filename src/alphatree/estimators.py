@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, expit, route_rows, single_leaf_tree
+from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, dot, expit, route_rows, single_leaf_tree
 
 __all__ = [
     "label_plugin",
@@ -74,8 +74,8 @@ class GaussianPlugin:
 
 def _weighted_gaussian(values: np.ndarray, w: np.ndarray, floor: float) -> tuple[float, float]:
     total = float(w.sum())
-    mean = float(np.dot(w, values)) / total
-    var = float(np.dot(w, (values - mean) ** 2)) / total
+    mean = dot(w, values) / total
+    var = dot(w, (values - mean) ** 2) / total
     return mean, max(var, floor)
 
 

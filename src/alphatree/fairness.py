@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .boosting import InductionConfig, _risk_terms, topdown
-from .core import AlphaTree, DomainError, wrapped_scores
+from .core import AlphaTree, DomainError, dot, wrapped_scores
 from .data import Dataset, EmptyMeasureError, RunTrace, View, binary_entropy, make_view
 from .estimators import init_stump, label_plugin
 
@@ -158,7 +158,7 @@ def group_means(values: np.ndarray, groups: np.ndarray, weights: np.ndarray) -> 
         total = w.sum()
         if total <= 0:
             raise EmptyMeasureError(f"group {g!r} has zero total weight")
-        out[g] = float(np.dot(w / total, values[idx]))
+        out[g] = dot(w / total, values[idx])
     return out
 
 
@@ -198,10 +198,10 @@ def cvar_value(risks: Mapping, beta: float, group_weights: Mapping | None = None
     if group_weights is None:
         return float(np.mean([risks[g] for g in tail]))
     masses = np.array([float(group_weights[g]) for g in tail])
-    total = masses.sum()
+    total = float(masses.sum())
     if total <= 0.0:
         raise EmptyMeasureError("tail groups carry no weight")
-    return float(np.dot(masses, [risks[g] for g in tail]) / total)
+    return dot(masses, [risks[g] for g in tail]) / total
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +426,7 @@ def run_eoo(
             if s_low_prev is not None:
                 trace.add(it, "target_switch", params.eta_floor, group=str(s_low), event="switch")
             s_low_prev = s_low
-        stop = (eps**4) / 2.0 + float(np.dot(v.weights, binary_entropy(pushed[v.indices])))
+        stop = (eps**4) / 2.0 + dot(v.weights, binary_entropy(pushed[v.indices]))
         n_before = tree.n_leaves
         tree, trace = topdown(
             v, pushed, ds.scores, ds.clip_B, tree, one_split,

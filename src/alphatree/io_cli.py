@@ -414,7 +414,21 @@ def _require_keys(obj: dict, keys: set, where: str) -> None:
         raise ModelFormatError(f"{where}: unknown keys {sorted(extra)}")
 
 
-def _obj_to_node(obj, where: str = "tree"):
+def _finite_number(value, what: str) -> float:
+    """A JSON number as a finite float; ModelFormatError naming what otherwise."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ModelFormatError(f"{what} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ModelFormatError(f"{what} must be finite")
+    return value
+
+
+def _obj_to_node(obj, where: str, leaf_ids: dict):
+    """Node of a model object; records each leaf's id under its path in leaf_ids."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: expected an object")
     kind = obj.get("kind")
@@ -422,17 +436,9 @@ def _obj_to_node(obj, where: str = "tree"):
         _require_keys(obj, {"alpha", "edge", "kind", "leaf_id", "mass"}, where)
         if not isinstance(obj["leaf_id"], int) or isinstance(obj["leaf_id"], bool):
             raise ModelFormatError(f"{where}: leaf_id must be an integer")
-        for key in ("alpha", "edge", "mass"):
-            if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
-                raise ModelFormatError(f"{where}: {key} must be a number")
-            if not math.isfinite(float(obj[key])):
-                raise ModelFormatError(f"{where}: {key} must be finite")
-        return Leaf(
-            leaf_id=obj["leaf_id"],
-            alpha=float(obj["alpha"]),
-            edge=float(obj["edge"]),
-            mass=float(obj["mass"]),
-        )
+        leaf_ids[where] = obj["leaf_id"]
+        number = {key: _finite_number(obj[key], f"{where}: {key}") for key in ("alpha", "edge", "mass")}
+        return Leaf(leaf_id=obj["leaf_id"], **number)
     if kind == "node":
         _require_keys(obj, {"kind", "left", "right", "test"}, where)
         test = obj["test"]
@@ -441,9 +447,8 @@ def _obj_to_node(obj, where: str = "tree"):
         tkind = test.get("kind")
         if tkind == "numeric":
             _require_keys(test, {"feature", "kind", "threshold"}, f"{where}.test")
-            if not isinstance(test["threshold"], (int, float)) or isinstance(test["threshold"], bool):
-                raise ModelFormatError(f"{where}: threshold must be a number")
-            st = SplitTest(feature=str(test["feature"]), kind="numeric", threshold=float(test["threshold"]))
+            threshold = _finite_number(test["threshold"], f"{where}: threshold")
+            st = SplitTest(feature=str(test["feature"]), kind="numeric", threshold=threshold)
         elif tkind == "categorical":
             _require_keys(test, {"feature", "kind", "modality"}, f"{where}.test")
             if not isinstance(test["modality"], str):
@@ -453,8 +458,8 @@ def _obj_to_node(obj, where: str = "tree"):
             raise ModelFormatError(f"{where}: unknown test kind {tkind!r}")
         return Node(
             st,
-            _obj_to_node(obj["left"], where + ".left"),
-            _obj_to_node(obj["right"], where + ".right"),
+            _obj_to_node(obj["left"], where + ".left", leaf_ids),
+            _obj_to_node(obj["right"], where + ".right", leaf_ids),
         )
     raise ModelFormatError(f"{where}: unknown node kind {kind!r}")
 
@@ -465,7 +470,9 @@ def model_from_json(text: str) -> tuple[AlphaTree, ModelMeta]:
 
     try:
         obj = json.loads(text, parse_constant=no_constants)
-    except json.JSONDecodeError as exc:
+    except ModelFormatError:
+        raise
+    except ValueError as exc:  # bad JSON, or an integer of more digits than int() takes
         raise ModelFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ModelFormatError("model nests too deeply to decode") from None
@@ -474,11 +481,8 @@ def model_from_json(text: str) -> tuple[AlphaTree, ModelMeta]:
     _require_keys(obj, {"clip_B", "format_version", "provenance", "scoring", "tree"}, "model")
     if obj["format_version"] != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {obj['format_version']!r}")
-    clip_B = obj["clip_B"]
-    if not isinstance(clip_B, (int, float)) or isinstance(clip_B, bool):
-        raise ModelFormatError("clip_B must be a number")
-    clip_B = float(clip_B)
-    if not math.isfinite(clip_B) or clip_B <= 0:
+    clip_B = _finite_number(obj["clip_B"], "clip_B")
+    if clip_B <= 0:
         raise ModelFormatError("clip_B must be a positive finite number")
     if obj["scoring"] not in SCORING_MODES:
         raise ModelFormatError(f"unknown scoring mode {obj['scoring']!r}")
@@ -491,10 +495,18 @@ def model_from_json(text: str) -> tuple[AlphaTree, ModelMeta]:
     for key in ("config_digest", "strategy"):
         if not isinstance(prov[key], str):
             raise ModelFormatError(f"provenance.{key} must be a string")
+    leaf_ids: dict[str, int] = {}
     try:
-        root = _obj_to_node(obj["tree"])
+        root = _obj_to_node(obj["tree"], "tree", leaf_ids)
     except RecursionError:
         raise ModelFormatError("model nests too deeply to decode") from None
+    # alpha_table indexes a table of max id + 1 entries by leaf id.  A tree
+    # grown from k stump leaves by s splits tops out at k - 1 + 2s, below
+    # twice its k + s leaves.
+    top = 2 * len(leaf_ids)
+    for where, leaf_id in leaf_ids.items():
+        if not 0 <= leaf_id <= top:
+            raise ModelFormatError(f"{where}: leaf_id must be an integer in [0, {top}], got {leaf_id}")
     try:
         tree = AlphaTree(root)
     except ValueError as exc:

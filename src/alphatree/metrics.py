@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import AlphaTree, DomainError, alpha_at_rows, logit, wrapped_scores, xlogy
+from .core import AlphaTree, DomainError, alpha_at_rows, dot, logit, wrapped_scores, xlogy
 from .data import Dataset, EmptyMeasureError, full_view
 # advantage_rate is not called here; it stays bound for perfbench/tracer.py, which swaps it by name
 from .fairness import (
@@ -72,7 +72,7 @@ def metric_zero_one(ds: Dataset, tree: AlphaTree) -> float:
     """Weighted misclassification rate of the wrapped predictions."""
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
     preds = np.where(q_f > 0.5, 1, -1)
-    return float(np.dot(full_view(ds).weights, (preds != ds.labels).astype(float)))
+    return dot(full_view(ds).weights, preds != ds.labels)
 
 
 def metric_cvar(ds: Dataset, tree: AlphaTree, eta_t, beta: float) -> float:
@@ -103,7 +103,7 @@ def metric_auc(ds: Dataset, tree: AlphaTree) -> float:
     block_pos = np.add.reduceat(np.where(sp, sw, 0.0), starts)
     block_neg = np.add.reduceat(np.where(sp, 0.0, sw), starts)
     neg_below = np.concatenate(([0.0], np.cumsum(block_neg)[:-1]))
-    auc = float(np.dot(block_pos, neg_below + 0.5 * block_neg))
+    auc = dot(block_pos, neg_below + 0.5 * block_neg)
     return auc / (w_pos * w_neg)
 
 
@@ -120,7 +120,7 @@ def empirical_kl(weights, q_unfair, q_fair) -> float:
     if np.any(qu <= 0) or np.any(qu >= 1) or np.any(qf <= 0) or np.any(qf >= 1):
         raise DomainError("scores must lie strictly inside (0, 1)")
     terms = xlogy(qu, qu / qf) + xlogy(1.0 - qu, (1.0 - qu) / (1.0 - qf))
-    return float(np.dot(w, terms))
+    return dot(w, terms)
 
 
 def kl_bound_s1(B: float) -> float:
@@ -171,10 +171,10 @@ def kl_taylor_bound(weights, q_unfair, alphas, order: int = 6) -> tuple[float, f
     value = 0.0
     fk = f * f
     for k in range(2, order + 1):
-        value += float(np.dot(curvature, fk)) / (k * (k - 1))
+        value += dot(curvature, fk) / (k * (k - 1))
         fk = fk * f
     if np.all(f <= 1.0):
-        tail = float(np.dot(curvature, fk)) / order
+        tail = dot(curvature, fk) / order
     else:
         tail = math.inf
     return value, tail

@@ -19,7 +19,7 @@ from alphatree import (
 )
 from alphatree._kernels import midpoint_threshold
 from alphatree.boosting import ENTROPY_IMPROVEMENT_TOL, SplitCandidate, _eta_rows, _nlogit_rows, leaf_entropy
-from alphatree.core import expit
+from alphatree.core import dot, expit
 from alphatree.estimators import ProxyTree
 
 
@@ -411,7 +411,7 @@ def group_means_reference(ds, values) -> dict:
     for g in sorted(set(ds.groups.tolist())):
         idx = np.flatnonzero(ds.groups == g)
         v = make_view(ds, idx, raw_weights=ds.weights[idx])
-        out[g] = float(np.dot(v.weights, values[idx]))
+        out[g] = dot(v.weights, values[idx])
     return out
 
 

@@ -181,6 +181,13 @@ def test_apply_alpha_saturates_cleanly():
     # extreme exponents must run off to the ends without NaN
     assert apply_alpha(0.9, A_MAX) == 1.0
     assert apply_alpha(0.9, -A_MAX) < 1e-40
+    # a model file may hold any finite alpha; its product with the logit
+    # overflows to inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert apply_alpha(0.9, 1e308) == 1.0
+        assert apply_alpha(0.9, -1e308) == 0.0
+        assert np.array_equal(apply_alpha(np.array([0.1, 0.5, 0.9]), 1e308), [0.0, 0.5, 1.0])
 
 
 @given(

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +489,70 @@ def test_model_from_json_tree_errors():
     # duplicate leaf ids fail the tree's own invariant, surfaced as a format error
     with pytest.raises(ModelFormatError, match="leaf identifiers must be unique"):
         model_from_json(with_tree(dict(node, right=leaf)))
+
+
+def test_model_from_json_rejects_leaf_ids_no_table_holds_and_infinite_numbers():
+    good = json.loads(model_to_json(demo_tree(), ModelMeta(clip_B=1.0)))
+
+    def with_leaf(path, **changes):
+        obj = json.loads(json.dumps(good))
+        node = obj["tree"]
+        for side in path:
+            node = node[side]
+        node.update(changes)
+        return json.dumps(obj)
+
+    # three leaves: ids 0 to 6 index a table, since a grown tree tops out below twice its leaves
+    tree, _ = model_from_json(with_leaf(["right", "right"], leaf_id=6))
+    assert sorted(leaf.leaf_id for leaf in tree.leaves()) == [0, 1, 6]
+    for path, leaf_id in ((["left"], -1), (["right", "left"], 7), (["right", "right"], 2**70)):
+        where = ".".join(["tree", *path])
+        with pytest.raises(ModelFormatError) as info:
+            model_from_json(with_leaf(path, leaf_id=leaf_id))
+        assert str(info.value) == f"{where}: leaf_id must be an integer in [0, 6], got {leaf_id}"
+
+    text = model_to_json(demo_tree(), ModelMeta(clip_B=1.0))
+    for raw in ("1e999", "-1e999", "1" + "0" * 400):
+        with pytest.raises(ModelFormatError) as info:
+            model_from_json(text.replace('"threshold": 0.5', f'"threshold": {raw}'))
+        assert str(info.value) == "tree: threshold must be finite"
+        with pytest.raises(ModelFormatError) as info:
+            model_from_json(text.replace('"alpha": -2.25', f'"alpha": {raw}'))
+        assert str(info.value) == "tree.right.left: alpha must be finite"
+    with pytest.raises(ModelFormatError, match="^clip_B must be finite$"):
+        model_from_json(text.replace('"clip_B": 1.0', '"clip_B": 1e999'))
+
+
+@pytest.mark.parametrize("leaf_id", [-1, 2**70])
+def test_cli_rejects_a_leaf_id_no_table_holds(tmp_path, capsys, leaf_id):
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    model = tmp_path / "m.json"
+    scoring_model(model)
+    model.write_text(model.read_text().replace('"leaf_id": 0', f'"leaf_id": {leaf_id}'))
+    message = f"error: tree.left: leaf_id must be an integer in [0, 6], got {leaf_id}\n"
+    for argv in (["apply", "--data", str(data), "--model", str(model), "--out", str(tmp_path / "o.csv")],
+                 ["eval", "--data", str(data), "--model", str(model), "--split", "all"],
+                 ["inspect", "--model", str(model)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+
+
+def test_cli_rejects_an_integer_too_long_to_read(tmp_path, capsys):
+    # int() reads at most 4,300 digits
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    model = tmp_path / "m.json"
+    scoring_model(model)
+    model.write_text(model.read_text().replace('"threshold": 0.0', '"threshold": 1' + "0" * 5000))
+    assert main(["inspect", "--model", str(model)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"clip_B": 1' + "0" * 5000 + "}")
+    assert main(train_args(data, tmp_path / "m2.json", ["--schema", str(schema)])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid schema JSON: Exceeds the limit (4300 digits)")
 
 
 def test_model_meta_validation():
@@ -1125,6 +1190,71 @@ def test_cli_answers_every_mutated_file_with_a_result_or_one_error_line(fuzz_fil
                  ["eval", "--data", str(data), "--model", str(model), "--split", "all"]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code != 0:
+            assert code == 2, argv[0]
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv[0], lines)
+
+
+# a mutated model object: a key dropped, or a value swapped for another
+# type, a negative, huge or infinite number; RAW values go in unquoted
+MODEL_VALUES = (None, True, "x", [], {}, 0, 1, -1, 0.5, -0.5, 2**70, -(2**70), 10**400, 1e308, -1e308,
+                "RAW:1e999", "RAW:-1e999", "RAW:1" + "0" * 5000)
+
+
+def model_paths(obj, out):
+    """(container, key) of every value in a decoded JSON object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        out.append((obj, key))
+        model_paths(value, out)
+    return out
+
+
+def mutate_model(obj, ops) -> str:
+    for at, value in ops:
+        paths = model_paths(obj, [])
+        if not paths:
+            break
+        container, key = paths[at % len(paths)]
+        if value == "drop":
+            del container[key]
+        else:
+            container[key] = value
+    text = json.dumps(obj)
+    for value in MODEL_VALUES:
+        if isinstance(value, str) and value.startswith("RAW:"):
+            text = text.replace(json.dumps(value), value[4:])
+    return text
+
+
+@given(ops=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(("drop",) + MODEL_VALUES)),
+                    min_size=1, max_size=3))
+# on scoring_model's file: 4 is provenance.iterations, 10 the first alpha, 13 its leaf_id, 36 the threshold
+@example(ops=[(10, 1e308)])
+@example(ops=[(13, 2**70)])
+@example(ops=[(36, 10**400)])
+@example(ops=[(36, "RAW:1e999")])
+@example(ops=[(4, "RAW:1" + "0" * 5000)])
+@settings(max_examples=150, deadline=None)
+def test_model_file_mutations_raise_only_model_format_errors(fuzz_files, ops):
+    text = mutate_model(json.loads((fuzz_files / "m.json").read_text()), ops)
+    try:
+        model_from_json(text)
+    except ModelFormatError:
+        pass
+    model = fuzz_files / "mutated.json"
+    model.write_text(text, encoding="utf-8")
+    data = fuzz_files / "clean.csv"
+    for argv in (["inspect", "--model", str(model)],
+                 ["apply", "--data", str(data), "--model", str(model), "--out", str(fuzz_files / "o.csv")],
+                 ["eval", "--data", str(data), "--model", str(model), "--split", "all"]):
+        err = io.StringIO()
+        # a warning would print more lines on the command line's stderr
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(argv)
         if code != 0:
             assert code == 2, argv[0]
