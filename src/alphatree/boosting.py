@@ -259,8 +259,8 @@ class _RowSignals(NamedTuple):
     wneg: np.ndarray
 
 
-def _row_signals(v: View, eta_t, scores, B: float, nlogit_values=None) -> _RowSignals:
-    nl = _nlogit_rows(v, scores, B, nlogit_values)
+def _row_signals(v: View, eta_t, scores, B: float) -> _RowSignals:
+    nl = nlogit(v.pick(scores), B)
     eta = _eta_rows(v, eta_t)
     w = v.weights
     pos = np.maximum(nl, 0.0)
@@ -280,7 +280,6 @@ def leaf_stats(
     eta_t,
     scores,
     B: float,
-    nlogit_values=None,
     leaf_ids_rows: np.ndarray | None = None,
     *,
     signals: _RowSignals | None = None,
@@ -297,7 +296,7 @@ def leaf_stats(
     if leaf_ids_rows is None:
         leaf_ids_rows = route_rows(tree, v.base.columns, v.base.n)[v.indices]
     if signals is None:
-        signals = _row_signals(v, eta_t, scores, B, nlogit_values)
+        signals = _row_signals(v, eta_t, scores, B)
     ids = leaf_ids_rows
     if ids.min() < 0 or ids.max() > 2 * ids.shape[0] + 64:
         # bincount needs ids >= 0 and makes max id + 1 bins: renumber densely
@@ -326,9 +325,9 @@ def leaf_stats(
     }
 
 
-def tree_entropy(tree: AlphaTree, v: View, eta_t, scores, B: float, nlogit_values=None) -> float:
+def tree_entropy(tree: AlphaTree, v: View, eta_t, scores, B: float) -> float:
     """Leaf-mass-weighted entropy; upper-bounds the wrapped log-loss risk."""
-    stats = leaf_stats(v, tree, eta_t, scores, B, nlogit_values)
+    stats = leaf_stats(v, tree, eta_t, scores, B)
     return float(sum(st.mass * st.entropy for st in stats.values()))
 
 
@@ -368,7 +367,6 @@ def best_split(
     scores,
     B: float,
     cfg: InductionConfig,
-    nlogit_values=None,
 ) -> SplitCandidate | None:
     """Best axis-aligned split of a leaf view, or None.
 
@@ -381,7 +379,7 @@ def best_split(
     declaration order, then the lowest threshold / first modality in sorted
     order.
     """
-    nl = _nlogit_rows(v_at_leaf, scores, B, nlogit_values)
+    nl = nlogit(v_at_leaf.pick(scores), B)
     eta = _eta_rows(v_at_leaf, eta_t)
     w = v_at_leaf.weights
     stats = np.stack([w, w * (2.0 * eta - 1.0) * nl])
@@ -426,7 +424,6 @@ def topdown(
     tree0: AlphaTree,
     cfg: InductionConfig,
     *,
-    nlogit_values=None,
     trace: RunTrace | None = None,
     iteration_start: int = 0,
     risk_stop: float | None = None,
@@ -448,16 +445,13 @@ def topdown(
         trace = RunTrace()
 
     scores_rows = v.pick(scores)
-    signals = _row_signals(v, eta_t, scores, B, nlogit_values)
+    signals = _row_signals(v, eta_t, scores, B)
     view_columns = {name: col[v.indices] for name, col in v.base.columns.items()}
     leaf_ids_rows = route_rows(tree0, view_columns, v.n)
     tree = tree0
 
     def sync(tree: AlphaTree) -> tuple[AlphaTree, dict[int, LeafStats]]:
-        stats = leaf_stats(
-            v, tree, eta_t, scores, B, nlogit_values,
-            leaf_ids_rows=leaf_ids_rows, signals=signals,
-        )
+        stats = leaf_stats(v, tree, eta_t, scores, B, leaf_ids_rows=leaf_ids_rows, signals=signals)
         return relabel_leaves(tree, stats, cfg.scoring, B), stats
 
     def emit(it: int, tree: AlphaTree, stats, event: str = "") -> float:
@@ -481,7 +475,7 @@ def topdown(
                 continue
             rows = np.flatnonzero(leaf_ids_rows == st.leaf_id)
             leaf_v = make_view(v.base, v.indices[rows], raw_weights=v.weights[rows])
-            cand = best_split(leaf_v, eta_t, scores, B, cfg, nlogit_values)
+            cand = best_split(leaf_v, eta_t, scores, B, cfg)
             if cand is not None:
                 chosen = (st, cand, rows)
                 break

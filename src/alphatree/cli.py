@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -256,11 +258,12 @@ def _run_driver(args) -> tuple[AlphaTree, RunTrace, Dataset]:
         scoring=args.scoring,
     )
     tree0 = None
-    schedule = None
     if args.init == "proxy":
+        # the drivers measure and schedule on the proxy's groups
         features = {name: ds.columns[name] for name in ds.feature_names}
         proxy = proxy_group_tree(features, ds.feature_kinds(), ds.groups, max_depth=args.proxy_depth)
-        schedule = proxy.predict(features)
+        g = proxy.predict(features)
+        ds = dataclasses.replace(ds, groups=g, columns={**ds.columns, ds.group_column: g})
         tree0 = proxy.tree
     if args.strategy == "cvar":
         spec = CvarSpec(
@@ -269,15 +272,15 @@ def _run_driver(args) -> tuple[AlphaTree, RunTrace, Dataset]:
             outer_rounds=args.rounds,
             induction=cfg,
         )
-        tree, trace = run_cvar(ds, spec, tree0, eta_t=eta, schedule_groups=schedule)
+        tree, trace = run_cvar(ds, spec, tree0, eta_t=eta)
     elif args.strategy == "eoo":
         spec = EooSpec(eps=args.epsilon, K=args.push_K, induction=cfg)
-        tree, trace = run_eoo(ds, spec, tree0, eta_estimate=eta, schedule_groups=schedule)
+        tree, trace = run_eoo(ds, spec, tree0, eta_estimate=eta)
     else:
         spec = SpSpec(
             eps=args.epsilon, direction=args.direction, outer_rounds=args.rounds, induction=cfg
         )
-        tree, trace = run_sp(ds, spec, tree0, schedule_groups=schedule)
+        tree, trace = run_sp(ds, spec, tree0)
     return tree, trace, ds
 
 
@@ -369,6 +372,23 @@ def _cmd_apply(args) -> int:
     return 0
 
 
+def _undefined_as_none(metric, *args, undefined=DomainError):
+    """metric(*args), or None where the data leave the figure undefined."""
+    try:
+        return metric(*args)
+    except undefined:
+        return None
+
+
+def _finite_or_none(value):
+    """The report with every non-finite figure, at any depth, made None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_none(v) for key, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _cmd_eval(args) -> int:
     tree, meta = load_model(args.model)
     clip_B = meta.clip_B
@@ -376,27 +396,25 @@ def _cmd_eval(args) -> int:
     eta = label_plugin(ds.labels)
     w = full_view(ds).weights
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    try:
-        eoo_gap = metric_eoo_gap(ds, tree)
-    except EmptyMeasureError:
-        # a group without weighted positive rows has no true-positive rate
-        eoo_gap = None
     report = {
         "n": ds.n,
         "clip_B": clip_B,
         "n_leaves": tree.n_leaves,
         "zero_one": metric_zero_one(ds, tree),
-        "auc": metric_auc(ds, tree),
-        "eoo_gap": eoo_gap,
+        # a file with one class has no ROC area
+        "auc": _undefined_as_none(metric_auc, ds, tree),
+        # a group without weighted positive rows has no true-positive rate
+        "eoo_gap": _undefined_as_none(metric_eoo_gap, ds, tree, undefined=EmptyMeasureError),
         "sp_gap": metric_sp_gap(ds, tree),
         "md": metric_md(ds, tree),
         "cvar": metric_cvar(ds, tree, eta, args.beta),
         "subgroup_risks": {str(g): r for g, r in subgroup_risks(ds, tree, eta).items()},
-        "empirical_kl": empirical_kl(w, ds.scores, q_f),
+        # a wrapped score of exactly 0 or 1 leaves the drift undefined
+        "empirical_kl": _undefined_as_none(empirical_kl, w, ds.scores, q_f),
         "kl_bound_s1": kl_bound_s1(clip_B) if s1_applicable(tree, clip_B) else None,
         "kl_bound_s2": kl_bound_s2() if s2_applicable(tree, ds.columns, ds.scores) else None,
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(_finite_or_none(report), sort_keys=True, indent=2, allow_nan=False))
     return 0
 
 

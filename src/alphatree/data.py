@@ -50,7 +50,9 @@ class Dataset:
 
     columns holds every routable column (declared features plus the group
     column); feature_names lists the declared split candidates in schema
-    order, which fixes split tie-breaking.
+    order, which fixes split tie-breaking.  groups holds the groups a run
+    measures and schedules on; make_dataset also routes them as
+    columns[group_column].
     """
 
     columns: dict[str, np.ndarray]
@@ -193,10 +195,10 @@ def full_view(ds: Dataset) -> View:
 
 def condition_on_group(ds: Dataset, s) -> View:
     """View of the rows whose sensitive modality equals s."""
-    if s not in set(ds.groups.tolist()):
+    idx = np.flatnonzero(ds.groups == s)
+    if idx.shape[0] == 0:
         raise EmptyMeasureError(f"group modality {s!r} not observed")
-    mask = ds.groups == s
-    return make_view(ds, np.flatnonzero(mask))
+    return make_view(ds, idx)
 
 
 def empirical_risk(v: View, q, eta_t) -> float:

@@ -5,7 +5,9 @@ of one shared tree: the worst-off tail group (CVaR), the disadvantaged
 group after a posterior push-up (equal opportunity), or whichever side of a
 mean-score gap was asked to move (statistical parity).  Because relabeling
 skips leaves the active view never reaches, growth on one group's
-conditional measure only ever touches that group's sub-tree.
+conditional measure only ever touches that group's sub-tree.  The groups
+a driver schedules on and measures are the dataset's groups; to train on
+estimated groups, pass a dataset whose groups are the estimates.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .boosting import InductionConfig, _risk_terms, topdown
 from .core import AlphaTree, DomainError, dot, wrapped_scores
-from .data import Dataset, EmptyMeasureError, RunTrace, View, binary_entropy, make_view
+from .data import Dataset, EmptyMeasureError, RunTrace, View, binary_entropy, condition_on_group
 from .estimators import init_stump, label_plugin
 
 __all__ = [
@@ -109,31 +111,11 @@ class PushupParams:
 # ---------------------------------------------------------------------------
 
 
-def _groups_array(ds: Dataset, schedule_groups) -> np.ndarray:
-    """Group assignment the driver schedules on; defaults to the dataset's.
-
-    Passing a proxy-model prediction here trains on estimated groups while
-    metrics elsewhere keep using the recorded ones.
-    """
-    if schedule_groups is None:
-        return ds.groups
-    arr = np.asarray(schedule_groups, dtype=object)
-    if arr.shape[0] != ds.n:
-        raise DomainError("schedule_groups must have one entry per row")
-    return arr
-
-
-def _group_view(ds: Dataset, groups_arr: np.ndarray, group) -> View:
-    mask = groups_arr == group
-    idx = np.flatnonzero(mask)
-    return make_view(ds, idx, raw_weights=ds.weights[idx])
-
-
-def _group_weights(ds: Dataset, groups_arr: np.ndarray) -> dict:
+def _group_weights(ds: Dataset) -> dict:
     total = float(ds.weights.sum())
     out = {}
-    for g in sorted(set(groups_arr.tolist())):
-        out[g] = float(ds.weights[groups_arr == g].sum()) / total
+    for g in sorted(set(ds.groups.tolist())):
+        out[g] = float(ds.weights[ds.groups == g].sum()) / total
     return out
 
 
@@ -162,15 +144,14 @@ def group_means(values: np.ndarray, groups: np.ndarray, weights: np.ndarray) -> 
     return out
 
 
-def subgroup_risks(ds: Dataset, tree: AlphaTree, eta_t=None, schedule_groups=None) -> dict:
+def subgroup_risks(ds: Dataset, tree: AlphaTree, eta_t=None) -> dict:
     """Wrapped log-loss risk of every group's conditional measure.
 
     The target defaults to the label plug-in posterior.
     """
-    groups_arr = _groups_array(ds, schedule_groups)
     eta = label_plugin(ds.labels) if eta_t is None else _eta_base(ds, eta_t)
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    return group_means(_risk_terms(q_f, eta), groups_arr, ds.weights)
+    return group_means(_risk_terms(q_f, eta), ds.groups, ds.weights)
 
 
 def cvar_quantile(risks: Mapping, beta: float) -> tuple[float, list]:
@@ -215,8 +196,6 @@ def run_cvar(
     tree0: AlphaTree | None = None,
     *,
     eta_t=None,
-    trace: RunTrace | None = None,
-    schedule_groups=None,
 ) -> tuple[AlphaTree, RunTrace]:
     """Repeatedly grow the tree on the currently worst-off tail group.
 
@@ -227,10 +206,8 @@ def run_cvar(
     outer_rounds, or when a round fails to lower the tail mean.  The target
     posterior defaults to the label plug-in.
     """
-    groups_arr = _groups_array(ds, schedule_groups)
-    modalities = sorted(set(groups_arr.tolist()))
-    if trace is None:
-        trace = RunTrace()
+    modalities = sorted(set(ds.groups.tolist()))
+    trace = RunTrace()
     if tree0 is None:
         tree = init_stump(modalities, ds.group_column)
         for g in modalities:
@@ -238,12 +215,12 @@ def run_cvar(
     else:
         tree = tree0
     eta = label_plugin(ds.labels) if eta_t is None else _eta_base(ds, eta_t)
-    gw = _group_weights(ds, groups_arr)
+    gw = _group_weights(ds)
 
     it = 0
     prev_cvar = math.inf
     for r in range(spec.outer_rounds):
-        risks = subgroup_risks(ds, tree, eta, schedule_groups)
+        risks = subgroup_risks(ds, tree, eta)
         threshold, tail = cvar_quantile(risks, spec.beta)
         cvar = cvar_value(risks, spec.beta, gw)
         trace.add(it, "cvar", cvar, event=f"round {r} tail={','.join(str(g) for g in tail)}")
@@ -256,14 +233,14 @@ def run_cvar(
             return tree, trace
         prev_cvar = cvar
         worst = max(sorted(tail, key=str), key=lambda g: risks[g])
-        v = _group_view(ds, groups_arr, worst)
+        v = condition_on_group(ds, worst)
         tree, trace = topdown(
             v, eta, ds.scores, ds.clip_B, tree, spec.induction,
             trace=trace, iteration_start=it,
         )
         it = trace.last_iteration() + 1
 
-    risks = subgroup_risks(ds, tree, eta, schedule_groups)
+    risks = subgroup_risks(ds, tree, eta)
     cvar = cvar_value(risks, spec.beta, gw)
     trace.add(it, "cvar", cvar, event="final")
     for g in modalities:
@@ -318,30 +295,29 @@ def pushup_posterior(eta, v: View, p: float, delta: float) -> tuple[np.ndarray, 
     return out, params
 
 
-def _positive_rates(ds: Dataset, q_f: np.ndarray, groups_arr: np.ndarray, rows=True) -> dict:
+def _positive_rates(ds: Dataset, q_f: np.ndarray, rows=True) -> dict:
     """Weighted P(q_f > 1/2 | Y = +1, group) of every group with positive rows.
 
     Only rows selected by the boolean mask rows take part.  A wrapped score
     of exactly 1/2 counts as a negative prediction.
     """
     rows = rows & (ds.labels == 1)
-    return group_means((q_f[rows] > 0.5).astype(float), groups_arr[rows], ds.weights[rows])
+    return group_means((q_f[rows] > 0.5).astype(float), ds.groups[rows], ds.weights[rows])
 
 
-def advantage_rate(ds: Dataset, tree: AlphaTree, group, schedule_groups=None) -> float:
+def advantage_rate(ds: Dataset, tree: AlphaTree, group) -> float:
     """Weighted P(prediction = 1 | Y = +1, group) under the wrapped scores.
 
     A wrapped score of exactly 1/2 counts as a negative prediction.
     """
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    groups_arr = _groups_array(ds, schedule_groups)
-    rates = _positive_rates(ds, q_f, groups_arr, groups_arr == group)
+    rates = _positive_rates(ds, q_f, ds.groups == group)
     if group not in rates:
         raise EmptyMeasureError(f"group {group!r} has no positive rows")
     return rates[group]
 
 
-def _rates(ds: Dataset, tree: AlphaTree, groups_arr: np.ndarray) -> dict:
+def _rates(ds: Dataset, tree: AlphaTree) -> dict:
     """Advantage rate of every group whose positive rows carry weight.
 
     A group without such rows has no rate and is skipped.
@@ -349,10 +325,10 @@ def _rates(ds: Dataset, tree: AlphaTree, groups_arr: np.ndarray) -> dict:
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
     pos = ds.labels == 1
     rows = np.ones(ds.n, dtype=bool)
-    for g in set(groups_arr[pos & (ds.weights == 0)].tolist()):
-        if not ds.weights[pos & (groups_arr == g)].any():
-            rows &= groups_arr != g
-    out = _positive_rates(ds, q_f, groups_arr, rows)
+    for g in set(ds.groups[pos & (ds.weights == 0)].tolist()):
+        if not ds.weights[pos & (ds.groups == g)].any():
+            rows &= ds.groups != g
+    out = _positive_rates(ds, q_f, rows)
     if len(out) < 2:
         raise EmptyMeasureError("equal opportunity needs >= 2 groups with positives")
     return out
@@ -376,9 +352,6 @@ def run_eoo(
     spec: EooSpec,
     tree0: AlphaTree | None = None,
     eta_estimate=None,
-    *,
-    trace: RunTrace | None = None,
-    schedule_groups=None,
 ) -> tuple[AlphaTree, RunTrace]:
     """Close the reference group's true-positive-rate advantage to <= eps.
 
@@ -391,15 +364,13 @@ def run_eoo(
     """
     if eta_estimate is None:
         raise DomainError("run_eoo needs a posterior estimate for every row")
-    groups_arr = _groups_array(ds, schedule_groups)
-    modalities = sorted(set(groups_arr.tolist()))
+    modalities = sorted(set(ds.groups.tolist()))
     tree = tree0 if tree0 is not None else init_stump(modalities, ds.group_column)
-    if trace is None:
-        trace = RunTrace()
+    trace = RunTrace()
     eta = _eta_base(ds, eta_estimate)
     eps = spec.eps
 
-    rates = _rates(ds, tree, groups_arr)
+    rates = _rates(ds, tree)
     s_star = max(sorted(rates, key=str), key=lambda g: rates[g])
     rate_star = rates[s_star]
     k = _raise_k(float(spec.K), eps, rate_star)
@@ -411,7 +382,7 @@ def run_eoo(
     s_low_prev = None
     pushed = None
     for step in range(spec.induction.max_iterations):
-        rates = _rates(ds, tree, groups_arr)
+        rates = _rates(ds, tree)
         gap = rates[s_star] - min(rates.values())
         trace.add(it, "eoo_gap", gap, event=f"step {step} reference={s_star}")
         for g in sorted(rates, key=str):
@@ -420,7 +391,7 @@ def run_eoo(
             return tree, trace
         others = {g: r for g, r in rates.items() if g != s_star}
         s_low = min(sorted(others, key=str), key=lambda g: others[g])
-        v = _group_view(ds, groups_arr, s_low)
+        v = condition_on_group(ds, s_low)
         if s_low != s_low_prev:
             pushed, params = pushup_posterior(eta, v, p, delta)
             if s_low_prev is not None:
@@ -437,7 +408,7 @@ def run_eoo(
         if risk_now <= stop or tree.n_leaves == n_before:
             break
 
-    rates = _rates(ds, tree, groups_arr)
+    rates = _rates(ds, tree)
     gap = rates[s_star] - min(rates.values())
     trace.add(it, "eoo_gap", gap, event="final")
     for g in sorted(rates, key=str):
@@ -454,9 +425,6 @@ def run_sp(
     ds: Dataset,
     spec: SpSpec,
     tree0: AlphaTree | None = None,
-    *,
-    trace: RunTrace | None = None,
-    schedule_groups=None,
 ) -> tuple[AlphaTree, RunTrace]:
     """Close the spread of mean wrapped scores across groups to <= eps.
 
@@ -466,18 +434,16 @@ def run_sp(
     outer round, so the grown side follows the argmin/argmax as they move;
     the reference side of the final round is never modified.
     """
-    groups_arr = _groups_array(ds, schedule_groups)
-    modalities = sorted(set(groups_arr.tolist()))
+    modalities = sorted(set(ds.groups.tolist()))
     if len(modalities) < 2:
         raise EmptyMeasureError("statistical parity needs >= 2 groups")
     tree = tree0 if tree0 is not None else init_stump(modalities, ds.group_column)
-    if trace is None:
-        trace = RunTrace()
+    trace = RunTrace()
 
-    score_means = group_means(ds.scores, groups_arr, ds.weights)
+    score_means = group_means(ds.scores, ds.groups, ds.weights)
     it = 0
     for r in range(spec.outer_rounds):
-        means = group_means(wrapped_scores(tree, ds.columns, ds.scores), groups_arr, ds.weights)
+        means = group_means(wrapped_scores(tree, ds.columns, ds.scores), ds.groups, ds.weights)
         s_hi = max(sorted(means, key=str), key=lambda g: means[g])
         s_lo = min(sorted(means, key=str), key=lambda g: means[g])
         gap = means[s_hi] - means[s_lo]
@@ -487,7 +453,7 @@ def run_sp(
         if gap <= spec.eps:
             return tree, trace
         grow, ref = (s_lo, s_hi) if spec.direction == "up" else (s_hi, s_lo)
-        v = _group_view(ds, groups_arr, grow)
+        v = condition_on_group(ds, grow)
         eta_round = np.full(ds.n, 0.5)
         eta_round[v.indices] = score_means[ref]
         tree, trace = topdown(
@@ -496,7 +462,7 @@ def run_sp(
         )
         it = trace.last_iteration() + 1
 
-    means = group_means(wrapped_scores(tree, ds.columns, ds.scores), groups_arr, ds.weights)
+    means = group_means(wrapped_scores(tree, ds.columns, ds.scores), ds.groups, ds.weights)
     gap = max(means.values()) - min(means.values())
     trace.add(it, "sp_gap", gap, event="final")
     for g in modalities:

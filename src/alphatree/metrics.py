@@ -49,7 +49,7 @@ def _spread(means: dict) -> float:
 def metric_eoo_gap(ds: Dataset, tree: AlphaTree) -> float:
     """Largest spread of P(pred = 1 | Y = +1, group) across groups."""
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    rates = _positive_rates(ds, q_f, ds.groups)
+    rates = _positive_rates(ds, q_f)
     missing = sorted(set(ds.groups.tolist()) - rates.keys())
     if missing:
         raise EmptyMeasureError(f"group {missing[0]!r} has no positive rows")
@@ -78,7 +78,7 @@ def metric_zero_one(ds: Dataset, tree: AlphaTree) -> float:
 def metric_cvar(ds: Dataset, tree: AlphaTree, eta_t, beta: float) -> float:
     """Mass-weighted mean wrapped log-loss over the beta-tail of subgroup risks."""
     risks = subgroup_risks(ds, tree, eta_t)
-    return cvar_value(risks, beta, _group_weights(ds, ds.groups))
+    return cvar_value(risks, beta, _group_weights(ds))
 
 
 def metric_auc(ds: Dataset, tree: AlphaTree) -> float:

@@ -533,12 +533,10 @@ def test_topdown_incremental_leaf_ids_match_full_routing(
     real_leaf_stats = boosting.leaf_stats
     calls = []
 
-    def checked_leaf_stats(v_, tree, eta_t, scores_, B_, nlogit_values=None,
-                           leaf_ids_rows=None, **kwargs):
+    def checked_leaf_stats(v_, tree, eta_t, scores_, B_, leaf_ids_rows=None, **kwargs):
         routed = route_rows(tree, ds.columns, ds.n)[v_.indices]
         np.testing.assert_array_equal(leaf_ids_rows, routed)
-        out = real_leaf_stats(v_, tree, eta_t, scores_, B_, nlogit_values,
-                              leaf_ids_rows=leaf_ids_rows, **kwargs)
+        out = real_leaf_stats(v_, tree, eta_t, scores_, B_, leaf_ids_rows=leaf_ids_rows, **kwargs)
         assert_stats_match(out, masked_leaf_stats(v_, routed, eta, ds.scores, B))
         calls.append(tree)
         return out

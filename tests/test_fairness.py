@@ -265,7 +265,7 @@ def test_eoo_rates_skip_groups_without_weighted_positives():
         weights=np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0]),
     )
     t = single_leaf_tree()
-    rates = fairness._rates(ds, t, ds.groups)
+    rates = fairness._rates(ds, t)
     assert rates == {"A": advantage_rate(ds, t, "A"), "B": advantage_rate(ds, t, "B")}
     assert rates["A"] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert rates["B"] == pytest.approx(0.5, abs=1e-15)

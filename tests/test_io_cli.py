@@ -19,13 +19,17 @@ from hypothesis import strategies as st
 import alphatree
 from alphatree import (
     AlphaTree,
+    CvarSpec,
     DomainError,
     EmptyMeasureError,
+    EooSpec,
+    InductionConfig,
     Leaf,
     LoadError,
     ModelFormatError,
     ModelMeta,
     Node,
+    SpSpec,
     SplitTest,
     clip_score,
     empirical_kl,
@@ -33,6 +37,7 @@ from alphatree import (
     label_plugin,
     load_dataset,
     load_model,
+    make_dataset,
     metric_auc,
     metric_cvar,
     metric_eoo_gap,
@@ -41,14 +46,18 @@ from alphatree import (
     metric_zero_one,
     model_from_json,
     model_to_json,
+    proxy_group_tree,
     resolve_seed,
     route_rows,
+    run_cvar,
+    run_eoo,
+    run_sp,
     save_model,
     split_plan,
     subgroup_risks,
     wrapped_scores,
 )
-from alphatree.cli import main
+from alphatree.cli import _write_trace, main
 from alphatree.core import expit
 from alphatree.io_cli import read_csv
 
@@ -1034,6 +1043,127 @@ def test_cli_train_with_proxy_init(tmp_path, capsys):
     capsys.readouterr()
     tree, _ = load_model(model)
     assert tree.n_leaves >= 2
+
+
+def proxy_csv(path):
+    """Groups a and b follow the sign of x; group c is scattered, so no proxy leaf predicts it."""
+    rng = np.random.default_rng(13)
+    n = 600
+    x = np.round(rng.normal(size=n), 3)
+    z = np.round(rng.normal(size=n), 3)
+    group = np.where((x < 0) ^ (rng.random(n) < 0.1), "a", "b")
+    group[rng.random(n) < 0.15] = "c"
+    labels = np.where(rng.random(n) < expit(2 * x + z), 1, -1)
+    scores = np.round(expit(1.5 * x - 0.5 * (group == "a")), 4)
+    write_csv(path, ["x", "z", "group", "label", "score"], zip(x, z, group, labels, scores))
+
+
+PROXY_RUNS = {
+    "cvar": (["--beta", "0.5"],
+             lambda ds, tree0, cfg: run_cvar(ds, CvarSpec(beta=0.5, outer_rounds=2, induction=cfg), tree0,
+                                             eta_t=label_plugin(ds.labels))),
+    "eoo": (["--epsilon", "0.001"],
+            lambda ds, tree0, cfg: run_eoo(ds, EooSpec(eps=0.001, induction=cfg), tree0,
+                                           eta_estimate=label_plugin(ds.labels))),
+    "sp": (["--epsilon", "0.001"],
+           lambda ds, tree0, cfg: run_sp(ds, SpSpec(eps=0.001, outer_rounds=2, induction=cfg), tree0)),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(PROXY_RUNS))
+def test_cli_proxy_init_runs_the_driver_on_the_proxy_groups(tmp_path, capsys, strategy):
+    data = tmp_path / "d.csv"
+    proxy_csv(data)
+    model = tmp_path / "m.json"
+    trace = tmp_path / "t.csv"
+    flags, run = PROXY_RUNS[strategy]
+    assert main(["train", "--data", str(data), "--strategy", strategy, "--init", "proxy",
+                 "--proxy-depth", "3", "--rounds", "2", "--iterations", "4", *flags,
+                 "--out", str(model), "--trace-out", str(trace)]) == 0
+    capsys.readouterr()
+
+    # the library run: the driver on the dataset whose groups are the proxy's
+    ds = load_dataset(data, 1.0)
+    features = {name: ds.columns[name] for name in ds.feature_names}
+    proxy = proxy_group_tree(features, ds.feature_kinds(), ds.groups, max_depth=3)
+    estimated = proxy.predict(features)
+    proxy_ds = make_dataset(features, ds.feature_kinds(), ds.labels, estimated, ds.scores, ds.clip_B)
+    tree, lib_trace = run(proxy_ds, proxy.tree, InductionConfig(max_iterations=4))
+
+    _, meta = load_model(model)
+    lib_model = tmp_path / "lib.json"
+    save_model(lib_model, tree, meta)
+    assert model.read_bytes() == lib_model.read_bytes()
+    buf = io.StringIO(newline="")
+    _write_trace(lib_trace, buf)
+    assert trace.read_bytes() == buf.getvalue().encode("utf-8")
+
+    assert set(estimated.tolist()) == {"a", "b"}
+    assert {row.group for row in lib_trace.rows if row.group} <= {"a", "b"}
+    assert any(row.event.startswith("split") for row in lib_trace.rows)
+    assert "group" not in tree.feature_kinds()
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"non-finite figure {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_eval_reports_null_drift_for_a_saturated_model_train_wrote(tmp_path, capsys):
+    rows = [[1, "g", 0.95, i] for i in range(100)]
+    rows += [[1 if i % 2 == 0 else 0, "g", 0.6, i] for i in range(100, 200)]
+    data = tmp_path / "d.csv"
+    write_csv(data, ["label", "group", "score", "x"], rows)
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", str(data), "--strategy", "cvar", "--rounds", "1",
+                 "--iterations", "2", "--out", str(model)]) == 0
+    capsys.readouterr()
+    tree, meta = load_model(model)
+    ds = load_dataset(data, meta.clip_B, kinds=tree.feature_kinds())
+    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    assert np.any(q_f == 1.0)
+    with pytest.raises(DomainError, match="strictly inside"):
+        empirical_kl(full_view(ds).weights, ds.scores, q_f)
+
+    assert main(["eval", "--data", str(data), "--model", str(model)]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["empirical_kl"] is None
+    assert report["auc"] == metric_auc(ds, tree)
+    assert report["subgroup_risks"] == {"g": subgroup_risks(ds, tree)["g"]}
+
+
+def test_cli_eval_reports_null_auc_for_a_single_class_file(tmp_path, capsys):
+    rows = [[1, "ab"[i % 2], round(0.3 + 0.05 * (i % 9), 2), i] for i in range(200)]
+    data = tmp_path / "d.csv"
+    write_csv(data, ["label", "group", "score", "x"], rows)
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", str(data), "--strategy", "sp", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--model", str(model)]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["auc"] is None
+    tree, meta = load_model(model)
+    ds = load_dataset(data, meta.clip_B, kinds=tree.feature_kinds())
+    with pytest.raises(DomainError, match="both classes"):
+        metric_auc(ds, tree)
+    assert report["sp_gap"] == metric_sp_gap(ds, tree)
+
+
+def test_cli_eval_reports_non_finite_figures_as_null(tmp_path, capsys):
+    # a wrapped score of exactly 1 on a negative row has infinite log-loss
+    data = tmp_path / "d.csv"
+    write_csv(data, ["label", "group", "score", "x"],
+              [[1 if i % 3 else -1, "ab"[i % 2], 0.9, i] for i in range(60)])
+    model = tmp_path / "m.json"
+    save_model(model, AlphaTree(Leaf(0, 50.0)), ModelMeta(clip_B=3.0))
+    assert main(["eval", "--data", str(data), "--model", str(model)]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["cvar"] is None
+    assert report["subgroup_risks"] == {"a": None, "b": None}
+    assert report["empirical_kl"] is None
+    assert report["zero_one"] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_cli_eval_reports_bound_applicability(tmp_path, capsys):

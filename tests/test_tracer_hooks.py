@@ -46,3 +46,50 @@ def test_tracer_installs_every_hook_and_restores_it():
     assert proxy_tree.predict is original_predict
     assert kernels.numeric_split_scan is original_scan
     assert boosting.best_split is original_search
+
+
+LAYERS_FIRED = (
+    "ingest", "model_io", "route", "wrap", "leaf_stats", "split_search", "split_scan",
+    "relabel", "induction", "fairness_loop", "group_eval", "pushup", "proxy_fit",
+    "proxy_predict", "metrics",
+)
+
+
+def test_every_benchmark_layer_fires_on_the_command_line(tmp_path, capsys):
+    # a refactor that stops calling a hooked name through the hooked module
+    # empties that layer of every traced benchmark run without failing it
+    from alphatree.cli import main
+    from alphatree.core import expit
+
+    rng = np.random.default_rng(21)
+    n = 400
+    x = np.round(rng.normal(size=n), 3)
+    group = np.where((x < 0) ^ (rng.random(n) < 0.2), "a", "b")
+    labels = np.where(rng.random(n) < expit(2 * x), 1, -1)
+    scores = np.round(expit(1.5 * x - 0.5 * (group == "a")), 4)
+    data = tmp_path / "d.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write("x,group,label,score\n")
+        fh.writelines(f"{a},{g},{y},{s}\n" for a, g, y, s in zip(x, group, labels, scores))
+    model = tmp_path / "m.json"
+
+    sys.path.insert(0, PERFBENCH)
+    try:
+        tracer = importlib.import_module("tracer")
+    finally:
+        sys.path.remove(PERFBENCH)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        for argv in (
+            ["train", "--strategy", "sp", "--init", "proxy", "--proxy-depth", "3",
+             "--epsilon", "0.001", "--iterations", "4", "--out", str(tmp_path / "proxy.json")],
+            ["train", "--strategy", "eoo", "--epsilon", "0.001", "--iterations", "4",
+             "--out", str(model)],
+            ["eval", "--model", str(model)],
+        ):
+            assert main([argv[0], "--data", str(data), *argv[1:]]) == 0
+    finally:
+        t.restore()
+    capsys.readouterr()
+    assert [layer for layer in LAYERS_FIRED if t.calls[layer] == 0] == []
