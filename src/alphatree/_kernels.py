@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SplitTest
+from .data import levels
 
 __all__ = [
     "alignment_score",
@@ -93,16 +94,13 @@ def split_search(columns, kinds, stats, score, min_count):
                 continue
             cand = (post, SplitTest(name, "numeric", midpoint_threshold(sv, i), None), prefix[:, i - 1])
         else:
-            values = columns[name]
             kept = []
             sums = []
-            for m in sorted(set(values.tolist())):
-                mask = values == m
-                cl = int(mask.sum())
-                if cl >= min_count and n - cl >= min_count:
+            for m, idx in levels(columns[name]).items():
+                if idx.size >= min_count and n - idx.size >= min_count:
                     kept.append(m)
                     # row sums of a C-contiguous block, as stats.sum sums them
-                    sums.append(stats.compress(mask, axis=1).sum(axis=1))
+                    sums.append(stats.take(idx, axis=1).sum(axis=1))
             if not kept:
                 continue
             left = np.stack(sums, axis=1)

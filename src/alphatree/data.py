@@ -6,13 +6,14 @@ score, optional target-posterior column, and nonnegative row weights.  A View
 is a cheap handle on a weighted subset of rows with weights renormalized to
 sum 1; every expectation in the package is taken under a View.
 
-Per-row auxiliary arrays (scores, target posteriors, nlogit overrides) are
-always aligned with the base Dataset; Views pick rows out by index.
+Per-row auxiliary arrays (scores, target posteriors) are always aligned
+with the base Dataset; Views pick rows out by index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "make_dataset",
     "make_view",
     "full_view",
+    "levels",
     "condition_on_group",
     "empirical_risk",
     "binary_entropy",
@@ -44,6 +46,12 @@ class InfiniteRiskError(ValueError):
     """A score of exactly 0 or 1 met opposing target mass."""
 
 
+def levels(values) -> dict:
+    """Each distinct value in sorted order, mapped to its ascending row indices."""
+    values = np.asarray(values)
+    return {v: np.flatnonzero(values == v) for v in sorted(set(values.tolist()))}
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable desk-scale dataset.
@@ -52,7 +60,7 @@ class Dataset:
     column); feature_names lists the declared split candidates in schema
     order, which fixes split tie-breaking.  groups holds the groups a run
     measures and schedules on; make_dataset also routes them as
-    columns[group_column].
+    columns[group_column]; group_rows, their `levels`, is built once.
     """
 
     columns: dict[str, np.ndarray]
@@ -69,6 +77,10 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.labels.shape[0])
+
+    @cached_property
+    def group_rows(self) -> dict:
+        return levels(self.groups)
 
     def feature_kinds(self) -> dict[str, str]:
         return {name: self.kinds[name] for name in self.feature_names}
@@ -195,8 +207,8 @@ def full_view(ds: Dataset) -> View:
 
 def condition_on_group(ds: Dataset, s) -> View:
     """View of the rows whose sensitive modality equals s."""
-    idx = np.flatnonzero(ds.groups == s)
-    if idx.shape[0] == 0:
+    idx = ds.group_rows.get(s)
+    if idx is None:
         raise EmptyMeasureError(f"group modality {s!r} not observed")
     return make_view(ds, idx)
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, dot, expit, route_rows, single_leaf_tree
+from .data import levels
 
 __all__ = [
     "label_plugin",
@@ -92,6 +93,8 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
         raise DomainError("labels must be ±1")
     if w.shape != y.shape or np.any(w < 0) or w.sum() <= 0:
         raise DomainError("weights must be nonnegative and not all zero")
+    if not kinds:
+        raise DomainError("no feature columns to fit the posterior estimate on")
     pos = y == 1
     neg = ~pos
     w_pos = float(w[pos].sum())
@@ -110,14 +113,13 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
             mn, vn = _weighted_gaussian(values[neg], w[neg], floor)
             features[name] = _NumericFeature(mp, vp, mn, vn)
         elif kind == "categorical":
-            domain = sorted(set(np.asarray(col).tolist()))
+            domain = levels(col)
             d = len(domain)
             logp_pos = {}
             logp_neg = {}
-            for m in domain:
-                mask = np.asarray(col) == m
-                logp_pos[m] = math.log((float(w[pos & mask].sum()) + 1.0) / (w_pos + d + 1.0))
-                logp_neg[m] = math.log((float(w[neg & mask].sum()) + 1.0) / (w_neg + d + 1.0))
+            for m, idx in domain.items():
+                logp_pos[m] = math.log((float(w[idx][pos[idx]].sum()) + 1.0) / (w_pos + d + 1.0))
+                logp_neg[m] = math.log((float(w[idx][neg[idx]].sum()) + 1.0) / (w_neg + d + 1.0))
             features[name] = _CategoricalFeature(
                 logp_pos=logp_pos,
                 logp_neg=logp_neg,
@@ -216,13 +218,16 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     modality in sorted order.  A node splits only when that beats its own
     weighted entropy by more than 1e-12.
     """
-    groups = np.asarray(groups, dtype=object)
-    classes = tuple(sorted(set(groups.tolist())))
-    class_index = {c: i for i, c in enumerate(classes)}
-    y = np.array([class_index[g] for g in groups.tolist()])
+    rows = levels(np.asarray(groups, dtype=object))
+    classes = tuple(rows)
+    y = np.empty(len(groups), dtype=np.int64)
+    for i, idx in enumerate(rows.values()):
+        y[idx] = i
     n = len(y)
     if n == 0:
         raise DomainError("need at least one row")
+    if not kinds:
+        raise DomainError("no feature columns to grow the proxy group tree on")
     one_hot = np.eye(len(classes), dtype=np.int64)
 
     def counts_of(idx):

@@ -42,6 +42,11 @@ __all__ = [
 K_CAP = 100.0
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError("eps must be positive and finite")
+
+
 @dataclass(frozen=True)
 class CvarSpec:
     """Worst-tail driver configuration."""
@@ -54,6 +59,8 @@ class CvarSpec:
     def __post_init__(self):
         if not (0.0 <= self.beta < 1.0):
             raise DomainError("beta must lie in [0, 1)")
+        if not math.isfinite(self.risk_threshold):
+            raise DomainError("risk_threshold must be finite")
         if self.outer_rounds < 0:
             raise DomainError("outer_rounds must be >= 0")
 
@@ -72,10 +79,9 @@ class EooSpec:
     induction: InductionConfig = field(default_factory=InductionConfig)
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise DomainError("eps must be positive")
-        if self.K <= 1.0:
-            raise DomainError("K must exceed 1")
+        _check_eps(self.eps)
+        if not (math.isfinite(self.K) and self.K > 1.0):
+            raise DomainError("K must be finite and exceed 1")
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,7 @@ class SpSpec:
     induction: InductionConfig = field(default_factory=InductionConfig)
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise DomainError("eps must be positive")
+        _check_eps(self.eps)
         if self.direction not in ("up", "down"):
             raise DomainError(f"unknown direction {self.direction!r}")
         if self.outer_rounds < 0:
@@ -113,10 +118,7 @@ class PushupParams:
 
 def _group_weights(ds: Dataset) -> dict:
     total = float(ds.weights.sum())
-    out = {}
-    for g in sorted(set(ds.groups.tolist())):
-        out[g] = float(ds.weights[ds.groups == g].sum()) / total
-    return out
+    return {g: float(ds.weights[idx].sum()) / total for g, idx in ds.group_rows.items()}
 
 
 def _eta_base(ds: Dataset, eta_t) -> np.ndarray:
@@ -126,16 +128,16 @@ def _eta_base(ds: Dataset, eta_t) -> np.ndarray:
     return eta
 
 
-def group_means(values: np.ndarray, groups: np.ndarray, weights: np.ndarray) -> dict:
+def group_means(values: np.ndarray, weights: np.ndarray, group_rows: Mapping) -> dict:
     """Weighted mean of a per-row quantity over each group's rows.
 
-    Groups come in sorted order.  Each group's weights are normalized to sum
-    1 and dotted with its values, the arithmetic of a group View.  A group
-    whose rows carry no weight raises EmptyMeasureError.
+    group_rows maps each group, in result order, to its row indices.  Each
+    group's weights are normalized to sum 1 and dotted with its values, the
+    arithmetic of a group View; a group whose rows carry no weight raises
+    EmptyMeasureError.
     """
     out = {}
-    for g in sorted(set(groups.tolist())):
-        idx = np.flatnonzero(groups == g)
+    for g, idx in group_rows.items():
         w = weights[idx]
         total = w.sum()
         if total <= 0:
@@ -151,7 +153,7 @@ def subgroup_risks(ds: Dataset, tree: AlphaTree, eta_t=None) -> dict:
     """
     eta = label_plugin(ds.labels) if eta_t is None else _eta_base(ds, eta_t)
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    return group_means(_risk_terms(q_f, eta), ds.groups, ds.weights)
+    return group_means(_risk_terms(q_f, eta), ds.weights, ds.group_rows)
 
 
 def cvar_quantile(risks: Mapping, beta: float) -> tuple[float, list]:
@@ -206,7 +208,7 @@ def run_cvar(
     outer_rounds, or when a round fails to lower the tail mean.  The target
     posterior defaults to the label plug-in.
     """
-    modalities = sorted(set(ds.groups.tolist()))
+    modalities = list(ds.group_rows)
     trace = RunTrace()
     if tree0 is None:
         tree = init_stump(modalities, ds.group_column)
@@ -295,14 +297,10 @@ def pushup_posterior(eta, v: View, p: float, delta: float) -> tuple[np.ndarray, 
     return out, params
 
 
-def _positive_rates(ds: Dataset, q_f: np.ndarray, rows=True) -> dict:
-    """Weighted P(q_f > 1/2 | Y = +1, group) of every group with positive rows.
-
-    Only rows selected by the boolean mask rows take part.  A wrapped score
-    of exactly 1/2 counts as a negative prediction.
-    """
-    rows = rows & (ds.labels == 1)
-    return group_means((q_f[rows] > 0.5).astype(float), ds.groups[rows], ds.weights[rows])
+def _positive_rows(ds: Dataset) -> dict:
+    """Positive-label row indices of every group that has positive rows."""
+    pos = ds.labels == 1
+    return {g: idx[pos[idx]] for g, idx in ds.group_rows.items() if pos[idx].any()}
 
 
 def advantage_rate(ds: Dataset, tree: AlphaTree, group) -> float:
@@ -311,10 +309,10 @@ def advantage_rate(ds: Dataset, tree: AlphaTree, group) -> float:
     A wrapped score of exactly 1/2 counts as a negative prediction.
     """
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    rates = _positive_rates(ds, q_f, ds.groups == group)
-    if group not in rates:
+    rows = _positive_rows(ds)
+    if group not in rows:
         raise EmptyMeasureError(f"group {group!r} has no positive rows")
-    return rates[group]
+    return group_means((q_f > 0.5).astype(float), ds.weights, {group: rows[group]})[group]
 
 
 def _rates(ds: Dataset, tree: AlphaTree) -> dict:
@@ -323,12 +321,8 @@ def _rates(ds: Dataset, tree: AlphaTree) -> dict:
     A group without such rows has no rate and is skipped.
     """
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    pos = ds.labels == 1
-    rows = np.ones(ds.n, dtype=bool)
-    for g in set(ds.groups[pos & (ds.weights == 0)].tolist()):
-        if not ds.weights[pos & (ds.groups == g)].any():
-            rows &= ds.groups != g
-    out = _positive_rates(ds, q_f, rows)
+    rows = {g: idx for g, idx in _positive_rows(ds).items() if ds.weights[idx].any()}
+    out = group_means((q_f > 0.5).astype(float), ds.weights, rows)
     if len(out) < 2:
         raise EmptyMeasureError("equal opportunity needs >= 2 groups with positives")
     return out
@@ -364,7 +358,7 @@ def run_eoo(
     """
     if eta_estimate is None:
         raise DomainError("run_eoo needs a posterior estimate for every row")
-    modalities = sorted(set(ds.groups.tolist()))
+    modalities = list(ds.group_rows)
     tree = tree0 if tree0 is not None else init_stump(modalities, ds.group_column)
     trace = RunTrace()
     eta = _eta_base(ds, eta_estimate)
@@ -434,16 +428,16 @@ def run_sp(
     outer round, so the grown side follows the argmin/argmax as they move;
     the reference side of the final round is never modified.
     """
-    modalities = sorted(set(ds.groups.tolist()))
+    modalities = list(ds.group_rows)
     if len(modalities) < 2:
         raise EmptyMeasureError("statistical parity needs >= 2 groups")
     tree = tree0 if tree0 is not None else init_stump(modalities, ds.group_column)
     trace = RunTrace()
 
-    score_means = group_means(ds.scores, ds.groups, ds.weights)
+    score_means = group_means(ds.scores, ds.weights, ds.group_rows)
     it = 0
     for r in range(spec.outer_rounds):
-        means = group_means(wrapped_scores(tree, ds.columns, ds.scores), ds.groups, ds.weights)
+        means = group_means(wrapped_scores(tree, ds.columns, ds.scores), ds.weights, ds.group_rows)
         s_hi = max(sorted(means, key=str), key=lambda g: means[g])
         s_lo = min(sorted(means, key=str), key=lambda g: means[g])
         gap = means[s_hi] - means[s_lo]
@@ -462,7 +456,7 @@ def run_sp(
         )
         it = trace.last_iteration() + 1
 
-    means = group_means(wrapped_scores(tree, ds.columns, ds.scores), ds.groups, ds.weights)
+    means = group_means(wrapped_scores(tree, ds.columns, ds.scores), ds.weights, ds.group_rows)
     gap = max(means.values()) - min(means.values())
     trace.add(it, "sp_gap", gap, event="final")
     for g in modalities:

@@ -540,16 +540,23 @@ SPLIT_FRACTIONS = (0.4, 0.4, 0.2)
 
 
 def resolve_seed(flag_value: int | None) -> int:
-    """Seed precedence: explicit flag, then ALPHATREE_SEED, then 0."""
+    """Seed precedence: explicit flag, then ALPHATREE_SEED, then 0.
+
+    A seed must be a nonnegative integer, as the generator takes it.
+    """
     if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("ALPHATREE_SEED")
-    if env is not None and env != "":
+        seed, source = int(flag_value), "--seed"
+    else:
+        env = os.environ.get("ALPHATREE_SEED")
+        if env is None or env == "":
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "ALPHATREE_SEED"
         except ValueError:
             raise DomainError(f"ALPHATREE_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise DomainError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def split_plan(labels, groups, seed: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from .data import Dataset, EmptyMeasureError, full_view
 # advantage_rate is not called here; it stays bound for perfbench/tracer.py, which swaps it by name
 from .fairness import (
     _group_weights,
-    _positive_rates,
+    _positive_rows,
     advantage_rate,
     cvar_value,
     group_means,
@@ -49,8 +49,8 @@ def _spread(means: dict) -> float:
 def metric_eoo_gap(ds: Dataset, tree: AlphaTree) -> float:
     """Largest spread of P(pred = 1 | Y = +1, group) across groups."""
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    rates = _positive_rates(ds, q_f)
-    missing = sorted(set(ds.groups.tolist()) - rates.keys())
+    rates = group_means((q_f > 0.5).astype(float), ds.weights, _positive_rows(ds))
+    missing = [g for g in ds.group_rows if g not in rates]
     if missing:
         raise EmptyMeasureError(f"group {missing[0]!r} has no positive rows")
     return _spread(rates)
@@ -59,13 +59,13 @@ def metric_eoo_gap(ds: Dataset, tree: AlphaTree) -> float:
 def metric_sp_gap(ds: Dataset, tree: AlphaTree) -> float:
     """Largest spread of the mean wrapped score across groups."""
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    return _spread(group_means(q_f, ds.groups, ds.weights))
+    return _spread(group_means(q_f, ds.weights, ds.group_rows))
 
 
 def metric_md(ds: Dataset, tree: AlphaTree) -> float:
     """Largest spread of P(pred = 1 | group) across groups."""
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    return _spread(group_means((q_f > 0.5).astype(float), ds.groups, ds.weights))
+    return _spread(group_means((q_f > 0.5).astype(float), ds.weights, ds.group_rows))
 
 
 def metric_zero_one(ds: Dataset, tree: AlphaTree) -> float:

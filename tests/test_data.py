@@ -1,9 +1,12 @@
 """Dataset assembly, weighted views, risk, and traces."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphatree import (
     DomainError,
@@ -23,6 +26,7 @@ from alphatree import (
     route_rows,
     stump,
 )
+from alphatree.data import levels
 
 from helpers import probe_columns, random_dataset, random_tree
 
@@ -125,6 +129,37 @@ def test_condition_on_group_selects_rows():
     assert np.array_equal(va.indices, [0, 1, 2])
     with pytest.raises(EmptyMeasureError):
         condition_on_group(ds, "zzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_levels_equals_one_scan_per_sorted_value(data):
+    names = data.draw(st.lists(st.text(max_size=3), min_size=1, max_size=6, unique=True))
+    picks = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=80))
+    values = np.array([names[i] for i in picks], dtype=object)
+    expect = {v: np.flatnonzero(values == v) for v in sorted(set(values.tolist()))}
+    got = levels(values)
+    assert list(got) == list(expect)
+    for v, idx in expect.items():
+        assert got[v].dtype == idx.dtype
+        assert np.array_equal(got[v], idx)
+
+
+def test_group_rows_index_the_groups_of_each_dataset():
+    ds = tiny_dataset()
+    rows = ds.group_rows
+    assert list(rows) == ["a", "b"]
+    assert np.array_equal(rows["a"], [0, 1, 2]) and np.array_equal(rows["b"], [3, 4, 5])
+    assert ds.group_rows is rows
+    g2 = np.array(["d", "c", "d", "e", "c", "d"], dtype=object)
+    ds2 = dataclasses.replace(ds, groups=g2, columns={**ds.columns, ds.group_column: g2})
+    assert list(ds2.group_rows) == ["c", "d", "e"]
+    for g, idx in ds2.group_rows.items():
+        assert np.array_equal(idx, np.flatnonzero(g2 == g))
+    assert np.array_equal(condition_on_group(ds2, "d").indices, [0, 2, 5])
+    with pytest.raises(EmptyMeasureError):
+        condition_on_group(ds2, "a")
+    assert ds.group_rows is rows and list(rows) == ["a", "b"]
 
 
 def test_route_rows_matches_pointwise_evaluation():

@@ -100,6 +100,13 @@ def test_gaussian_fit_validation():
         gaussian_plugin_fit(x, {"x": "numeric"}, np.array([1, -1]), np.array([1.0, -1.0]))
 
 
+def test_estimators_need_a_feature_column():
+    with pytest.raises(DomainError, match="no feature columns"):
+        gaussian_plugin_fit({}, {}, np.array([1, -1]), np.ones(2))
+    with pytest.raises(DomainError, match="no feature columns"):
+        proxy_group_tree({}, {}, np.array(["a", "b"], dtype=object))
+
+
 def test_gaussian_row_order_invariance():
     rng = np.random.default_rng(0)
     n = 200

@@ -304,9 +304,9 @@ def test_group_means_equals_view_loop(seed, n_groups, n, zero_group):
         expect = group_means_reference(ds, values)
     except EmptyMeasureError:
         with pytest.raises(EmptyMeasureError):
-            group_means(values, ds.groups, ds.weights)
+            group_means(values, ds.weights, ds.group_rows)
         return
-    got = group_means(values, ds.groups, ds.weights)
+    got = group_means(values, ds.weights, ds.group_rows)
     assert list(got) == list(expect)
     assert got == expect
 
@@ -410,6 +410,20 @@ def test_run_sp_stops_immediately_when_within_eps():
     assert tree.n_leaves == 2
     assert all(l.alpha == 1.0 for l in tree.leaves())
     assert len(trace.values("sp_gap")) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_specs_reject_non_finite_settings(bad):
+    with pytest.raises(DomainError, match="eps must be positive and finite"):
+        EooSpec(eps=bad)
+    with pytest.raises(DomainError, match="eps must be positive and finite"):
+        SpSpec(eps=bad)
+    with pytest.raises(DomainError, match="K must be finite and exceed 1"):
+        EooSpec(eps=0.1, K=bad)
+    with pytest.raises(DomainError, match="risk_threshold must be finite"):
+        CvarSpec(beta=0.5, risk_threshold=bad)
+    assert EooSpec(eps=1e300, K=1e300).K == 1e300
+    assert CvarSpec(beta=0.5, risk_threshold=-1.0).risk_threshold == -1.0
 
 
 def test_run_sp_validation():

@@ -1034,6 +1034,69 @@ def test_cli_split_roles_and_seed_env(tmp_path, capsys, monkeypatch):
     assert "ALPHATREE_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, source):
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    model = tmp_path / "m.json"
+    args = train_args(data, model)
+    args[args.index("all")] = "train"
+    if source == "flag":
+        monkeypatch.delenv("ALPHATREE_SEED", raising=False)
+        args += ["--seed", "-1"]
+        message = "error: --seed must be a nonnegative integer, got -1"
+    else:
+        monkeypatch.setenv("ALPHATREE_SEED", "-4")
+        message = "error: ALPHATREE_SEED must be a nonnegative integer, got -4"
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("strategy, flag, value, message", [
+    ("eoo", "--epsilon", "nan", "eps must be positive and finite"),
+    ("sp", "--epsilon", "nan", "eps must be positive and finite"),
+    ("sp", "--epsilon", "inf", "eps must be positive and finite"),
+    ("eoo", "--K", "nan", "K must be finite and exceed 1"),
+    ("eoo", "--K", "inf", "K must be finite and exceed 1"),
+    ("cvar", "--risk-threshold", "nan", "risk_threshold must be finite"),
+])
+def test_cli_rejects_non_finite_driver_settings(tmp_path, capsys, strategy, flag, value, message):
+    data = tmp_path / "d.csv"
+    proxy_csv(data)
+    model = tmp_path / "m.json"
+    args = ["train", "--data", str(data), "--strategy", strategy, "--split", "all",
+            "--rounds", "1", "--iterations", "2", "--out", str(model)]
+    assert main(args) == 0
+    capsys.readouterr()
+    model.unlink()
+    assert main(args + [flag, value]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--strategy", "cvar", "--estimator", "gaussian"],
+     "no feature columns to fit the posterior estimate on"),
+    (["--strategy", "eoo", "--estimator", "gaussian"],
+     "no feature columns to fit the posterior estimate on"),
+    (["--strategy", "sp", "--init", "proxy"], "no feature columns to grow the proxy group tree on"),
+    (["--strategy", "cvar", "--init", "proxy"], "no feature columns to grow the proxy group tree on"),
+])
+def test_cli_rejects_a_file_without_feature_columns(tmp_path, capsys, flags, message):
+    data = tmp_path / "d.csv"
+    write_csv(data, ["label", "group", "score"],
+              [[1 if i % 3 else -1, "ab"[i % 2], round(0.2 + 0.01 * i, 2)] for i in range(60)])
+    model = tmp_path / "m.json"
+    args = ["train", "--data", str(data), "--split", "all", "--out", str(model)]
+    assert main(args + ["--strategy", flags[1]]) == 0
+    capsys.readouterr()
+    model.unlink()
+    assert main(args + flags) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not model.exists()
+
+
 def test_cli_train_with_proxy_init(tmp_path, capsys):
     data = tmp_path / "d.csv"
     cli_csv(data)

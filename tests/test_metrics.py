@@ -67,6 +67,14 @@ def test_metric_eoo_gap_needs_positives_in_every_group():
         metric_eoo_gap(ds, single_leaf_tree())
 
 
+def test_metric_eoo_gap_names_a_weightless_group_before_a_group_without_positives():
+    # 'a' has no positive rows; the positive rows of 'b' carry no weight
+    ds = featureless([0.6] * 4, [-1, -1, 1, -1], ["a", "a", "b", "b"],
+                     weights=[1.0, 1.0, 0.0, 1.0])
+    with pytest.raises(EmptyMeasureError, match="group 'b' has zero total weight"):
+        metric_eoo_gap(ds, single_leaf_tree())
+
+
 def test_metric_sp_gap_constant_posteriors():
     ds = featureless([0.6] * 5 + [0.3] * 5, [1, -1] * 5,
                      ["a"] * 5 + ["b"] * 5)
