@@ -193,27 +193,24 @@ def edge(v: View, eta_t, scores, B: float, nlogit_values=None) -> float:
 
 
 def leaf_alpha_conservative(edge_value: float, B: float) -> float:
-    """Leaf label (1/B) * log((1+edge)/(1-edge)), clamped near |edge| = 1."""
-    e = min(1.0, max(-1.0, float(edge_value)))
-    if abs(e) >= 1.0 - EDGE_EPS:
-        return math.copysign(A_MAX, e)
+    """Leaf label (1/B) * log((1+edge)/(1-edge)), the edge clamped into
+    [-(1 - EDGE_EPS), 1 - EDGE_EPS]: |alpha| * B <= log((2 - EDGE_EPS)/EDGE_EPS),
+    about 21.42, so a wrapped clipped score never rounds to 0 or 1."""
+    e = min(1.0 - EDGE_EPS, max(EDGE_EPS - 1.0, float(edge_value)))
     a = math.log((1.0 + e) / (1.0 - e)) / float(B)
     return min(A_MAX, max(-A_MAX, a))
 
 
 def leaf_alpha_audacious(e_pos: float, e_neg: float, B: float) -> float:
-    """Leaf label (1/B) * log(e+/e-), clamped when either part vanishes."""
+    """Leaf label (1/B) * log(e+/e-), each part floored at EDGE_EPS:
+    |alpha| * B <= log(1/EDGE_EPS), about 20.72."""
     e_pos = float(e_pos)
     e_neg = float(e_neg)
     if e_pos < 0 or e_neg < 0:
         raise DomainError("edge parts must be nonnegative")
     if e_pos < EDGE_EPS and e_neg < EDGE_EPS:
         raise UndefinedLeafError("leaf has no alignment signal (e+ = e- = 0)")
-    if e_neg < EDGE_EPS:
-        return A_MAX
-    if e_pos < EDGE_EPS:
-        return -A_MAX
-    a = math.log(e_pos / e_neg) / float(B)
+    a = math.log(max(e_pos, EDGE_EPS) / max(e_neg, EDGE_EPS)) / float(B)
     return min(A_MAX, max(-A_MAX, a))
 
 
@@ -430,10 +427,12 @@ def topdown(
 ) -> tuple[AlphaTree, RunTrace]:
     """Heaviest-leaf top-down induction.
 
-    Each iteration relabels every reached leaf, then splits the heaviest
-    leaf that admits a size-feasible, entropy-improving split.  Stops when
-    the budget runs out, no leaf can be split, or the view risk reaches
-    risk_stop.  The per-iteration tree entropy sequence is non-increasing.
+    Iteration 0 takes tree0 as it is; every later iteration first splits
+    the heaviest leaf that admits a size-feasible, entropy-improving split.
+    Every iteration then relabels every reached leaf and records the tree
+    entropy and the view risk.  Stops when the budget runs out, no leaf can
+    be split, or the view risk reaches risk_stop.  The per-iteration tree
+    entropy sequence is non-increasing.
 
     The view's rows are routed once; afterwards every row keeps its leaf
     id, and a split rewrites only the ids of the rows of the leaf it
@@ -449,50 +448,35 @@ def topdown(
     view_columns = {name: col[v.indices] for name, col in v.base.columns.items()}
     leaf_ids_rows = route_rows(tree0, view_columns, v.n)
     tree = tree0
-
-    def sync(tree: AlphaTree) -> tuple[AlphaTree, dict[int, LeafStats]]:
+    for it in range(cfg.max_iterations + 1):
+        event = ""
+        if it:
+            for st in sorted(stats.values(), key=lambda st: (-st.mass, st.leaf_id)):
+                if st.count < 2 * cfg.min_child_count:
+                    continue
+                rows = np.flatnonzero(leaf_ids_rows == st.leaf_id)
+                leaf_v = make_view(v.base, v.indices[rows], raw_weights=v.weights[rows])
+                cand = best_split(leaf_v, eta_t, scores, B, cfg)
+                if cand is not None:
+                    break
+            else:
+                break  # no leaf can be split
+            test = cand.test()
+            base_id = tree.max_leaf_id()
+            subtree = Node(test, Leaf(base_id + 1, 1.0), Leaf(base_id + 2, 1.0))
+            tree = tree.replace_leaf(st.leaf_id, subtree)
+            passes = test.passes_rows(view_columns[test.feature][rows])
+            leaf_ids_rows[rows] = np.where(passes, base_id + 1, base_id + 2)
+            event = f"split leaf={st.leaf_id} {test.describe()}"
         stats = leaf_stats(v, tree, eta_t, scores, B, leaf_ids_rows=leaf_ids_rows, signals=signals)
-        return relabel_leaves(tree, stats, cfg.scoring, B), stats
-
-    def emit(it: int, tree: AlphaTree, stats, event: str = "") -> float:
-        h = float(sum(st.mass * st.entropy for st in stats.values()))
+        tree = relabel_leaves(tree, stats, cfg.scoring, B)
+        h = sum(st.mass * st.entropy for st in stats.values())
         q_f = apply_alpha(scores_rows, alpha_table(tree)[leaf_ids_rows])
         risk = dot(v.weights, _risk_terms(q_f, signals.eta))
         trace.add(iteration_start + it, "tree_entropy", h, event=event)
         trace.add(iteration_start + it, "risk", risk)
-        return risk
-
-    tree, stats = sync(tree)
-    risk = emit(0, tree, stats)
-    if risk_stop is not None and risk <= risk_stop:
-        return tree, trace
-
-    for it in range(1, cfg.max_iterations + 1):
-        chosen = None
-        order = sorted(stats.values(), key=lambda st: (-st.mass, st.leaf_id))
-        for st in order:
-            if st.count < 2 * cfg.min_child_count:
-                continue
-            rows = np.flatnonzero(leaf_ids_rows == st.leaf_id)
-            leaf_v = make_view(v.base, v.indices[rows], raw_weights=v.weights[rows])
-            cand = best_split(leaf_v, eta_t, scores, B, cfg)
-            if cand is not None:
-                chosen = (st, cand, rows)
-                break
-        if chosen is None:
-            break
-        st, cand, rows = chosen
-        test = cand.test()
-        base_id = tree.max_leaf_id()
-        subtree = Node(test, Leaf(base_id + 1, 1.0), Leaf(base_id + 2, 1.0))
-        tree = tree.replace_leaf(st.leaf_id, subtree)
-        passes = test.passes_rows(view_columns[test.feature][rows])
-        leaf_ids_rows[rows] = np.where(passes, base_id + 1, base_id + 2)
-        tree, stats = sync(tree)
-        risk = emit(it, tree, stats, event=f"split leaf={st.leaf_id} {test.describe()}")
         if risk_stop is not None and risk <= risk_stop:
             break
-
     return tree, trace
 
 

@@ -268,6 +268,11 @@ class RunTrace:
             raise ValueError("trace iterations must be non-decreasing")
         self.rows.append(TraceRow(iteration, metric, float(value), group, event))
 
+    def add_groups(self, iteration: int, metric: str, values: Mapping) -> None:
+        """One row per group of values, in the mapping's order."""
+        for g, value in values.items():
+            self.add(iteration, metric, value, group=str(g))
+
     def last_iteration(self) -> int:
         return self.rows[-1].iteration if self.rows else -1
 

@@ -218,6 +218,8 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     modality in sorted order.  A node splits only when that beats its own
     weighted entropy by more than 1e-12.
     """
+    if max_depth < 0:
+        raise DomainError(f"proxy group tree depth must be >= 0, got {max_depth}")
     rows = levels(np.asarray(groups, dtype=object))
     classes = tuple(rows)
     y = np.empty(len(groups), dtype=np.int64)

@@ -221,18 +221,19 @@ def run_cvar(
 
     it = 0
     prev_cvar = math.inf
-    for r in range(spec.outer_rounds):
+    for r in range(spec.outer_rounds + 1):
         risks = subgroup_risks(ds, tree, eta)
-        threshold, tail = cvar_quantile(risks, spec.beta)
+        _, tail = cvar_quantile(risks, spec.beta)
         cvar = cvar_value(risks, spec.beta, gw)
-        trace.add(it, "cvar", cvar, event=f"round {r} tail={','.join(str(g) for g in tail)}")
-        for g in modalities:
-            trace.add(it, "group_risk", risks[g], group=str(g))
-        if cvar <= spec.risk_threshold:
-            return tree, trace
+        final = r == spec.outer_rounds
+        event = "final" if final else f"round {r} tail={','.join(str(g) for g in tail)}"
+        trace.add(it, "cvar", cvar, event=event)
+        trace.add_groups(it, "group_risk", risks)
+        if final or cvar <= spec.risk_threshold:
+            break
         if cvar >= prev_cvar - 1e-12 and r > 0:
             trace.add(it, "cvar", cvar, event="no-progress")
-            return tree, trace
+            break
         prev_cvar = cvar
         worst = max(sorted(tail, key=str), key=lambda g: risks[g])
         v = condition_on_group(ds, worst)
@@ -241,12 +242,6 @@ def run_cvar(
             trace=trace, iteration_start=it,
         )
         it = trace.last_iteration() + 1
-
-    risks = subgroup_risks(ds, tree, eta)
-    cvar = cvar_value(risks, spec.beta, gw)
-    trace.add(it, "cvar", cvar, event="final")
-    for g in modalities:
-        trace.add(it, "group_risk", risks[g], group=str(g))
     return tree, trace
 
 
@@ -364,25 +359,24 @@ def run_eoo(
     eta = _eta_base(ds, eta_estimate)
     eps = spec.eps
 
-    rates = _rates(ds, tree)
-    s_star = max(sorted(rates, key=str), key=lambda g: rates[g])
-    rate_star = rates[s_star]
-    k = _raise_k(float(spec.K), eps, rate_star)
-    p = min(1.0, rate_star + eps / (k - 1.0))
-    delta = k * eps / (k - 1.0)
-
     one_split = replace(spec.induction, max_iterations=1)
     it = 0
     s_low_prev = None
     pushed = None
-    for step in range(spec.induction.max_iterations):
+    final = False
+    for step in range(spec.induction.max_iterations + 1):
         rates = _rates(ds, tree)
+        if step == 0:
+            s_star = max(sorted(rates, key=str), key=lambda g: rates[g])
+            k = _raise_k(float(spec.K), eps, rates[s_star])
+            p = min(1.0, rates[s_star] + eps / (k - 1.0))
+            delta = k * eps / (k - 1.0)
+        final = final or step == spec.induction.max_iterations
         gap = rates[s_star] - min(rates.values())
-        trace.add(it, "eoo_gap", gap, event=f"step {step} reference={s_star}")
-        for g in sorted(rates, key=str):
-            trace.add(it, "advantage_rate", rates[g], group=str(g))
-        if gap <= eps:
-            return tree, trace
+        trace.add(it, "eoo_gap", gap, event="final" if final else f"step {step} reference={s_star}")
+        trace.add_groups(it, "advantage_rate", {g: rates[g] for g in sorted(rates, key=str)})
+        if final or gap <= eps:
+            break
         others = {g: r for g, r in rates.items() if g != s_star}
         s_low = min(sorted(others, key=str), key=lambda g: others[g])
         v = condition_on_group(ds, s_low)
@@ -398,15 +392,8 @@ def run_eoo(
             trace=trace, iteration_start=it, risk_stop=stop,
         )
         it = trace.last_iteration() + 1
-        risk_now = trace.values("risk")[-1]
-        if risk_now <= stop or tree.n_leaves == n_before:
-            break
-
-    rates = _rates(ds, tree)
-    gap = rates[s_star] - min(rates.values())
-    trace.add(it, "eoo_gap", gap, event="final")
-    for g in sorted(rates, key=str):
-        trace.add(it, "advantage_rate", rates[g], group=str(g))
+        # a step that reaches the risk stop or grows nothing makes the next measurement the last
+        final = trace.values("risk")[-1] <= stop or tree.n_leaves == n_before
     return tree, trace
 
 
@@ -436,16 +423,16 @@ def run_sp(
 
     score_means = group_means(ds.scores, ds.weights, ds.group_rows)
     it = 0
-    for r in range(spec.outer_rounds):
+    for r in range(spec.outer_rounds + 1):
         means = group_means(wrapped_scores(tree, ds.columns, ds.scores), ds.weights, ds.group_rows)
         s_hi = max(sorted(means, key=str), key=lambda g: means[g])
         s_lo = min(sorted(means, key=str), key=lambda g: means[g])
         gap = means[s_hi] - means[s_lo]
-        trace.add(it, "sp_gap", gap, event=f"round {r}")
-        for g in modalities:
-            trace.add(it, "group_mean", means[g], group=str(g))
-        if gap <= spec.eps:
-            return tree, trace
+        final = r == spec.outer_rounds
+        trace.add(it, "sp_gap", gap, event="final" if final else f"round {r}")
+        trace.add_groups(it, "group_mean", means)
+        if final or gap <= spec.eps:
+            break
         grow, ref = (s_lo, s_hi) if spec.direction == "up" else (s_hi, s_lo)
         v = condition_on_group(ds, grow)
         eta_round = np.full(ds.n, 0.5)
@@ -455,10 +442,4 @@ def run_sp(
             trace=trace, iteration_start=it,
         )
         it = trace.last_iteration() + 1
-
-    means = group_means(wrapped_scores(tree, ds.columns, ds.scores), ds.weights, ds.group_rows)
-    gap = max(means.values()) - min(means.values())
-    trace.add(it, "sp_gap", gap, event="final")
-    for g in modalities:
-        trace.add(it, "group_mean", means[g], group=str(g))
     return tree, trace

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import alphatree.boosting as boosting
@@ -40,13 +40,16 @@ from alphatree import (
     topdown,
     tree_entropy,
     wha_check,
+    wrapped_scores,
 )
-from alphatree.core import expit
+from alphatree.core import EDGE_EPS, apply_alpha, expit
 
 from helpers import best_split_reference, conservative_label_objective, random_dataset, saturated_dataset
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
+# largest |alpha| * B of a conservative label: log((2 - EDGE_EPS) / EDGE_EPS)
+CONSERVATIVE_CAP = math.log((2.0 - EDGE_EPS) / EDGE_EPS)
 
 
 def two_row_dataset():
@@ -102,9 +105,11 @@ def test_conservative_alpha_oracles():
 
 
 def test_conservative_alpha_clamps_and_flips():
-    assert leaf_alpha_conservative(1.0, 1.0) == A_MAX
-    assert leaf_alpha_conservative(-1.0, 1.0) == -A_MAX
-    assert leaf_alpha_conservative(1.0 - 1e-12, 1.0) == A_MAX
+    # |edge| is clamped to 1 - EDGE_EPS: alpha * B tops out near 21.42
+    assert leaf_alpha_conservative(1.0, 1.0) == pytest.approx(CONSERVATIVE_CAP, rel=1e-6)
+    assert leaf_alpha_conservative(-1.0, 1.0) == pytest.approx(-CONSERVATIVE_CAP, rel=1e-6)
+    assert leaf_alpha_conservative(1.0 - 1e-12, 1.0) == leaf_alpha_conservative(1.0, 1.0)
+    assert leaf_alpha_conservative(1.0, 0.1) == A_MAX   # the A_MAX clamp stays
     for e in (0.1, 0.35, 0.9):
         assert leaf_alpha_conservative(-e, 2.0) == pytest.approx(
             -leaf_alpha_conservative(e, 2.0), abs=1e-12)
@@ -124,8 +129,10 @@ def test_conservative_alpha_minimizes_objective():
 
 def test_audacious_alpha_basics():
     assert leaf_alpha_audacious(0.3, 0.3, 2.0) == 0.0
-    assert leaf_alpha_audacious(0.5, 0.0, 1.0) == A_MAX
-    assert leaf_alpha_audacious(0.0, 0.5, 1.0) == -A_MAX
+    # a vanished part is floored at EDGE_EPS
+    assert leaf_alpha_audacious(0.5, 0.0, 1.0) == pytest.approx(math.log(0.5 / EDGE_EPS), abs=1e-12)
+    assert leaf_alpha_audacious(0.0, 0.5, 1.0) == pytest.approx(-math.log(0.5 / EDGE_EPS), abs=1e-12)
+    assert leaf_alpha_audacious(0.5, 0.0, 0.01) == A_MAX
     # e+/e- = 3 at B=1 gives exactly log 3
     assert leaf_alpha_audacious(0.6, 0.2, 1.0) == pytest.approx(LOG3, abs=1e-12)
     with pytest.raises(UndefinedLeafError):
@@ -193,7 +200,7 @@ def test_relabel_leaves_conservative_and_frozen():
     t = stump(SplitTest("x", "numeric", 0.5, None), 7.0, 7.0)
     stats = leaf_stats(v, t, eta, ds.scores, 1.0)
     out = relabel_leaves(t, stats, "conservative", 1.0)
-    assert out.alpha_of(0) == A_MAX          # edge exactly 1
+    assert out.alpha_of(0) == pytest.approx(CONSERVATIVE_CAP, rel=1e-6)  # edge exactly 1
     assert out.alpha_of(1) == 0.0            # edge exactly 0
     # a leaf absent from the stats keeps its alpha
     out2 = relabel_leaves(t, {0: stats[0]}, "conservative", 1.0)
@@ -403,6 +410,96 @@ def test_topdown_splits_heaviest_leaf_first():
     tree, trace = topdown(full_view(ds), eta, ds.scores, 1.0, tree0, cfg)
     events = [r.event for r in trace.rows if r.event]
     assert events and "split leaf=0" in events[0]
+
+
+def with_clip_end_rows(rng, ds, eta, k):
+    """ds plus k rows at the clip ends, beyond every row of each numeric feature.
+
+    Their targets all side with their scores, or all against them, so a leaf
+    of these rows alone has edge +-1 and an edge part of 0.
+    """
+    side = np.where(rng.random(k) < 0.5, 1.0, -1.0)
+    sided = side if rng.random() < 0.5 else -side
+    features = {}
+    for name in ds.feature_names:
+        col = ds.columns[name]
+        numeric = ds.kinds[name] == "numeric"
+        extra = np.full(k, col.max() + 1.0) if numeric else np.full(k, "z", dtype=object)
+        features[name] = np.concatenate([col, extra])
+    B = ds.clip_B
+    scores = np.concatenate([ds.scores, expit(B * side)])
+    labels = np.concatenate([ds.labels, np.where(sided > 0, 1, -1)])
+    groups = np.concatenate([ds.groups, np.full(k, "g0", dtype=object)])
+    weights = np.concatenate([ds.weights, rng.uniform(0.5, 2.0, k)])
+    out = make_dataset(features, ds.kinds, labels, groups, scores, B, weights=weights)
+    return out, np.concatenate([eta, (sided > 0).astype(float)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scoring=st.sampled_from(["conservative", "audacious"]))
+@example(seed=0, scoring="conservative")   # a leaf of edge 1 (alpha 50 before the bound)
+@example(seed=0, scoring="audacious")
+def test_trained_leaves_never_saturate_a_clipped_score(seed, scoring):
+    rng = np.random.default_rng(seed)
+    ds, eta = random_dataset(rng, n_min=60, n_max=200)
+    ds, eta = with_clip_end_rows(rng, ds, eta, int(rng.integers(ds.n // 6, ds.n // 2 + 1)))
+    cfg = InductionConfig(max_iterations=6, min_child_count=5, min_child_fraction=0.05,
+                          scoring=scoring)
+    tree, _ = topdown(full_view(ds), eta, ds.scores, ds.clip_B, single_leaf_tree(), cfg)
+    alphas = np.array([leaf.alpha for leaf in tree.leaves()])
+    assert np.all(np.abs(alphas) * ds.clip_B <= 21.5)
+    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    assert np.all((q_f > 0.0) & (q_f < 1.0))
+    # the clip ends are the most extreme clipped scores
+    ends = expit(np.array([-ds.clip_B, ds.clip_B]))
+    for a in alphas.tolist():
+        wrapped = apply_alpha(ends, a)
+        assert np.all((wrapped > 0.0) & (wrapped < 1.0))
+
+
+# ---------------------------------------------------------------------------
+# loop exits: the exact rows each way out of topdown writes
+# ---------------------------------------------------------------------------
+
+
+def row_keys(trace):
+    return [(r.iteration, r.metric, r.group, r.event) for r in trace.rows]
+
+
+def pure_alignment_dataset():
+    """Eight rows at the B=1 clip end; x separates targets 1 and 0 exactly."""
+    n = 8
+    scores = np.full(n, float(expit(1.0)))
+    eta = np.array([1.0] * 4 + [0.0] * 4)
+    ds = make_dataset({"x": np.array([0.0] * 4 + [1.0] * 4)}, {"x": "numeric"},
+                      np.array([1] * 4 + [-1] * 4), ["g"] * n, scores, 1.0)
+    return ds, eta
+
+
+@pytest.mark.parametrize("cfg, risk_stop", [
+    (InductionConfig(max_iterations=0, min_child_count=1, min_child_fraction=0.01), None),
+    (InductionConfig(max_iterations=8, min_child_count=1, min_child_fraction=0.01), float("inf")),
+])
+def test_topdown_exit_at_iteration_0(cfg, risk_stop):
+    # the budget is spent, or the risk stop is met, before any split
+    ds, eta = pure_alignment_dataset()
+    tree, trace = topdown(full_view(ds), eta, ds.scores, 1.0, single_leaf_tree(), cfg,
+                          iteration_start=3, risk_stop=risk_stop)
+    assert tree.n_leaves == 1
+    assert row_keys(trace) == [(3, "tree_entropy", "", ""), (3, "risk", "", "")]
+
+
+def test_topdown_exit_when_no_leaf_can_be_split():
+    # one split leaves two pure leaves; the rest of the budget goes unused
+    ds, eta = pure_alignment_dataset()
+    cfg = InductionConfig(max_iterations=5, min_child_count=1, min_child_fraction=0.01)
+    tree, trace = topdown(full_view(ds), eta, ds.scores, 1.0, single_leaf_tree(), cfg,
+                          iteration_start=3)
+    assert tree.n_leaves == 2
+    assert row_keys(trace) == [
+        (3, "tree_entropy", "", ""), (3, "risk", "", ""),
+        (4, "tree_entropy", "", "split leaf=0 x <= 0.5"), (4, "risk", "", ""),
+    ]
 
 
 def test_induction_config_validation():

@@ -412,6 +412,114 @@ def test_run_sp_stops_immediately_when_within_eps():
     assert len(trace.values("sp_gap")) == 1
 
 
+# ---------------------------------------------------------------------------
+# loop exits: the exact rows each way out of a driver writes
+# ---------------------------------------------------------------------------
+
+
+def row_keys(trace):
+    return [(r.iteration, r.metric, r.group, r.event) for r in trace.rows]
+
+
+INITS = [(0, "subtree_init", "a", "init"), (0, "subtree_init", "b", "init")]
+
+
+def test_run_cvar_exit_with_no_rounds():
+    _, trace = run_cvar(three_row_dataset(), CvarSpec(beta=0.5, outer_rounds=0))
+    assert row_keys(trace) == INITS + [
+        (0, "cvar", "", "final"), (0, "group_risk", "a", ""), (0, "group_risk", "b", ""),
+    ]
+
+
+def test_run_cvar_exit_when_threshold_met_in_round_0():
+    _, trace = run_cvar(three_row_dataset(), CvarSpec(beta=0.5, risk_threshold=10.0, outer_rounds=4))
+    assert row_keys(trace) == INITS + [
+        (0, "cvar", "", "round 0 tail=a"), (0, "group_risk", "a", ""), (0, "group_risk", "b", ""),
+    ]
+
+
+def test_run_cvar_exit_on_no_progress():
+    # with no split budget a round only relabels; the second relabel changes nothing
+    ds = make_dataset({"x": np.zeros(6)}, {"x": "numeric"}, np.array([1, 1, -1, 1, -1, 1]),
+                      ["g"] * 6, np.array([0.3, 0.6, 0.7, 0.8, 0.4, 0.55]), 2.0)
+    spec = CvarSpec(beta=0.5, outer_rounds=5, induction=InductionConfig(max_iterations=0))
+    _, trace = run_cvar(ds, spec)
+    assert row_keys(trace) == [
+        (0, "subtree_init", "g", "init"),
+        (0, "cvar", "", "round 0 tail=g"), (0, "group_risk", "g", ""),
+        (0, "tree_entropy", "", ""), (0, "risk", "", ""),
+        (1, "cvar", "", "round 1 tail=g"), (1, "group_risk", "g", ""),
+        (1, "tree_entropy", "", ""), (1, "risk", "", ""),
+        (2, "cvar", "", "round 2 tail=g"), (2, "group_risk", "g", ""),
+        (2, "cvar", "", "no-progress"),
+    ]
+
+
+def test_run_sp_exit_with_no_rounds():
+    _, trace = run_sp(sp_constant_fixture(), SpSpec(eps=0.1, outer_rounds=0))
+    assert row_keys(trace) == [
+        (0, "sp_gap", "", "final"), (0, "group_mean", "a", ""), (0, "group_mean", "b", ""),
+    ]
+
+
+def test_run_sp_exit_when_gap_closed_in_round_0():
+    _, trace = run_sp(sp_constant_fixture(), SpSpec(eps=0.5, outer_rounds=6))
+    assert row_keys(trace) == [
+        (0, "sp_gap", "", "round 0"), (0, "group_mean", "a", ""), (0, "group_mean", "b", ""),
+    ]
+
+
+def test_run_eoo_exit_with_no_steps():
+    ds = advantage_fixture()
+    spec = EooSpec(eps=0.1, induction=InductionConfig(max_iterations=0))
+    _, trace = run_eoo(ds, spec, eta_estimate=label_plugin(ds.labels))
+    assert row_keys(trace) == [
+        (0, "eoo_gap", "", "final"), (0, "advantage_rate", "A", ""), (0, "advantage_rate", "B", ""),
+    ]
+
+
+def test_run_eoo_exit_when_gap_closed_at_step_0():
+    ds = advantage_fixture()
+    spec = EooSpec(eps=0.5, induction=InductionConfig(max_iterations=8))
+    _, trace = run_eoo(ds, spec, eta_estimate=label_plugin(ds.labels))
+    assert row_keys(trace) == [
+        (0, "eoo_gap", "", "step 0 reference=A"),
+        (0, "advantage_rate", "A", ""), (0, "advantage_rate", "B", ""),
+    ]
+
+
+def test_run_eoo_exit_after_a_risk_stop():
+    # every row of b is a positive at the low clip end; the push-up lifts all
+    # of b's targets to 1, so relabeling b's leaf meets the risk stop at once
+    scores = np.array([0.8] * 8 + [0.3] * 2 + [0.01] * 10)
+    ds = make_dataset({"x": np.zeros(20)}, {"x": "numeric"}, np.ones(20, dtype=int),
+                      ["a"] * 10 + ["b"] * 10, scores, 2.0)
+    eta = np.array([0.7] * 10 + [0.3] * 10)
+    spec = EooSpec(eps=0.3, K=2.0, induction=InductionConfig(max_iterations=5))
+    _, trace = run_eoo(ds, spec, eta_estimate=eta)
+    assert row_keys(trace) == [
+        (0, "eoo_gap", "", "step 0 reference=a"),
+        (0, "advantage_rate", "a", ""), (0, "advantage_rate", "b", ""),
+        (0, "tree_entropy", "", ""), (0, "risk", "", ""),
+        (1, "eoo_gap", "", "final"), (1, "advantage_rate", "a", ""), (1, "advantage_rate", "b", ""),
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_run_eoo_wraps_once_per_measurement(monkeypatch, k):
+    # every one of the k steps splits, so the run measures k + 1 trees
+    calls = []
+    real = fairness.wrapped_scores
+    monkeypatch.setattr(fairness, "wrapped_scores", lambda *args: calls.append(1) or real(*args))
+    ds = eoo_planted_dataset(3)
+    spec = EooSpec(eps=0.001, K=2.0, induction=InductionConfig(
+        max_iterations=k, min_child_count=5, min_child_fraction=0.01))
+    _, trace = run_eoo(ds, spec, eta_estimate=label_plugin(ds.labels))
+    assert sum(r.event.startswith("split") for r in trace.rows) == k
+    assert [r.event for r in trace.rows if r.metric == "eoo_gap"][-1] == "final"
+    assert len(calls) == k + 1
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_specs_reject_non_finite_settings(bad):
     with pytest.raises(DomainError, match="eps must be positive and finite"):

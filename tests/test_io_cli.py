@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import alphatree
 from alphatree import (
+    A_MAX,
     AlphaTree,
     CvarSpec,
     DomainError,
@@ -1097,6 +1098,21 @@ def test_cli_rejects_a_file_without_feature_columns(tmp_path, capsys, flags, mes
     assert not model.exists()
 
 
+@pytest.mark.parametrize("strategy", ["cvar", "sp"])
+def test_cli_rejects_a_negative_proxy_depth(tmp_path, capsys, strategy):
+    data = tmp_path / "d.csv"
+    proxy_csv(data)
+    model = tmp_path / "m.json"
+    args = ["train", "--data", str(data), "--split", "all", "--strategy", strategy,
+            "--rounds", "1", "--iterations", "2", "--init", "proxy", "--out", str(model)]
+    assert main(args + ["--proxy-depth", "2"]) == 0
+    capsys.readouterr()
+    model.unlink()
+    assert main(args + ["--proxy-depth", "-3"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: proxy group tree depth must be >= 0, got -3"]
+    assert not model.exists()
+
+
 def test_cli_train_with_proxy_init(tmp_path, capsys):
     data = tmp_path / "d.csv"
     cli_csv(data)
@@ -1179,12 +1195,23 @@ def test_cli_eval_reports_null_drift_for_a_saturated_model_train_wrote(tmp_path,
     rows += [[1 if i % 2 == 0 else 0, "g", 0.6, i] for i in range(100, 200)]
     data = tmp_path / "d.csv"
     write_csv(data, ["label", "group", "score", "x"], rows)
-    model = tmp_path / "m.json"
+    trained = tmp_path / "trained.json"
     assert main(["train", "--data", str(data), "--strategy", "cvar", "--rounds", "1",
-                 "--iterations", "2", "--out", str(model)]) == 0
+                 "--iterations", "2", "--out", str(trained)]) == 0
     capsys.readouterr()
-    tree, meta = load_model(model)
+    tree, meta = load_model(trained)
     ds = load_dataset(data, meta.clip_B, kinds=tree.feature_kinds())
+    # the pure leaf x <= 99.5 has edge 1, but train bounds its label below saturation
+    top = max(tree.leaves(), key=lambda leaf: abs(leaf.alpha))
+    assert 20.0 < abs(top.alpha) * meta.clip_B <= 21.5
+    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    assert np.all((q_f > 0.0) & (q_f < 1.0))
+
+    # a model file may still hold a saturating alpha, and eval reads it
+    tree = tree.with_leaf_updates({top.leaf_id: Leaf(top.leaf_id, A_MAX, edge=top.edge, mass=top.mass)})
+    model = tmp_path / "m.json"
+    save_model(model, tree, meta)
+    assert load_model(model)[0] == tree
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
     assert np.any(q_f == 1.0)
     with pytest.raises(DomainError, match="strictly inside"):
