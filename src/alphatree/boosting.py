@@ -29,9 +29,8 @@ from .core import (
     apply_alpha,
     dot,
     nlogit,
-    xlogy,
 )
-from .data import RunTrace, View, binary_entropy, make_view
+from .data import RunTrace, View, binary_entropy, log_loss, make_view
 
 __all__ = [
     "UndefinedLeafError",
@@ -111,10 +110,7 @@ class InductionConfig:
 class SplitCandidate:
     """A scored axis-aligned split; rows passing the test go left."""
 
-    feature: str
-    kind: str
-    threshold: float | None
-    modality: str | None
+    test: SplitTest
     post_entropy: float
     parent_entropy: float
     mass_left: float
@@ -123,14 +119,6 @@ class SplitCandidate:
     @property
     def gain(self) -> float:
         return self.parent_entropy - self.post_entropy
-
-    def test(self) -> SplitTest:
-        return SplitTest(
-            feature=self.feature,
-            kind=self.kind,
-            threshold=self.threshold,
-            modality=self.modality,
-        )
 
 
 @dataclass(frozen=True)
@@ -286,7 +274,8 @@ def leaf_stats(
     leaf_ids_rows (the leaf id of each view row) and signals (the view's
     per-row signals) skip routing and signal computation when the caller
     already holds them.  Every per-leaf sum is one bincount over the view's
-    rows, so the cost is O(view rows) whatever the number of leaves.
+    rows, indexed by leaf id: ids lie in [0, 2 * leaves] (see AlphaTree),
+    so the cost is O(view rows + leaves).
     """
     from .core import route_rows
 
@@ -294,17 +283,11 @@ def leaf_stats(
         leaf_ids_rows = route_rows(tree, v.base.columns, v.base.n)[v.indices]
     if signals is None:
         signals = _row_signals(v, eta_t, scores, B)
-    ids = leaf_ids_rows
-    if ids.min() < 0 or ids.max() > 2 * ids.shape[0] + 64:
-        # bincount needs ids >= 0 and makes max id + 1 bins: renumber densely
-        lids, ids = np.unique(ids, return_inverse=True)
-    else:
-        lids = np.arange(int(ids.max()) + 1)
-    count = np.bincount(ids)
-    mass = np.bincount(ids, weights=signals.w)
-    e_sum = np.bincount(ids, weights=signals.wy)
-    ep_sum = np.bincount(ids, weights=signals.wpos)
-    en_sum = np.bincount(ids, weights=signals.wneg)
+    count = np.bincount(leaf_ids_rows)
+    mass = np.bincount(leaf_ids_rows, weights=signals.w)
+    e_sum = np.bincount(leaf_ids_rows, weights=signals.wy)
+    ep_sum = np.bincount(leaf_ids_rows, weights=signals.wpos)
+    en_sum = np.bincount(leaf_ids_rows, weights=signals.wneg)
 
     reached = np.flatnonzero(count)
     reached = reached[mass[reached] > 0.0]
@@ -316,7 +299,7 @@ def leaf_stats(
     return {
         lid: LeafStats(leaf_id=lid, edge=e_, edge_pos=ep_, edge_neg=en_, mass=m_, entropy=h_, count=c_)
         for lid, e_, ep_, en_, m_, h_, c_ in zip(
-            lids[reached].tolist(), e.tolist(), ep.tolist(), en.tolist(),
+            reached.tolist(), e.tolist(), ep.tolist(), en.tolist(),
             m.tolist(), h.tolist(), count[reached].tolist(),
         )
     }
@@ -392,10 +375,7 @@ def best_split(
     if parent_h - post <= ENTROPY_IMPROVEMENT_TOL:
         return None
     return SplitCandidate(
-        feature=test.feature,
-        kind=test.kind,
-        threshold=test.threshold,
-        modality=test.modality,
+        test=test,
         post_entropy=post,
         parent_entropy=parent_h,
         mass_left=float(left[0]),
@@ -406,11 +386,6 @@ def best_split(
 # ---------------------------------------------------------------------------
 # the induction loop
 # ---------------------------------------------------------------------------
-
-
-def _risk_terms(q: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Per-row log-loss of posterior q against target eta."""
-    return -(xlogy(eta, q) + xlogy(1.0 - eta, 1.0 - q))
 
 
 def topdown(
@@ -461,7 +436,7 @@ def topdown(
                     break
             else:
                 break  # no leaf can be split
-            test = cand.test()
+            test = cand.test
             base_id = tree.max_leaf_id()
             subtree = Node(test, Leaf(base_id + 1, 1.0), Leaf(base_id + 2, 1.0))
             tree = tree.replace_leaf(st.leaf_id, subtree)
@@ -472,7 +447,7 @@ def topdown(
         tree = relabel_leaves(tree, stats, cfg.scoring, B)
         h = sum(st.mass * st.entropy for st in stats.values())
         q_f = apply_alpha(scores_rows, alpha_table(tree)[leaf_ids_rows])
-        risk = dot(v.weights, _risk_terms(q_f, signals.eta))
+        risk = dot(v.weights, log_loss(q_f, signals.eta))
         trace.add(iteration_start + it, "tree_entropy", h, event=event)
         trace.add(iteration_start + it, "risk", risk)
         if risk_stop is not None and risk <= risk_stop:
@@ -513,7 +488,7 @@ def _indicator_rows(h, v: View) -> np.ndarray:
         if not np.all(np.isin(arr, (-1.0, 1.0))):
             raise DomainError("indicator values must be ±1")
         return arr
-    test = h.test() if isinstance(h, SplitCandidate) else h
+    test = h.test if isinstance(h, SplitCandidate) else h
     values = v.base.columns[test.feature][v.indices]
     return np.where(test.passes_rows(values), 1.0, -1.0)
 

@@ -14,7 +14,7 @@ Conventions used throughout the package:
 * scores live in the clipped interval ``I(B) = [1/(1+e**B), 1/(1+e**-B)]``;
 * a numeric test routes a row LEFT iff ``value <= threshold``;
 * a categorical test routes a row LEFT iff ``value == modality``;
-* leaf identifiers are stable integers, preserved by serialization.
+* leaf ids are unique integers in [0, 2 * leaves], kept by serialization.
 
 All structures here are immutable after construction and every function is
 pure, so concurrent readers are safe.
@@ -23,7 +23,7 @@ pure, so concurrent readers are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -287,22 +287,35 @@ class Node:
 class AlphaTree:
     """Immutable binary tree of correction exponents.
 
-    Every input record reaches exactly one leaf; leaf ids are unique.
+    Every input record reaches exactly one leaf.  Leaf ids are unique
+    integers (not bool) in [0, 2 * leaves], so `alpha_table` is small: a
+    tree grown from k leaves by s splits tops out at id k - 1 + 2s, below
+    2(k + s).  Any other id is a SchemaError naming the leaf's path from the
+    root, ``tree``.  The leaves are walked once, here, and kept in order.
     """
 
     root: Node | Leaf
+    _leaves: tuple[Leaf, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [leaf.leaf_id for leaf in _iter_leaves(self.root)]
-        if len(ids) != len(set(ids)):
+        leaves = tuple(_iter_leaves(self.root))
+        top = 2 * len(leaves)
+        for leaf in leaves:
+            leaf_id = leaf.leaf_id
+            integer = isinstance(leaf_id, (int, np.integer)) and not isinstance(leaf_id, bool)
+            if not (integer and 0 <= leaf_id <= top):
+                where = next(path for node, path in _leaf_paths(self.root) if node is leaf)
+                raise SchemaError(f"{where}: leaf_id must be an integer in [0, {top}], got {leaf_id}")
+        if len({leaf.leaf_id for leaf in leaves}) != len(leaves):
             raise SchemaError("leaf identifiers must be unique")
+        object.__setattr__(self, "_leaves", leaves)
 
     def leaves(self) -> tuple[Leaf, ...]:
-        return tuple(_iter_leaves(self.root))
+        return self._leaves
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for _ in _iter_leaves(self.root))
+        return len(self._leaves)
 
     def feature_kinds(self) -> dict[str, str]:
         """Kind of test ("numeric" or "categorical") on each feature the tree tests.
@@ -323,10 +336,10 @@ class AlphaTree:
         return kinds
 
     def max_leaf_id(self) -> int:
-        return max(leaf.leaf_id for leaf in _iter_leaves(self.root))
+        return max(leaf.leaf_id for leaf in self._leaves)
 
     def alpha_of(self, leaf_id: int) -> float:
-        for leaf in _iter_leaves(self.root):
+        for leaf in self._leaves:
             if leaf.leaf_id == leaf_id:
                 return leaf.alpha
         raise SchemaError(f"no leaf with id {leaf_id}")
@@ -353,6 +366,18 @@ def _iter_leaves(node: Node | Leaf) -> Iterator[Leaf]:
         else:
             stack.append(node.right)
             stack.append(node.left)
+
+
+def _leaf_paths(node: Node | Leaf) -> Iterator[tuple[Leaf, str]]:
+    """Leaves from left to right, each with its path from the root, named ``tree``."""
+    stack = [(node, "tree")]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, Leaf):
+            yield node, where
+        else:
+            stack.append((node.right, where + ".right"))
+            stack.append((node.left, where + ".left"))
 
 
 def _replace(node: Node | Leaf, leaf_id: int, subtree: Node | Leaf):

@@ -31,6 +31,7 @@ __all__ = [
     "full_view",
     "levels",
     "condition_on_group",
+    "log_loss",
     "empirical_risk",
     "binary_entropy",
     "TraceRow",
@@ -213,6 +214,11 @@ def condition_on_group(ds: Dataset, s) -> View:
     return make_view(ds, idx)
 
 
+def log_loss(q, eta):
+    """Per-row log-loss -(eta log q + (1-eta) log(1-q)), with 0 log 0 = 0."""
+    return -(xlogy(eta, q) + xlogy(1.0 - eta, 1.0 - q))
+
+
 def empirical_risk(v: View, q, eta_t) -> float:
     """Expected log-loss of posterior q against target eta_t under the view.
 
@@ -226,7 +232,7 @@ def empirical_risk(v: View, q, eta_t) -> float:
     ev = eta[v.indices]
     if np.any(qv < 0) or np.any(qv > 1):
         raise DomainError("posterior values must lie in [0, 1]")
-    terms = -(xlogy(ev, qv) + xlogy(1.0 - ev, 1.0 - qv))
+    terms = log_loss(qv, ev)
     if not np.all(np.isfinite(terms)):
         raise InfiniteRiskError("posterior hit 0 or 1 with opposing target mass")
     return dot(v.weights, terms)
@@ -238,7 +244,7 @@ def binary_entropy(p):
     if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
         raise DomainError("binary_entropy requires p in [0, 1]")
     clipped = np.minimum(np.maximum(arr, 0.0), 1.0)
-    out = -(xlogy(clipped, clipped) + xlogy(1.0 - clipped, 1.0 - clipped))
+    out = log_loss(clipped, clipped)
     return float(out) if arr.ndim == 0 else out
 
 

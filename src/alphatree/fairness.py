@@ -18,9 +18,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .boosting import InductionConfig, _risk_terms, topdown
+from .boosting import InductionConfig, topdown
 from .core import AlphaTree, DomainError, dot, wrapped_scores
-from .data import Dataset, EmptyMeasureError, RunTrace, View, binary_entropy, condition_on_group
+from .data import Dataset, EmptyMeasureError, RunTrace, View, binary_entropy, condition_on_group, log_loss
 from .estimators import init_stump, label_plugin
 
 __all__ = [
@@ -153,7 +153,7 @@ def subgroup_risks(ds: Dataset, tree: AlphaTree, eta_t=None) -> dict:
     """
     eta = label_plugin(ds.labels) if eta_t is None else _eta_base(ds, eta_t)
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    return group_means(_risk_terms(q_f, eta), ds.weights, ds.group_rows)
+    return group_means(log_loss(q_f, eta), ds.weights, ds.group_rows)
 
 
 def cvar_quantile(risks: Mapping, beta: float) -> tuple[float, list]:

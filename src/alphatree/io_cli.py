@@ -427,8 +427,8 @@ def _finite_number(value, what: str) -> float:
     return value
 
 
-def _obj_to_node(obj, where: str, leaf_ids: dict):
-    """Node of a model object; records each leaf's id under its path in leaf_ids."""
+def _obj_to_node(obj, where: str):
+    """Node of a model object; where is its path, for error messages."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: expected an object")
     kind = obj.get("kind")
@@ -436,7 +436,6 @@ def _obj_to_node(obj, where: str, leaf_ids: dict):
         _require_keys(obj, {"alpha", "edge", "kind", "leaf_id", "mass"}, where)
         if not isinstance(obj["leaf_id"], int) or isinstance(obj["leaf_id"], bool):
             raise ModelFormatError(f"{where}: leaf_id must be an integer")
-        leaf_ids[where] = obj["leaf_id"]
         number = {key: _finite_number(obj[key], f"{where}: {key}") for key in ("alpha", "edge", "mass")}
         return Leaf(leaf_id=obj["leaf_id"], **number)
     if kind == "node":
@@ -458,8 +457,8 @@ def _obj_to_node(obj, where: str, leaf_ids: dict):
             raise ModelFormatError(f"{where}: unknown test kind {tkind!r}")
         return Node(
             st,
-            _obj_to_node(obj["left"], where + ".left", leaf_ids),
-            _obj_to_node(obj["right"], where + ".right", leaf_ids),
+            _obj_to_node(obj["left"], where + ".left"),
+            _obj_to_node(obj["right"], where + ".right"),
         )
     raise ModelFormatError(f"{where}: unknown node kind {kind!r}")
 
@@ -495,20 +494,12 @@ def model_from_json(text: str) -> tuple[AlphaTree, ModelMeta]:
     for key in ("config_digest", "strategy"):
         if not isinstance(prov[key], str):
             raise ModelFormatError(f"provenance.{key} must be a string")
-    leaf_ids: dict[str, int] = {}
     try:
-        root = _obj_to_node(obj["tree"], "tree", leaf_ids)
+        root = _obj_to_node(obj["tree"], "tree")
     except RecursionError:
         raise ModelFormatError("model nests too deeply to decode") from None
-    # alpha_table indexes a table of max id + 1 entries by leaf id.  A tree
-    # grown from k stump leaves by s splits tops out at k - 1 + 2s, below
-    # twice its k + s leaves.
-    top = 2 * len(leaf_ids)
-    for where, leaf_id in leaf_ids.items():
-        if not 0 <= leaf_id <= top:
-            raise ModelFormatError(f"{where}: leaf_id must be an integer in [0, {top}], got {leaf_id}")
     try:
-        tree = AlphaTree(root)
+        tree = AlphaTree(root)  # checks the leaf ids
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     meta = ModelMeta(

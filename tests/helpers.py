@@ -197,10 +197,7 @@ def best_split_reference(
             if i < 0:
                 continue
             cand = SplitCandidate(
-                feature=feature,
-                kind="numeric",
-                threshold=midpoint_threshold(sv, i),
-                modality=None,
+                test=SplitTest(feature, "numeric", threshold=midpoint_threshold(sv, i)),
                 post_entropy=float(post),
                 parent_entropy=parent_h,
                 mass_left=float(cumw[i - 1]),
@@ -222,10 +219,7 @@ def best_split_reference(
                 er = min(1.0, max(-1.0, float(total_a - a[mask].sum()) / wr))
                 post = wl * leaf_entropy(el) + wr * leaf_entropy(er)
                 cand = SplitCandidate(
-                    feature=feature,
-                    kind="categorical",
-                    threshold=None,
-                    modality=modality,
+                    test=SplitTest(feature, "categorical", modality=modality),
                     post_entropy=float(post),
                     parent_entropy=parent_h,
                     mass_left=wl,

@@ -18,6 +18,7 @@ from alphatree import (
     Leaf,
     LeafStats,
     Node,
+    SchemaError,
     SplitTest,
     UndefinedLeafError,
     audacious_leaf_bound,
@@ -33,6 +34,7 @@ from alphatree import (
     leaf_stats,
     make_dataset,
     make_view,
+    proxy_group_tree,
     relabel_leaves,
     route_rows,
     single_leaf_tree,
@@ -44,7 +46,13 @@ from alphatree import (
 )
 from alphatree.core import EDGE_EPS, apply_alpha, expit
 
-from helpers import best_split_reference, conservative_label_objective, random_dataset, saturated_dataset
+from helpers import (
+    best_split_reference,
+    conservative_label_objective,
+    random_dataset,
+    random_tree,
+    saturated_dataset,
+)
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -277,9 +285,7 @@ def test_best_split_pure_alignment_fixture():
     cfg = InductionConfig(min_child_count=1, min_child_fraction=0.01)
     cand = best_split(v, eta, ds.scores, 1.0, cfg)
     assert cand is not None
-    assert cand.feature == "x"
-    assert cand.kind == "numeric"
-    assert cand.threshold == 0.5
+    assert cand.test == SplitTest("x", "numeric", threshold=0.5)
     assert cand.post_entropy == 0.0
     assert cand.parent_entropy == pytest.approx(LOG2, abs=1e-15)
     assert cand.mass_left == pytest.approx(0.5, abs=1e-15)
@@ -296,11 +302,11 @@ def test_best_split_tie_break_prefers_earliest_feature():
     ds = make_dataset({"b": col, "a": col.copy()}, {"a": "numeric", "b": "numeric"},
                       labels, ["g"] * n, scores, 1.0)
     cand = best_split(full_view(ds), eta, ds.scores, 1.0, cfg)
-    assert cand.feature == "b"
+    assert cand.test.feature == "b"
     ds2 = make_dataset({"a": col, "b": col.copy()}, {"a": "numeric", "b": "numeric"},
                        labels, ["g"] * n, scores, 1.0)
     cand2 = best_split(full_view(ds2), eta, ds2.scores, 1.0, cfg)
-    assert cand2.feature == "a"
+    assert cand2.test.feature == "a"
 
 
 def test_best_split_categorical():
@@ -312,8 +318,7 @@ def test_best_split_categorical():
                       np.array([1] * 3 + [-1] * 6), ["g"] * n, scores, 1.0)
     cfg = InductionConfig(min_child_count=1, min_child_fraction=0.01)
     cand = best_split(full_view(ds), eta, ds.scores, 1.0, cfg)
-    assert cand.kind == "categorical"
-    assert cand.modality == "u"
+    assert cand.test == SplitTest("c", "categorical", modality="u")
     assert cand.post_entropy == pytest.approx(0.0, abs=1e-12)
 
 
@@ -336,9 +341,9 @@ def test_best_split_threshold_separates_children():
         if cand is None:
             continue
         assert cand.post_entropy <= cand.parent_entropy + 1e-12
-        if cand.kind == "numeric":
-            col = ds.columns[cand.feature]
-            left = col <= cand.threshold
+        if cand.test.kind == "numeric":
+            col = ds.columns[cand.test.feature]
+            left = col <= cand.test.threshold
             # the midpoint threshold must reproduce the scanned boundary
             assert 0 < left.sum() < ds.n
             assert col[left].max() < col[~left].min()
@@ -578,7 +583,7 @@ def rerouting_topdown(v, eta, scores, B, tree, cfg):
         if chosen is None:
             break
         base_id = tree.max_leaf_id()
-        subtree = Node(chosen[1].test(), Leaf(base_id + 1, 1.0), Leaf(base_id + 2, 1.0))
+        subtree = Node(chosen[1].test, Leaf(base_id + 1, 1.0), Leaf(base_id + 2, 1.0))
         tree, stats, ids = sync(tree.replace_leaf(chosen[0], subtree))
     return tree
 
@@ -697,8 +702,58 @@ def test_leaf_stats_negative_and_sparse_leaf_ids():
     rng = np.random.default_rng(13)
     ds, eta = random_dataset(rng, n_min=120, n_max=120)
     v = full_view(ds)
-    tree = AlphaTree(Node(SplitTest("x0", "numeric", 0.0, None), Leaf(-5, 1.0), Leaf(10**12, 1.0)))
+    test = SplitTest("x0", "numeric", 0.0, None)
+    # the tree rejects ids outside [0, 2 * leaves], so leaf_stats never sees them
+    with pytest.raises(SchemaError, match=r"^tree\.left: leaf_id must be an integer in \[0, 4\], got -5$"):
+        AlphaTree(Node(test, Leaf(-5, 1.0), Leaf(10**12, 1.0)))
+    tree = AlphaTree(Node(test, Leaf(0, 1.0), Leaf(4, 1.0)))
     ids = route_rows(tree, ds.columns, ds.n)
     stats = leaf_stats(v, tree, eta, ds.scores, ds.clip_B)
-    assert sorted(stats) == [-5, 10**12]
+    assert sorted(stats) == [0, 4]
     assert_stats_match(stats, masked_leaf_stats(v, ids, eta, ds.scores, ds.clip_B))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(60, 300),
+    start=st.sampled_from(["random_tree", "init_stump", "proxy_group_tree"]),
+    max_iterations=st.integers(0, 12),
+    min_child_count=st.integers(1, 10),
+)
+def test_topdown_keeps_leaf_ids_within_twice_the_leaves(seed, n, start, max_iterations, min_child_count):
+    rng = np.random.default_rng(seed)
+    B = float(rng.uniform(0.5, 3.0))
+    features = {
+        "x0": np.round(rng.normal(0.0, 1.0, n), 2),
+        "x1": np.round(rng.normal(0.0, 1.0, n), 2),
+        "c0": rng.choice(np.array(list("abcd"), dtype=object), n),
+    }
+    kinds = {"x0": "numeric", "x1": "numeric", "c0": "categorical"}
+    scores = expit(B * rng.uniform(-1.0, 1.0, n))
+    eta = rng.uniform(0.05, 0.95, n)
+    labels = np.where(rng.random(n) < eta, 1, -1)
+    groups = rng.choice(np.array(["g0", "g1", "g2"], dtype=object), n)
+    ds = make_dataset(features, kinds, labels, groups, scores, B)
+    if start == "random_tree":
+        tree0 = random_tree(rng, max_depth=int(rng.integers(0, 5)))
+    elif start == "init_stump":
+        tree0 = init_stump(groups)
+    else:
+        tree0 = proxy_group_tree(features, kinds, groups, max_depth=int(rng.integers(0, 5)),
+                                 min_leaf=int(rng.integers(1, 20))).tree
+    trees = [tree0]
+    real_leaf_stats = boosting.leaf_stats
+
+    def recording_leaf_stats(v_, tree, *args, **kwargs):
+        trees.append(tree)
+        return real_leaf_stats(v_, tree, *args, **kwargs)
+
+    cfg = InductionConfig(max_iterations=max_iterations, min_child_count=min_child_count,
+                          min_child_fraction=0.05)
+    with mock.patch.object(boosting, "leaf_stats", recording_leaf_stats):
+        tree, _ = topdown(full_view(ds), eta, ds.scores, B, tree0, cfg)
+    trees.append(tree)
+    for t in trees:
+        ids = [leaf.leaf_id for leaf in t.leaves()]
+        assert 0 <= min(ids) and max(ids) <= 2 * len(ids), ids

@@ -1,6 +1,7 @@
 """Alpha wrapping, clipping, and tree evaluation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from alphatree import (
     wrap_chain,
     wrapped_scores,
 )
+import alphatree.core as core
 from alphatree.core import expit, xlogy
 
 from helpers import expit_reference, probe_columns, random_tree, xlogy_reference
@@ -288,6 +290,76 @@ def test_duplicate_leaf_ids_rejected():
     node = Node(SplitTest("x", "numeric", 0.0, None), Leaf(1, 1.0), Leaf(1, 2.0))
     with pytest.raises(SchemaError):
         AlphaTree(node)
+
+
+def leaf_id_error(where, top, leaf_id):
+    """pytest.raises for the tree's leaf-id rule, matching its whole message."""
+    message = f"{where}: leaf_id must be an integer in [0, {top}], got {leaf_id}"
+    return pytest.raises(SchemaError, match="^" + re.escape(message) + "$")
+
+
+def test_negative_leaf_id_rejected_instead_of_borrowing_another_leafs_alpha():
+    test = SplitTest("x", "numeric", 0.0, None)
+    # inside the rule, the row at x = -1 wraps 0.7 with its own leaf's alpha = 2
+    valid = AlphaTree(Node(test, Leaf(2, 2.0), Leaf(0, 1.0)))
+    out = wrapped_scores(valid, {"x": np.array([-1.0, 1.0])}, np.array([0.7, 0.7]))
+    assert out[0] == pytest.approx(0.49 / 0.58, abs=1e-15)
+    assert out[1] == pytest.approx(0.7, abs=1e-15)
+    # id -1 indexed the last slot of the alpha table, leaf 0's, and wrapped 0.7 to 0.7
+    with leaf_id_error("tree.left", 4, -1):
+        AlphaTree(Node(test, Leaf(-1, 2.0), Leaf(0, 1.0)))
+
+
+def test_single_leaf_tree_rejects_a_negative_id():
+    with leaf_id_error("tree", 2, -1):
+        single_leaf_tree(2.0, leaf_id=-1)
+    assert single_leaf_tree(2.0, leaf_id=2).max_leaf_id() == 2
+
+
+def test_leaf_id_beyond_twice_the_leaves_rejected():
+    test = SplitTest("x", "numeric", 0.0, None)
+    # an id of 10**12 sized the alpha table at 10**12 + 1 floats
+    with leaf_id_error("tree.right", 4, 10**12):
+        AlphaTree(Node(test, Leaf(0, 1.0), Leaf(10**12, 1.0)))
+    with leaf_id_error("tree.right", 4, 5):
+        AlphaTree(Node(test, Leaf(0, 1.0), Leaf(5, 1.0)))
+    deep = Node(test, Leaf(0, 1.0), Node(SplitTest("y", "numeric", 0.0, None), Leaf(7, 1.0), Leaf(1, 1.0)))
+    with leaf_id_error("tree.right.left", 6, 7):
+        AlphaTree(deep)
+    assert AlphaTree(Node(test, Leaf(4, 1.0), Leaf(0, 1.0))).max_leaf_id() == 4
+
+
+def test_leaf_id_must_be_an_integer():
+    test = SplitTest("x", "numeric", 0.0, None)
+    for bad in (True, False, 1.0, 0.5, np.float64(1.0), "1", None):
+        with leaf_id_error("tree.left", 4, bad):
+            AlphaTree(Node(test, Leaf(bad, 1.0), Leaf(3, 1.0)))
+    tree = AlphaTree(Node(test, Leaf(np.int64(1), 1.0), Leaf(np.int32(3), 1.0)))
+    assert tree.max_leaf_id() == 3
+
+
+def test_leaf_id_range_is_checked_before_uniqueness():
+    test = SplitTest("x", "numeric", 0.0, None)
+    with leaf_id_error("tree.right", 6, -1):
+        AlphaTree(Node(test, Node(test, Leaf(0, 1.0), Leaf(0, 1.0)), Leaf(-1, 1.0)))
+    with pytest.raises(SchemaError, match="^leaf identifiers must be unique$"):
+        AlphaTree(Node(test, Node(test, Leaf(0, 1.0), Leaf(0, 1.0)), Leaf(1, 1.0)))
+
+
+def test_tree_walks_its_leaves_once_per_construction(monkeypatch):
+    rng = np.random.default_rng(19)
+    tree = random_tree(rng, max_depth=5)
+    walks = []
+    real = core._iter_leaves
+    monkeypatch.setattr(core, "_iter_leaves", lambda node: walks.append(node) or real(node))
+    leaves = tree.leaves()
+    assert tree.n_leaves == len(leaves)
+    assert tree.max_leaf_id() == max(leaf.leaf_id for leaf in leaves)
+    assert [tree.alpha_of(leaf.leaf_id) for leaf in leaves] == [leaf.alpha for leaf in leaves]
+    assert core.alpha_table(tree)[[leaf.leaf_id for leaf in leaves]].tolist() == [leaf.alpha for leaf in leaves]
+    assert walks == []
+    grown = tree.replace_leaf(leaves[0].leaf_id, Leaf(tree.max_leaf_id() + 1, 1.0))
+    assert walks == [grown.root]
 
 
 def test_single_leaf_tree_is_identity_wrap():
