@@ -141,17 +141,13 @@ def alignment_score(min_mass):
 def class_entropy(counts):
     """Entropy -sum p log p of class counts over the last axis, p = count / total.
 
-    A 1-D input gives a float, summed over its nonzero classes; a row of
-    zeros has entropy 0.  A 2-D input gives one entropy per row, equal bit
-    for bit to that row's 1-D entropy.
+    A 2-D input gives one entropy per row, each summed over the row's
+    nonzero classes in class order; a row of zeros has entropy 0.  A 1-D
+    input is one such row and gives a float.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim == 1:
-        total = counts.sum()
-        if total == 0:
-            return 0.0
-        p = counts[counts > 0] / total
-        return float(-(p * np.log(p)).sum())
+        return float(class_entropy(counts[None])[0])
     total = counts.sum(axis=1)
     nonzero = counts > 0
     if nonzero.all():

@@ -321,7 +321,9 @@ def relabel_leaves(
 
     Leaves with no mass under the training view keep their current alpha:
     there is no signal to relabel them, and this is what confines a
-    per-group run to that group's sub-tree.
+    per-group run to that group's sub-tree.  So does an audacious leaf with
+    no alignment signal (both edge parts below EDGE_EPS), whose edge and
+    mass are still updated: its all-1/2 scores wrap to 1/2 whatever alpha is.
     """
     updates: dict[int, Leaf] = {}
     for leaf in tree.leaves():
@@ -331,7 +333,10 @@ def relabel_leaves(
         if scoring == "conservative":
             a = leaf_alpha_conservative(st.edge, B)
         else:
-            a = leaf_alpha_audacious(st.edge_pos, st.edge_neg, B)
+            try:
+                a = leaf_alpha_audacious(st.edge_pos, st.edge_neg, B)
+            except UndefinedLeafError:
+                a = leaf.alpha
         updates[leaf.leaf_id] = Leaf(leaf.leaf_id, a, edge=st.edge, mass=st.mass)
     return tree.with_leaf_updates(updates)
 

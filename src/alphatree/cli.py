@@ -222,11 +222,9 @@ def _load(args, clip_B: float | None = None, tree: AlphaTree | None = None) -> D
 def _subset(ds: Dataset, mask: np.ndarray) -> Dataset:
     if not np.any(mask):
         raise EmptyMeasureError("selected split role has no rows")
-    features = {name: ds.columns[name][mask] for name in ds.feature_names}
-    kinds = {name: ds.kinds[name] for name in ds.feature_names}
     return make_dataset(
-        features,
-        kinds,
+        {name: col[mask] for name, col in ds.features.items()},
+        ds.feature_kinds(),
         ds.labels[mask],
         ds.groups[mask],
         ds.scores[mask],
@@ -244,8 +242,8 @@ def _eta(args, ds: Dataset) -> np.ndarray:
         if ds.target is None:
             raise DomainError("estimator 'column' needs a target column in the schema or flags")
         return ds.target
-    model = gaussian_plugin_fit(ds.columns, ds.feature_kinds(), ds.labels, ds.weights)
-    return gaussian_plugin_eval(model, ds.columns)
+    model = gaussian_plugin_fit(ds.features, ds.feature_kinds(), ds.labels, ds.weights)
+    return gaussian_plugin_eval(model, ds.features)
 
 
 def _run_driver(args) -> tuple[AlphaTree, RunTrace, Dataset]:
@@ -259,11 +257,9 @@ def _run_driver(args) -> tuple[AlphaTree, RunTrace, Dataset]:
     )
     tree0 = None
     if args.init == "proxy":
-        # the drivers measure and schedule on the proxy's groups
-        features = {name: ds.columns[name] for name in ds.feature_names}
-        proxy = proxy_group_tree(features, ds.feature_kinds(), ds.groups, max_depth=args.proxy_depth)
-        g = proxy.predict(features)
-        ds = dataclasses.replace(ds, groups=g, columns={**ds.columns, ds.group_column: g})
+        # the drivers measure, schedule and route on the proxy's groups
+        proxy = proxy_group_tree(ds.features, ds.feature_kinds(), ds.groups, max_depth=args.proxy_depth)
+        ds = dataclasses.replace(ds, groups=proxy.predict(ds.features))
         tree0 = proxy.tree
     if args.strategy == "cvar":
         spec = CvarSpec(

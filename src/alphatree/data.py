@@ -57,16 +57,16 @@ def levels(values) -> dict:
 class Dataset:
     """Immutable desk-scale dataset.
 
-    columns holds every routable column (declared features plus the group
-    column); feature_names lists the declared split candidates in schema
-    order, which fixes split tie-breaking.  groups holds the groups a run
-    measures and schedules on; make_dataset also routes them as
-    columns[group_column]; group_rows, their `levels`, is built once.
+    features holds the declared split candidates in schema order, which
+    fixes split tie-breaking; groups holds the groups a run measures,
+    schedules and routes on.  columns, every routable column, is derived
+    from both as {**features, group_column: groups}, so a re-grouped
+    dataclasses.replace(ds, groups=g) routes on g; columns and group_rows
+    are built on first read.
     """
 
-    columns: dict[str, np.ndarray]
+    features: dict[str, np.ndarray]
     kinds: dict[str, str]
-    feature_names: tuple[str, ...]
     labels: np.ndarray
     groups: np.ndarray
     scores: np.ndarray
@@ -79,12 +79,20 @@ class Dataset:
     def n(self) -> int:
         return int(self.labels.shape[0])
 
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return tuple(self.features)
+
+    @cached_property
+    def columns(self) -> dict[str, np.ndarray]:
+        return {**self.features, self.group_column: self.groups}
+
     @cached_property
     def group_rows(self) -> dict:
         return levels(self.groups)
 
     def feature_kinds(self) -> dict[str, str]:
-        return {name: self.kinds[name] for name in self.feature_names}
+        return {name: self.kinds[name] for name in self.features}
 
 
 def make_dataset(
@@ -101,8 +109,8 @@ def make_dataset(
 ) -> Dataset:
     """Validate, clip scores, and assemble a Dataset.
 
-    The group column is added to the routable columns under group_column but
-    is not a split candidate unless it also appears in features.
+    The groups are routed under group_column as a categorical column but are
+    never a split candidate: a feature of that name is a DomainError.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
@@ -133,10 +141,10 @@ def make_dataset(
         if target.shape[0] != n or np.any(target < 0) or np.any(target > 1):
             raise DomainError("target posterior column must lie in [0, 1]")
 
-    columns: dict[str, np.ndarray] = {}
-    all_kinds: dict[str, str] = {}
-    feature_names = tuple(features.keys())
-    for name in feature_names:
+    checked: dict[str, np.ndarray] = {}
+    for name in features:
+        if name == group_column:
+            raise DomainError(f"feature {name!r} has the group column's name")
         kind = kinds.get(name)
         if kind not in ("numeric", "categorical"):
             raise DomainError(f"feature {name!r} has unknown kind {kind!r}")
@@ -149,16 +157,11 @@ def make_dataset(
                 raise DomainError(f"feature {name!r} has non-finite values")
         else:
             col = col.astype(object)
-        columns[name] = col
-        all_kinds[name] = kind
-    if group_column not in columns:
-        columns[group_column] = groups
-        all_kinds[group_column] = "categorical"
+        checked[name] = col
 
     return Dataset(
-        columns=columns,
-        kinds=all_kinds,
-        feature_names=feature_names,
+        features=checked,
+        kinds={**{name: kinds[name] for name in checked}, group_column: "categorical"},
         labels=labels,
         groups=groups,
         scores=scores,

@@ -123,7 +123,7 @@ def _group_weights(ds: Dataset) -> dict:
 
 def _eta_base(ds: Dataset, eta_t) -> np.ndarray:
     eta = np.broadcast_to(np.asarray(eta_t, dtype=float), (ds.n,)).copy()
-    if np.any(eta < 0) or np.any(eta > 1):
+    if not np.all((eta >= 0) & (eta <= 1)):  # NaN, as from None, fails too
         raise DomainError("target posterior must lie in [0, 1]")
     return eta
 
@@ -340,7 +340,8 @@ def run_eoo(
     ds: Dataset,
     spec: EooSpec,
     tree0: AlphaTree | None = None,
-    eta_estimate=None,
+    *,
+    eta_estimate,
 ) -> tuple[AlphaTree, RunTrace]:
     """Close the reference group's true-positive-rate advantage to <= eps.
 
@@ -351,8 +352,6 @@ def run_eoo(
     reaches eps^4/2 + E[H(eta_t)], when the observed gap is already within
     eps, or when the induction budget (max_iterations splits) is spent.
     """
-    if eta_estimate is None:
-        raise DomainError("run_eoo needs a posterior estimate for every row")
     modalities = list(ds.group_rows)
     tree = tree0 if tree0 is not None else init_stump(modalities, ds.group_column)
     trace = RunTrace()

@@ -215,6 +215,26 @@ def test_relabel_leaves_conservative_and_frozen():
     assert out2.alpha_of(1) == 7.0
 
 
+def test_relabel_leaves_audacious_keeps_the_alpha_of_a_leaf_with_no_signal():
+    t = stump(SplitTest("x", "numeric", 0.5, None), 3.0, 7.0)
+    quiet = LeafStats(0, edge=0.0, edge_pos=0.0, edge_neg=EDGE_EPS / 2, mass=0.25, entropy=LOG2, count=4)
+    loud = LeafStats(1, edge=0.4, edge_pos=0.6, edge_neg=0.2, mass=0.75, entropy=0.5, count=12)
+    out = relabel_leaves(t, {0: quiet, 1: loud}, "audacious", 1.0)
+    assert out.alpha_of(0) == 3.0
+    assert out.alpha_of(1) == pytest.approx(LOG3, abs=1e-12)
+    leaf0 = next(leaf for leaf in out.leaves() if leaf.leaf_id == 0)
+    assert (leaf0.edge, leaf0.mass) == (0.0, 0.25)
+    # every row of an all-1/2 leaf wraps to 1/2: its risk is log 2, the no-signal bound
+    ds = make_dataset({"x": np.zeros(4)}, {"x": "numeric"}, np.array([1, -1, 1, 1]),
+                      ["g"] * 4, np.full(4, 0.5), 1.0)
+    eta = np.array([1.0, 0.0, 1.0, 1.0])
+    stats = leaf_stats(full_view(ds), single_leaf_tree(2.0), eta, ds.scores, 1.0)
+    relabeled = relabel_leaves(single_leaf_tree(2.0), stats, "audacious", 1.0)
+    assert relabeled.alpha_of(0) == 2.0
+    assert np.all(wrapped_scores(relabeled, ds.columns, ds.scores) == 0.5)
+    assert audacious_leaf_bound(stats[0].edge_pos, stats[0].edge_neg) == LOG2
+
+
 def test_balanced_weights_mass_and_degeneracy():
     rng = np.random.default_rng(4)
     for _ in range(20):

@@ -90,6 +90,23 @@ def test_group_column_routable_but_not_a_feature():
     assert "group" in ds.columns
     assert "group" not in ds.feature_names
     assert ds.kinds["group"] == "categorical"
+    assert ds.columns["group"] is ds.groups
+
+
+def test_make_dataset_rejects_a_feature_named_like_the_group_column():
+    ds = tiny_dataset()
+    x = np.arange(6, dtype=float)
+    with pytest.raises(DomainError, match="'group'"):
+        make_dataset({"x": x, "group": ds.groups}, {"x": "numeric", "group": "categorical"},
+                     ds.labels, ds.groups, ds.scores, 1.0)
+    with pytest.raises(DomainError, match="'who'"):
+        make_dataset({"who": x}, {"who": "numeric"}, ds.labels, ds.groups, ds.scores, 1.0,
+                     group_column="who")
+    # a feature may be named "group" when the groups are routed under another name
+    ds2 = make_dataset({"group": x}, {"group": "numeric"}, ds.labels, ds.groups, ds.scores, 1.0,
+                       group_column="who")
+    assert ds2.feature_names == ("group",)
+    assert ds2.columns["who"] is ds2.groups and ds2.columns["group"] is ds2.features["group"]
 
 
 def test_default_weights_are_unit():
@@ -152,7 +169,7 @@ def test_group_rows_index_the_groups_of_each_dataset():
     assert np.array_equal(rows["a"], [0, 1, 2]) and np.array_equal(rows["b"], [3, 4, 5])
     assert ds.group_rows is rows
     g2 = np.array(["d", "c", "d", "e", "c", "d"], dtype=object)
-    ds2 = dataclasses.replace(ds, groups=g2, columns={**ds.columns, ds.group_column: g2})
+    ds2 = dataclasses.replace(ds, groups=g2)
     assert list(ds2.group_rows) == ["c", "d", "e"]
     for g, idx in ds2.group_rows.items():
         assert np.array_equal(idx, np.flatnonzero(g2 == g))

@@ -1,5 +1,6 @@
 """CVaR, equal-opportunity, and statistical-parity drivers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from alphatree import (
 )
 from alphatree.core import expit
 
-from helpers import group_means_reference
+from helpers import group_means_reference, random_dataset
 
 
 def test_cvar_quantile_oracle():
@@ -313,8 +314,11 @@ def test_group_means_equals_view_loop(seed, n_groups, n, zero_group):
 
 def test_run_eoo_requires_estimate_and_two_groups():
     ds = advantage_fixture()
+    spec = EooSpec(eps=0.1, K=2.0, induction=InductionConfig())
+    with pytest.raises(TypeError, match="eta_estimate"):
+        run_eoo(ds, spec)
     with pytest.raises(DomainError):
-        run_eoo(ds, EooSpec(eps=0.1, K=2.0, induction=InductionConfig()))
+        run_eoo(ds, spec, eta_estimate=None)
     with pytest.raises(DomainError):
         EooSpec(eps=0.1, K=1.0, induction=InductionConfig())
     with pytest.raises(DomainError):
@@ -543,3 +547,35 @@ def test_run_sp_validation():
     with pytest.raises(EmptyMeasureError):
         run_sp(ds, SpSpec(eps=0.1, direction="up", outer_rounds=1,
                           induction=InductionConfig()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), names=st.sampled_from([("p", "q"), ("g1", "g0"), ("g0", "p")]))
+def test_regrouping_by_replace_equals_a_new_dataset(seed, names):
+    """dataclasses.replace(ds, groups=g) routes, indexes and trains on g exactly
+    as make_dataset(..., g, ...) does: the group stump tests g, not the old groups."""
+    rng = np.random.default_rng(seed)
+    ds, eta = random_dataset(rng, n_max=200)
+    g = np.array(names, dtype=object)[(rng.random(ds.n) < rng.uniform(0.2, 0.8)).astype(int)]
+    assume(all(np.any(ds.labels[g == s] == 1) for s in names))
+    replaced = dataclasses.replace(ds, groups=g)
+    made = make_dataset(ds.features, ds.feature_kinds(), ds.labels, g, ds.scores, ds.clip_B,
+                        weights=ds.weights)
+    assert replaced.columns[ds.group_column] is replaced.groups
+    assert made.columns[ds.group_column] is made.groups
+    assert np.array_equal(replaced.columns[ds.group_column], made.columns[ds.group_column])
+    assert list(replaced.group_rows) == list(made.group_rows)
+    for s, idx in made.group_rows.items():
+        assert np.array_equal(replaced.group_rows[s], idx)
+
+    cfg = InductionConfig(max_iterations=4, min_child_count=5)
+    runs = (
+        lambda d: run_cvar(d, CvarSpec(beta=0.5, outer_rounds=2, induction=cfg), eta_t=eta),
+        lambda d: run_sp(d, SpSpec(eps=0.01, outer_rounds=2, induction=cfg)),
+        lambda d: run_eoo(d, EooSpec(eps=0.01, K=2.0, induction=cfg), eta_estimate=eta),
+    )
+    for run in runs:
+        tree_r, trace_r = run(replaced)
+        tree_m, trace_m = run(made)
+        assert tree_r.root == tree_m.root
+        assert repr(trace_r.rows) == repr(trace_m.rows)

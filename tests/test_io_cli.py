@@ -1183,6 +1183,25 @@ def test_cli_proxy_init_runs_the_driver_on_the_proxy_groups(tmp_path, capsys, st
     assert "group" not in tree.feature_kinds()
 
 
+@pytest.mark.parametrize("flat", [True, False], ids=["all-half-scores", "clip-B-1e-17"])
+def test_cli_audacious_train_keeps_the_alpha_of_leaves_with_no_signal(tmp_path, flat):
+    # all-1/2 scores, or a clip level at which both bounds round to 1/2, leave
+    # every leaf with no alignment signal: its alpha stays 1 instead of crashing
+    rng = np.random.default_rng(19)
+    n = 200 if flat else 600
+    x = np.round(rng.normal(size=n), 3)
+    labels = np.where(rng.random(n) < expit(2 * x), 1, -1)
+    scores = np.full(n, 0.5) if flat else np.round(expit(2 * x), 4)
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    write_csv(data, ["x", "label", "group", "score"], zip(x, labels, rng.choice(["a", "b"], n), scores))
+    flags = [] if flat else ["--clip-B", "1e-17"]
+    assert main(["train", "--data", str(data), "--strategy", "cvar", "--scoring", "audacious",
+                 *flags, "--out", str(model)]) == 0
+    tree, meta = load_model(model)
+    assert meta.scoring == "audacious"
+    assert [leaf.alpha for leaf in tree.leaves()] == [1.0, 1.0]
+
+
 def strict_json(text):
     """json.loads that refuses NaN and Infinity, which are not JSON."""
     def refuse(name):
