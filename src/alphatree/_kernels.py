@@ -11,8 +11,11 @@ with its own score:
 
 The search sums per-row statistics over each candidate's children; a
 score maps those sums to one figure per candidate, inf where it rejects
-one.  A numeric feature is one stable sort, one prefix sum and one
-`numeric_split_scan` over all its boundaries at once.
+one.  The numeric features of a node are scanned together: their columns
+are stacked into one (features, rows) array, sorted by one stable argsort
+along the rows, summed by one prefix sum of the statistics in each
+feature's order, and scored by one `numeric_split_scan` call over every
+qualifying (feature, boundary) pair at once.
 """
 
 from __future__ import annotations
@@ -43,27 +46,29 @@ def midpoint_threshold(sorted_values, i) -> float:
 
 
 def numeric_split_scan(values, prefix, score, min_count):
-    """Best boundary of a sorted column: returns (left_count, score).
+    """Best boundary of sorted columns: returns (feature, left_count, score).
 
-    values: sorted feature values; prefix: (k, rows) inclusive prefix sums
-    of the per-row statistics in that order.  A boundary before position i
-    puts i rows left; it qualifies when it separates two distinct values
-    and leaves at least min_count rows on each side.  `score` gets the left
-    and right sums of all qualifying boundaries in one call.  Ties go to
-    the lowest boundary.  Returns (-1, inf) when no boundary qualifies or
-    every one scores inf.
+    values: (f, rows) feature values, each row sorted; prefix: (k, f, rows)
+    inclusive prefix sums of the per-row statistics in each feature's
+    order.  A boundary before position i puts i rows left; it qualifies
+    when it separates two distinct values and leaves at least min_count
+    rows on each side.  `score` gets the left and right sums of all
+    qualifying boundaries, feature-major, in one call; each candidate's
+    right sums come from its own feature's prefix total.  Ties go to the
+    earliest feature, then the lowest boundary.  Returns (-1, -1, inf) when
+    no boundary qualifies or every one scores inf.
     """
-    n = values.shape[0]
+    n = values.shape[1]
     at = np.arange(1, n)
-    at = at[(values[1:] != values[:-1]) & (at >= min_count) & (n - at >= min_count)]
-    if at.size == 0:
-        return -1, np.inf
-    left = prefix.take(at - 1, axis=1)
-    post = score(left, prefix[:, -1:] - left)
+    feature, i = np.nonzero((values[:, 1:] != values[:, :-1]) & (at >= min_count) & (n - at >= min_count))
+    if i.size == 0:
+        return -1, -1, np.inf
+    left = prefix[:, feature, i]
+    post = score(left, prefix[:, feature, n - 1] - left)
     k = int(np.argmin(post))
     if not np.isfinite(post[k]):
-        return -1, np.inf
-    return int(at[k]), float(post[k])
+        return -1, -1, np.inf
+    return int(feature[k]), int(i[k]) + 1, float(post[k])
 
 
 def split_search(columns, kinds, stats, score, min_count):
@@ -80,38 +85,44 @@ def split_search(columns, kinds, stats, score, min_count):
     order.
     """
     n = stats.shape[1]
+    # (score, position in kinds, SplitTest, left sums) of each feature kind's best
+    found = []
+    numeric = [name for name, kind in kinds.items() if kind == "numeric"]
+    if numeric:
+        values = np.stack([np.asarray(columns[name], dtype=float) for name in numeric])
+        order = np.argsort(values, axis=1, kind="stable")
+        # one flat take gathers every feature's sorted values; take_along_axis is slower
+        sv = values.take(order + np.arange(0, values.size, n)[:, None])
+        # take keeps the gathered block C-contiguous; stats[:, order] does not
+        prefix = np.cumsum(stats.take(order, axis=1), axis=-1)
+        j, i, post = numeric_split_scan(sv, prefix, score, min_count)
+        if j >= 0:
+            name = numeric[j]
+            test = SplitTest(name, "numeric", midpoint_threshold(sv[j], i), None)
+            found.append((post, list(kinds).index(name), test, prefix[:, j, i - 1]))
     total = stats.sum(axis=1)
-    best = None
-    for name, kind in kinds.items():
+    for position, (name, kind) in enumerate(kinds.items()):
         if kind == "numeric":
-            values = np.asarray(columns[name], dtype=float)
-            order = np.argsort(values, kind="stable")
-            sv = values[order]
-            # take keeps the gathered block C-contiguous; stats[:, order] does not
-            prefix = np.cumsum(stats.take(order, axis=1), axis=1)
-            i, post = numeric_split_scan(sv, prefix, score, min_count)
-            if i < 0:
-                continue
-            cand = (post, SplitTest(name, "numeric", midpoint_threshold(sv, i), None), prefix[:, i - 1])
-        else:
-            kept = []
-            sums = []
-            for m, idx in levels(columns[name]).items():
-                if idx.size >= min_count and n - idx.size >= min_count:
-                    kept.append(m)
-                    # row sums of a C-contiguous block, as stats.sum sums them
-                    sums.append(stats.take(idx, axis=1).sum(axis=1))
-            if not kept:
-                continue
-            left = np.stack(sums, axis=1)
-            post = score(left, total[:, None] - left)
-            j = int(np.argmin(post))
-            if not np.isfinite(post[j]):
-                continue
-            cand = (float(post[j]), SplitTest(name, "categorical", None, kept[j]), left[:, j])
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best
+            continue
+        kept = []
+        sums = []
+        for m, idx in levels(columns[name]).items():
+            if idx.size >= min_count and n - idx.size >= min_count:
+                kept.append(m)
+                # row sums of a C-contiguous block, as stats.sum sums them
+                sums.append(stats.take(idx, axis=1).sum(axis=1))
+        if not kept:
+            continue
+        left = np.stack(sums, axis=1)
+        post = score(left, total[:, None] - left)
+        k = int(np.argmin(post))
+        if np.isfinite(post[k]):
+            test = SplitTest(name, "categorical", None, kept[k])
+            found.append((float(post[k]), position, test, left[:, k]))
+    if not found:
+        return None
+    post, _, test, left = min(found, key=lambda cand: cand[:2])
+    return post, test, left
 
 
 def _edge_entropy(e):

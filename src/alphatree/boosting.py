@@ -167,7 +167,7 @@ def _nlogit_rows(v: View, scores, B: float, nlogit_values) -> np.ndarray:
 def _eta_rows(v: View, eta_t) -> np.ndarray:
     eta = np.broadcast_to(np.asarray(eta_t, dtype=float), (v.base.n,))
     out = eta[v.indices]
-    if np.any(out < 0) or np.any(out > 1):
+    if not np.all((out >= 0) & (out <= 1)):
         raise DomainError("target posterior must lie in [0, 1]")
     return out
 
@@ -273,9 +273,11 @@ def leaf_stats(
 
     leaf_ids_rows (the leaf id of each view row) and signals (the view's
     per-row signals) skip routing and signal computation when the caller
-    already holds them.  Every per-leaf sum is one bincount over the view's
-    rows, indexed by leaf id: ids lie in [0, 2 * leaves] (see AlphaTree),
-    so the cost is O(view rows + leaves).
+    already holds them; the tree is then not read.  topdown passes the rows
+    of a split leaf this way, with the ids and signals of those rows, for
+    the stats of its two children.  Every per-leaf sum is one bincount over
+    the view's rows, indexed by leaf id: ids lie in [0, 2 * leaves] (see
+    AlphaTree), so the cost is O(view rows + leaves).
     """
     from .core import route_rows
 
@@ -311,6 +313,26 @@ def tree_entropy(tree: AlphaTree, v: View, eta_t, scores, B: float) -> float:
     return float(sum(st.mass * st.entropy for st in stats.values()))
 
 
+def _relabelled(leaf: Leaf, stats: Mapping[int, LeafStats], scoring: str, B: float) -> Leaf:
+    """The leaf labelled from its stats; the leaf itself when it has none.
+
+    A leaf with no stats (no mass under the view) keeps its alpha, and so
+    does an audacious leaf with no alignment signal (both edge parts below
+    EDGE_EPS), whose edge and mass are still updated.
+    """
+    st = stats.get(leaf.leaf_id)
+    if st is None:
+        return leaf
+    if scoring == "conservative":
+        a = leaf_alpha_conservative(st.edge, B)
+    else:
+        try:
+            a = leaf_alpha_audacious(st.edge_pos, st.edge_neg, B)
+        except UndefinedLeafError:
+            a = leaf.alpha
+    return Leaf(leaf.leaf_id, a, edge=st.edge, mass=st.mass)
+
+
 def relabel_leaves(
     tree: AlphaTree,
     stats: Mapping[int, LeafStats],
@@ -325,20 +347,8 @@ def relabel_leaves(
     no alignment signal (both edge parts below EDGE_EPS), whose edge and
     mass are still updated: its all-1/2 scores wrap to 1/2 whatever alpha is.
     """
-    updates: dict[int, Leaf] = {}
-    for leaf in tree.leaves():
-        st = stats.get(leaf.leaf_id)
-        if st is None:
-            continue
-        if scoring == "conservative":
-            a = leaf_alpha_conservative(st.edge, B)
-        else:
-            try:
-                a = leaf_alpha_audacious(st.edge_pos, st.edge_neg, B)
-            except UndefinedLeafError:
-                a = leaf.alpha
-        updates[leaf.leaf_id] = Leaf(leaf.leaf_id, a, edge=st.edge, mass=st.mass)
-    return tree.with_leaf_updates(updates)
+    return tree.with_leaf_updates({leaf.leaf_id: _relabelled(leaf, stats, scoring, B)
+                                   for leaf in tree.leaves()})
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +403,78 @@ def best_split(
 # ---------------------------------------------------------------------------
 
 
+class _Grown(NamedTuple):
+    """State of a topdown call after one iteration.
+
+    leaf_ids (the leaf id of every view row) and stats (per reached leaf,
+    in ascending leaf id) are carried from split to split and change in
+    place after the next one.
+    """
+
+    tree: AlphaTree
+    event: str
+    entropy: float
+    risk: float
+    leaf_ids: np.ndarray
+    stats: dict[int, LeafStats]
+
+
+def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConfig):
+    """Yield the state after iteration 0 (tree0 labelled) and after each split.
+
+    A split updates only the split leaf's share of the carried state: its
+    rows' leaf ids and log-loss, and the two children's stats and labels.
+    The rows of a leaf are found once, the first time it is searched, and
+    split with it; a leaf whose search finds no split is not searched again.
+    """
+    from .core import route_rows
+
+    scores_rows = v.pick(scores)
+    signals = _row_signals(v, eta_t, scores, B)
+    tested = tree0.feature_kinds()
+    leaf_ids = route_rows(tree0, {name: v.base.columns[name][v.indices] for name in tested
+                                  if name in v.base.columns}, v.n)
+    stats = leaf_stats(v, tree0, eta_t, scores, B, leaf_ids_rows=leaf_ids, signals=signals)
+    tree = relabel_leaves(tree0, stats, cfg.scoring, B)
+    loss = log_loss(apply_alpha(scores_rows, alpha_table(tree)[leaf_ids]), signals.eta)
+    rows_of: dict[int, np.ndarray] = {}
+    unsplittable: set[int] = set()
+    for it in range(cfg.max_iterations + 1):
+        event = ""
+        if it:
+            for st in sorted(stats.values(), key=lambda st: (-st.mass, st.leaf_id)):
+                if st.count < 2 * cfg.min_child_count or st.leaf_id in unsplittable:
+                    continue
+                rows = rows_of.get(st.leaf_id)
+                if rows is None:
+                    rows = rows_of[st.leaf_id] = np.flatnonzero(leaf_ids == st.leaf_id)
+                leaf_v = make_view(v.base, v.indices[rows], raw_weights=v.weights[rows])
+                cand = best_split(leaf_v, eta_t, scores, B, cfg)
+                if cand is not None:
+                    break
+                unsplittable.add(st.leaf_id)
+            else:
+                return  # no leaf can be split
+            test = cand.test
+            left_id = tree.max_leaf_id() + 1
+            passes = test.passes_rows(v.base.columns[test.feature][leaf_v.indices])
+            leaf_ids[rows] = np.where(passes, left_id, left_id + 1)
+            # bincount adds each leaf's rows in row order, as over the whole view
+            children = leaf_stats(leaf_v, tree, eta_t, scores, B, leaf_ids_rows=leaf_ids[rows],
+                                  signals=signals._make(a[rows] for a in signals))
+            left, right = (_relabelled(Leaf(i, 1.0), children, cfg.scoring, B)
+                           for i in (left_id, left_id + 1))
+            tree = tree.replace_leaf(st.leaf_id, Node(test, left, right))
+            del stats[st.leaf_id], rows_of[st.leaf_id]
+            stats.update(children)  # child ids top every other, so ids stay ascending
+            rows_of[left_id], rows_of[left_id + 1] = rows[passes], rows[~passes]
+            alpha_rows = np.where(passes, left.alpha, right.alpha)
+            loss[rows] = log_loss(apply_alpha(scores_rows[rows], alpha_rows), signals.eta[rows])
+            event = f"split leaf={st.leaf_id} {test.describe()}"
+        h = sum(st.mass * st.entropy for st in stats.values())
+        yield _Grown(tree, event, h, dot(v.weights, loss), leaf_ids, stats)
+
+
 def topdown(
     v: View,
     eta_t,
@@ -409,53 +491,25 @@ def topdown(
 
     Iteration 0 takes tree0 as it is; every later iteration first splits
     the heaviest leaf that admits a size-feasible, entropy-improving split.
-    Every iteration then relabels every reached leaf and records the tree
+    Every iteration then labels every reached leaf and records the tree
     entropy and the view risk.  Stops when the budget runs out, no leaf can
     be split, or the view risk reaches risk_stop.  The per-iteration tree
     entropy sequence is non-increasing.
 
-    The view's rows are routed once; afterwards every row keeps its leaf
-    id, and a split rewrites only the ids of the rows of the leaf it
-    splits.
+    The view's rows are routed once, and its per-row signals, leaf stats
+    and log-loss are computed once.  A split then costs the rows of the
+    leaf it splits: its search, the ids, stats and labels of its two
+    children, and its rows' log-loss.  The tree entropy is a sum over the
+    leaves and the risk a dot over the view's rows.
     """
-    from .core import route_rows
-
     if trace is None:
         trace = RunTrace()
-
-    scores_rows = v.pick(scores)
-    signals = _row_signals(v, eta_t, scores, B)
-    view_columns = {name: col[v.indices] for name, col in v.base.columns.items()}
-    leaf_ids_rows = route_rows(tree0, view_columns, v.n)
     tree = tree0
-    for it in range(cfg.max_iterations + 1):
-        event = ""
-        if it:
-            for st in sorted(stats.values(), key=lambda st: (-st.mass, st.leaf_id)):
-                if st.count < 2 * cfg.min_child_count:
-                    continue
-                rows = np.flatnonzero(leaf_ids_rows == st.leaf_id)
-                leaf_v = make_view(v.base, v.indices[rows], raw_weights=v.weights[rows])
-                cand = best_split(leaf_v, eta_t, scores, B, cfg)
-                if cand is not None:
-                    break
-            else:
-                break  # no leaf can be split
-            test = cand.test
-            base_id = tree.max_leaf_id()
-            subtree = Node(test, Leaf(base_id + 1, 1.0), Leaf(base_id + 2, 1.0))
-            tree = tree.replace_leaf(st.leaf_id, subtree)
-            passes = test.passes_rows(view_columns[test.feature][rows])
-            leaf_ids_rows[rows] = np.where(passes, base_id + 1, base_id + 2)
-            event = f"split leaf={st.leaf_id} {test.describe()}"
-        stats = leaf_stats(v, tree, eta_t, scores, B, leaf_ids_rows=leaf_ids_rows, signals=signals)
-        tree = relabel_leaves(tree, stats, cfg.scoring, B)
-        h = sum(st.mass * st.entropy for st in stats.values())
-        q_f = apply_alpha(scores_rows, alpha_table(tree)[leaf_ids_rows])
-        risk = dot(v.weights, log_loss(q_f, signals.eta))
-        trace.add(iteration_start + it, "tree_entropy", h, event=event)
-        trace.add(iteration_start + it, "risk", risk)
-        if risk_stop is not None and risk <= risk_stop:
+    for it, grown in enumerate(_grow(v, eta_t, scores, B, tree0, cfg)):
+        tree = grown.tree
+        trace.add(iteration_start + it, "tree_entropy", grown.entropy, event=grown.event)
+        trace.add(iteration_start + it, "risk", grown.risk)
+        if risk_stop is not None and grown.risk <= risk_stop:
             break
     return tree, trace
 

@@ -138,7 +138,7 @@ def make_dataset(
 
     if target is not None:
         target = np.asarray(target, dtype=float)
-        if target.shape[0] != n or np.any(target < 0) or np.any(target > 1):
+        if target.shape[0] != n or not np.all((target >= 0) & (target <= 1)):
             raise DomainError("target posterior column must lie in [0, 1]")
 
     checked: dict[str, np.ndarray] = {}
@@ -233,7 +233,7 @@ def empirical_risk(v: View, q, eta_t) -> float:
     eta = np.broadcast_to(np.asarray(eta_t, dtype=float), (v.base.n,))
     qv = q[v.indices]
     ev = eta[v.indices]
-    if np.any(qv < 0) or np.any(qv > 1):
+    if not np.all((qv >= 0) & (qv <= 1)):
         raise DomainError("posterior values must lie in [0, 1]")
     terms = log_loss(qv, ev)
     if not np.all(np.isfinite(terms)):

@@ -91,8 +91,8 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
     w = np.asarray(weights, dtype=float)
     if not np.all(np.isin(y, (-1, 1))):
         raise DomainError("labels must be ±1")
-    if w.shape != y.shape or np.any(w < 0) or w.sum() <= 0:
-        raise DomainError("weights must be nonnegative and not all zero")
+    if w.shape != y.shape or not np.all(np.isfinite(w) & (w >= 0)) or not w.sum() > 0:
+        raise DomainError("weights must be finite, nonnegative and not all zero")
     if not kinds:
         raise DomainError("no feature columns to fit the posterior estimate on")
     pos = y == 1

@@ -264,11 +264,11 @@ def pushup_posterior(eta, v: View, p: float, delta: float) -> tuple[np.ndarray, 
     eta = np.asarray(eta, dtype=float)
     if eta.shape[0] != v.base.n:
         raise DomainError("eta must be base-aligned")
-    if np.any(eta < 0) or np.any(eta > 1):
+    if not np.all((eta >= 0) & (eta <= 1)):
         raise DomainError("target posterior must lie in [0, 1]")
     if not (0.0 <= p <= 1.0):
         raise DomainError("p must lie in [0, 1]")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise DomainError("delta must be nonnegative")
 
     eta_view = eta[v.indices]

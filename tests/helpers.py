@@ -18,6 +18,7 @@ from alphatree import (
     wrapped_scores,
 )
 from alphatree._kernels import midpoint_threshold
+from alphatree.data import levels
 from alphatree.boosting import ENTROPY_IMPROVEMENT_TOL, SplitCandidate, _eta_rows, _nlogit_rows, leaf_entropy
 from alphatree.core import dot, expit
 from alphatree.estimators import ProxyTree
@@ -234,6 +235,67 @@ def best_split_reference(
         return None
     if best.parent_entropy - best.post_entropy <= ENTROPY_IMPROVEMENT_TOL:
         return None
+    return best
+
+
+def _column_split_scan(values, prefix, score, min_count):
+    """Best boundary of one sorted column: returns (left_count, score).
+
+    The scan as it was before `numeric_split_scan` took every numeric
+    feature of a node at once.
+    """
+    n = values.shape[0]
+    at = np.arange(1, n)
+    at = at[(values[1:] != values[:-1]) & (at >= min_count) & (n - at >= min_count)]
+    if at.size == 0:
+        return -1, np.inf
+    left = prefix.take(at - 1, axis=1)
+    post = score(left, prefix[:, -1:] - left)
+    k = int(np.argmin(post))
+    if not np.isfinite(post[k]):
+        return -1, np.inf
+    return int(at[k]), float(post[k])
+
+
+def split_search_reference(columns, kinds, stats, score, min_count):
+    """Per-feature split search that `_kernels.split_search` must reproduce bit for bit.
+
+    The loop as it was before the numeric features of a node were sorted,
+    summed and scanned together: one sort, one prefix sum and one scan per
+    numeric feature, in declaration order.
+    """
+    n = stats.shape[1]
+    total = stats.sum(axis=1)
+    best = None
+    for name, kind in kinds.items():
+        if kind == "numeric":
+            values = np.asarray(columns[name], dtype=float)
+            order = np.argsort(values, kind="stable")
+            sv = values[order]
+            # take keeps the gathered block C-contiguous; stats[:, order] does not
+            prefix = np.cumsum(stats.take(order, axis=1), axis=1)
+            i, post = _column_split_scan(sv, prefix, score, min_count)
+            if i < 0:
+                continue
+            cand = (post, SplitTest(name, "numeric", midpoint_threshold(sv, i), None), prefix[:, i - 1])
+        else:
+            kept = []
+            sums = []
+            for m, idx in levels(columns[name]).items():
+                if idx.size >= min_count and n - idx.size >= min_count:
+                    kept.append(m)
+                    # row sums of a C-contiguous block, as stats.sum sums them
+                    sums.append(stats.take(idx, axis=1).sum(axis=1))
+            if not kept:
+                continue
+            left = np.stack(sums, axis=1)
+            post = score(left, total[:, None] - left)
+            j = int(np.argmin(post))
+            if not np.isfinite(post[j]):
+                continue
+            cand = (float(post[j]), SplitTest(name, "categorical", None, kept[j]), left[:, j])
+        if best is None or cand[0] < best[0]:
+            best = cand
     return best
 
 

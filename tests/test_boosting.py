@@ -44,7 +44,8 @@ from alphatree import (
     wha_check,
     wrapped_scores,
 )
-from alphatree.core import EDGE_EPS, apply_alpha, expit
+from alphatree.core import EDGE_EPS, apply_alpha, dot, expit
+from alphatree.data import log_loss
 
 from helpers import (
     best_split_reference,
@@ -103,6 +104,13 @@ def test_edge_respects_view_weights():
     ds, eta = two_row_dataset()
     v = make_view(ds, np.array([0, 1]), raw_weights=np.array([3.0, 1.0]))
     assert edge(v, eta, ds.scores, 1.0) == 0.75
+
+
+def test_edge_rejects_a_nan_target():
+    # a NaN edge would be clamped to -1.0 with no error
+    ds, _ = two_row_dataset()
+    with pytest.raises(DomainError, match="target posterior"):
+        edge(full_view(ds), np.array([1.0, math.nan]), ds.scores, 1.0)
 
 
 def test_conservative_alpha_oracles():
@@ -625,10 +633,11 @@ def tree_shape(node):
     stump_start=st.booleans(),
     max_iterations=st.integers(0, 8),
     min_child_count=st.integers(1, 12),
+    scoring=st.sampled_from(["conservative", "audacious"]),
 )
 def test_topdown_incremental_leaf_ids_match_full_routing(
     seed, n, n_numeric, n_categorical, decimals, view, stump_start, max_iterations,
-    min_child_count,
+    min_child_count, scoring,
 ):
     rng = np.random.default_rng(seed)
     B = float(rng.uniform(0.5, 3.0))
@@ -650,23 +659,37 @@ def test_topdown_incremental_leaf_ids_match_full_routing(
     v = full_view(ds) if view == "all" else make_view(ds, np.flatnonzero(ds.groups == view))
     tree0 = init_stump(["g0", "g1"]) if stump_start else single_leaf_tree()
     cfg = InductionConfig(max_iterations=max_iterations, min_child_count=min_child_count,
-                          min_child_fraction=0.05)
+                          min_child_fraction=0.05, scoring=scoring)
 
-    real_leaf_stats = boosting.leaf_stats
-    calls = []
+    real_best_split = boosting.best_split
+    searched = []
 
-    def checked_leaf_stats(v_, tree, eta_t, scores_, B_, leaf_ids_rows=None, **kwargs):
-        routed = route_rows(tree, ds.columns, ds.n)[v_.indices]
-        np.testing.assert_array_equal(leaf_ids_rows, routed)
-        out = real_leaf_stats(v_, tree, eta_t, scores_, B_, leaf_ids_rows=leaf_ids_rows, **kwargs)
-        assert_stats_match(out, masked_leaf_stats(v_, routed, eta, ds.scores, B))
-        calls.append(tree)
-        return out
+    def recording_best_split(leaf_v, *args):
+        searched.append(tuple(leaf_v.indices.tolist()))
+        return real_best_split(leaf_v, *args)
 
-    with mock.patch.object(boosting, "leaf_stats", checked_leaf_stats):
-        tree, trace = topdown(v, eta, ds.scores, B, tree0, cfg)
-    splits = sum(1 for r in trace.rows if r.event.startswith("split"))
-    assert len(calls) == splits + 1
+    # after iteration 0 and after every split, the carried state equals the
+    # from-scratch values bit for bit
+    steps = []
+    with mock.patch.object(boosting, "best_split", recording_best_split):
+        for grown in boosting._grow(v, eta, ds.scores, B, tree0, cfg):
+            tree = grown.tree
+            routed = route_rows(tree, ds.columns, ds.n)[v.indices]
+            np.testing.assert_array_equal(grown.leaf_ids, routed)
+            fresh = leaf_stats(v, tree, eta, ds.scores, B)
+            assert grown.stats == fresh and list(grown.stats) == sorted(fresh)
+            assert_stats_match(grown.stats, masked_leaf_stats(v, routed, eta, ds.scores, B))
+            assert relabel_leaves(tree, fresh, scoring, B).leaves() == tree.leaves()
+            assert grown.entropy == sum(st.mass * st.entropy for st in fresh.values())
+            loss = log_loss(wrapped_scores(tree, ds.columns, ds.scores)[v.indices], eta[v.indices])
+            assert grown.risk == dot(v.weights, loss)
+            steps.append((grown.event, grown.entropy, grown.risk))
+    # a leaf is searched at most once: no row set comes back
+    assert len(set(searched)) == len(searched)
+
+    tree, trace = topdown(v, eta, ds.scores, B, tree0, cfg)
+    assert [(r.event, r.value) for r in trace.rows if r.metric == "tree_entropy"] == [s[:2] for s in steps]
+    assert trace.values("risk") == [s[2] for s in steps]
     expected = rerouting_topdown(v, eta, ds.scores, B, tree0, cfg)
     assert tree_shape(tree.root) == tree_shape(expected.root)
     for leaf in tree.leaves():

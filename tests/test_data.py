@@ -73,6 +73,13 @@ def test_make_dataset_validation():
                      np.array([]), 1.0)
 
 
+def test_make_dataset_rejects_a_nan_target():
+    # NaN fails no `< 0` or `> 1` comparison, so the range check must ask for it
+    with pytest.raises(DomainError, match="target posterior"):
+        make_dataset({"x": np.zeros(4)}, {"x": "numeric"}, np.array([1, -1, 1, -1]), ["g"] * 4,
+                     np.full(4, 0.5), 1.0, target=np.array([0.5, math.nan, 0.2, 0.1]))
+
+
 def test_make_dataset_clips_scores_on_ingest():
     ds = tiny_dataset()
     lo, hi = clip_bounds(1.0)
@@ -259,6 +266,13 @@ def test_empirical_risk_infinite_on_confident_mistake():
     # but a zero-probability event costs nothing when eta is zero too
     r = empirical_risk(v, np.array([1e-300] + [0.5] * 5), np.zeros(6))
     assert math.isfinite(r)
+
+
+def test_empirical_risk_rejects_a_nan_posterior():
+    # a domain error, not an infinite risk: q never hit 0 or 1
+    v = full_view(tiny_dataset())
+    with pytest.raises(DomainError, match=r"posterior values must lie in \[0, 1\]"):
+        empirical_risk(v, np.array([math.nan] + [0.5] * 5), np.ones(6))
 
 
 def test_empirical_risk_proper():

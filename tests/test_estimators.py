@@ -36,6 +36,14 @@ def gaussian_fixture():
     return gaussian_plugin_fit({"x": x}, {"x": "numeric"}, y, w)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gaussian_plugin_rejects_non_finite_weights(bad):
+    x = np.array([-1.0, 1.0, 9.0, 11.0])
+    y = np.array([1, 1, -1, -1])
+    with pytest.raises(DomainError, match="weights must be finite"):
+        gaussian_plugin_fit({"x": x}, {"x": "numeric"}, y, np.array([1.0, bad, 1.0, 1.0]))
+
+
 def test_gaussian_midpoint_balance():
     model = gaussian_fixture()
     out = gaussian_plugin_eval(model, {"x": np.array([5.0])})

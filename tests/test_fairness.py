@@ -217,6 +217,16 @@ def test_pushup_validation():
         pushup_posterior(np.array([0.5]), v, 0.5, 0.1)
 
 
+def test_pushup_rejects_nan():
+    ds = make_dataset({"x": np.zeros(2)}, {"x": "numeric"},
+                      np.array([1, -1]), ["g", "g"], np.full(2, 0.5), 1.0)
+    v = full_view(ds)
+    with pytest.raises(DomainError, match="target posterior"):
+        pushup_posterior(np.array([0.5, math.nan]), v, 0.5, 0.1)
+    with pytest.raises(DomainError, match="delta"):
+        pushup_posterior(np.array([0.5, 0.5]), v, 0.5, math.nan)
+
+
 def advantage_fixture():
     # group A: 9 of 10 positives above 1/2; group B: 6 of 10
     hi, lo = float(expit(1.0)), float(expit(-1.0))

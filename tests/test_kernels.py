@@ -1,19 +1,31 @@
-"""The split scan under each tree's score against its loop reference, and its boundary rules."""
+"""The split scan and search under each tree's score against their loop references, and
+the scan's boundary rules."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alphatree._kernels import alignment_score, class_entropy, class_score, midpoint_threshold, numeric_split_scan
+from alphatree._kernels import (
+    alignment_score,
+    class_entropy,
+    class_score,
+    midpoint_threshold,
+    numeric_split_scan,
+    split_search,
+)
 
-from helpers import _class_entropy, numeric_split_scan_reference
+from helpers import _class_entropy, numeric_split_scan_reference, split_search_reference
 
 
 def alignment_scan(values, cumw, cuma, min_mass, min_count):
-    return numeric_split_scan(values, np.stack([cumw, cuma]), alignment_score(min_mass), min_count)
+    """The scan of one sorted column: (left_count, score)."""
+    prefix = np.stack([cumw, cuma])[:, None, :]
+    return numeric_split_scan(values[None], prefix, alignment_score(min_mass), min_count)[1:]
 
 
 def class_scan(values, labels, classes, min_count):
     prefix = np.cumsum(np.eye(classes, dtype=np.int64).take(labels, axis=1), axis=1)
-    return numeric_split_scan(values, prefix, class_score, min_count)
+    return numeric_split_scan(values[None], prefix[:, None, :], class_score, min_count)[1:]
 
 
 def scan_inputs(rng, n, tie_prob=0.3):
@@ -137,3 +149,53 @@ def test_class_score_matches_scalar_entropies_bitwise():
             expected = [_class_entropy(lc.astype(float)) * lc.sum() + _class_entropy(rc.astype(float)) * rc.sum()
                         for lc, rc in zip(left.T, right.T)]
             assert np.array_equal(class_score(left, right), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    n_numeric=st.integers(0, 4),
+    n_categorical=st.integers(0, 3),
+    n_duplicates=st.integers(0, 2),
+    decimals=st.integers(0, 2),
+    scoring=st.sampled_from(["alignment", "class"]),
+    classes=st.integers(2, 10),
+    min_count=st.integers(1, 40),
+)
+def test_split_search_matches_per_feature_loop_bitwise(
+    seed, n, n_numeric, n_categorical, n_duplicates, decimals, scoring, classes, min_count,
+):
+    rng = np.random.default_rng(seed)
+    columns, kinds = {}, {}
+    for j in range(n_numeric):
+        # few decimals force tied values, and tied candidates across features
+        columns[f"x{j}"] = np.round(rng.normal(0.0, 1.0, n), decimals)
+        kinds[f"x{j}"] = "numeric"
+    for j in range(n_categorical):
+        columns[f"c{j}"] = rng.choice(np.array(list("abcd")[: int(rng.integers(1, 5))], dtype=object), n)
+        kinds[f"c{j}"] = "categorical"
+    for j in range(n_duplicates if kinds else 0):
+        # a copied feature ties its original exactly; the earlier one must win
+        name = str(rng.choice(list(kinds)))
+        columns[f"d{j}"] = columns[name].copy()
+        kinds[f"d{j}"] = kinds[name]
+    names = list(kinds)
+    rng.shuffle(names)
+    kinds = {name: kinds[name] for name in names}
+    if scoring == "alignment":
+        w = rng.uniform(0.5, 2.0, n) * (rng.random(n) >= 0.2)
+        w[0] = 1.0
+        w = w / w.sum()
+        stats = np.stack([w, w * rng.uniform(-1.0, 1.0, n)])
+        score = alignment_score(float(rng.uniform(0.001, 0.3)) * w.sum())
+    else:
+        stats = np.eye(classes, dtype=np.int64).take(rng.integers(0, classes, n), axis=1)
+        score = class_score
+    got = split_search(columns, kinds, stats, score, min_count)
+    expected = split_search_reference(columns, kinds, stats, score, min_count)
+    if expected is None:
+        assert got is None
+        return
+    assert got[0] == expected[0] and got[1] == expected[1]
+    assert got[2].dtype == expected[2].dtype and np.array_equal(got[2], expected[2])
