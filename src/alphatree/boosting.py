@@ -30,7 +30,7 @@ from .core import (
     dot,
     nlogit,
 )
-from .data import RunTrace, View, binary_entropy, log_loss, make_view
+from .data import RunTrace, View, binary_entropy, log_loss, make_view, target_posterior
 
 __all__ = [
     "UndefinedLeafError",
@@ -149,9 +149,6 @@ class BalancedWeights:
     negative: np.ndarray
     edge: float
 
-    def total(self) -> float:
-        return float(self.positive.sum() + self.negative.sum())
-
 
 # ---------------------------------------------------------------------------
 # edges and labels
@@ -165,11 +162,8 @@ def _nlogit_rows(v: View, scores, B: float, nlogit_values) -> np.ndarray:
 
 
 def _eta_rows(v: View, eta_t) -> np.ndarray:
-    eta = np.broadcast_to(np.asarray(eta_t, dtype=float), (v.base.n,))
-    out = eta[v.indices]
-    if not np.all((out >= 0) & (out <= 1)):
-        raise DomainError("target posterior must lie in [0, 1]")
-    return out
+    """The target posterior at the view's rows; only those rows are checked."""
+    return target_posterior(eta_t, v.base.n, v.indices)
 
 
 def edge(v: View, eta_t, scores, B: float, nlogit_values=None) -> float:

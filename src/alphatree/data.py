@@ -7,7 +7,9 @@ is a cheap handle on a weighted subset of rows with weights renormalized to
 sum 1; every expectation in the package is taken under a View.
 
 Per-row auxiliary arrays (scores, target posteriors) are always aligned
-with the base Dataset; Views pick rows out by index.
+with the base Dataset; Views pick rows out by index.  `target_posterior`
+holds the one rule for a target posterior: n values or one value for every
+row, each in [0, 1].  Every entry point that takes one reads it there.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "View",
     "make_dataset",
     "make_view",
+    "target_posterior",
     "full_view",
     "levels",
     "condition_on_group",
@@ -95,6 +98,24 @@ class Dataset:
         return {name: self.kinds[name] for name in self.features}
 
 
+def target_posterior(eta_t, n: int, rows=None) -> np.ndarray:
+    """A new array of the target posterior of an n-row base at `rows`, or at every row.
+
+    eta_t is n values, or one value that stands for every row; another
+    shape is a DomainError naming both counts.  Only the rows returned are
+    checked, so a caller that reads a view pays for the view's rows.  A
+    returned value outside [0, 1], NaN included, is a DomainError.
+    """
+    eta = np.asarray(eta_t, dtype=float)
+    if eta.shape not in ((), (n,)):
+        raise DomainError(f"target posterior has shape {eta.shape} for {n} rows")
+    eta = np.broadcast_to(eta, (n,))
+    out = eta.copy() if rows is None else eta[rows]
+    if not np.all((out >= 0) & (out <= 1)):  # NaN, as from None, fails too
+        raise DomainError("target posterior must lie in [0, 1]")
+    return out
+
+
 def make_dataset(
     features: Mapping[str, np.ndarray],
     kinds: Mapping[str, str],
@@ -137,9 +158,7 @@ def make_dataset(
         raise DomainError("total weight must be positive")
 
     if target is not None:
-        target = np.asarray(target, dtype=float)
-        if target.shape[0] != n or not np.all((target >= 0) & (target <= 1)):
-            raise DomainError("target posterior column must lie in [0, 1]")
+        target = target_posterior(target, n)
 
     checked: dict[str, np.ndarray] = {}
     for name in features:
@@ -226,15 +245,14 @@ def empirical_risk(v: View, q, eta_t) -> float:
     """Expected log-loss of posterior q against target eta_t under the view.
 
     Both q and eta_t are base-aligned arrays (or scalars broadcast over the
-    base).  Natural log.  Scores of exactly 0 or 1 facing opposing target
-    mass raise InfiniteRiskError.
+    base); eta_t is read by `target_posterior`.  Natural log.  Scores of
+    exactly 0 or 1 facing opposing target mass raise InfiniteRiskError.
     """
     q = np.broadcast_to(np.asarray(q, dtype=float), (v.base.n,))
-    eta = np.broadcast_to(np.asarray(eta_t, dtype=float), (v.base.n,))
     qv = q[v.indices]
-    ev = eta[v.indices]
     if not np.all((qv >= 0) & (qv <= 1)):
         raise DomainError("posterior values must lie in [0, 1]")
+    ev = target_posterior(eta_t, v.base.n, v.indices)
     terms = log_loss(qv, ev)
     if not np.all(np.isfinite(terms)):
         raise InfiniteRiskError("posterior hit 0 or 1 with opposing target mass")

@@ -9,7 +9,7 @@ grow from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,7 +202,6 @@ class ProxyTree:
 
     tree: AlphaTree
     labels: tuple
-    classes: tuple
 
     def predict(self, columns) -> np.ndarray:
         n = len(next(iter(columns.values())))
@@ -258,5 +257,5 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
         return Node(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
 
     root = build(np.arange(n), 0)
-    return ProxyTree(tree=AlphaTree(root), labels=tuple(labels), classes=classes)
+    return ProxyTree(tree=AlphaTree(root), labels=tuple(labels))
 

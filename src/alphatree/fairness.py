@@ -20,7 +20,16 @@ import numpy as np
 
 from .boosting import InductionConfig, topdown
 from .core import AlphaTree, DomainError, dot, wrapped_scores
-from .data import Dataset, EmptyMeasureError, RunTrace, View, binary_entropy, condition_on_group, log_loss
+from .data import (
+    Dataset,
+    EmptyMeasureError,
+    RunTrace,
+    View,
+    binary_entropy,
+    condition_on_group,
+    log_loss,
+    target_posterior,
+)
 from .estimators import init_stump, label_plugin
 
 __all__ = [
@@ -121,13 +130,6 @@ def _group_weights(ds: Dataset) -> dict:
     return {g: float(ds.weights[idx].sum()) / total for g, idx in ds.group_rows.items()}
 
 
-def _eta_base(ds: Dataset, eta_t) -> np.ndarray:
-    eta = np.broadcast_to(np.asarray(eta_t, dtype=float), (ds.n,)).copy()
-    if not np.all((eta >= 0) & (eta <= 1)):  # NaN, as from None, fails too
-        raise DomainError("target posterior must lie in [0, 1]")
-    return eta
-
-
 def group_means(values: np.ndarray, weights: np.ndarray, group_rows: Mapping) -> dict:
     """Weighted mean of a per-row quantity over each group's rows.
 
@@ -151,7 +153,7 @@ def subgroup_risks(ds: Dataset, tree: AlphaTree, eta_t=None) -> dict:
 
     The target defaults to the label plug-in posterior.
     """
-    eta = label_plugin(ds.labels) if eta_t is None else _eta_base(ds, eta_t)
+    eta = label_plugin(ds.labels) if eta_t is None else target_posterior(eta_t, ds.n)
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
     return group_means(log_loss(q_f, eta), ds.weights, ds.group_rows)
 
@@ -216,7 +218,7 @@ def run_cvar(
             trace.add(0, "subtree_init", 0.0, group=str(g), event="init")
     else:
         tree = tree0
-    eta = label_plugin(ds.labels) if eta_t is None else _eta_base(ds, eta_t)
+    eta = label_plugin(ds.labels) if eta_t is None else target_posterior(eta_t, ds.n)
     gw = _group_weights(ds)
 
     it = 0
@@ -259,20 +261,16 @@ def pushup_posterior(eta, v: View, p: float, delta: float) -> tuple[np.ndarray, 
     transform is the identity; otherwise every view row with eta in
     [eta_floor, 1/2 + delta] is raised to min(1/2 + delta, 1).
 
-    eta is base-aligned; rows outside the view are never touched.
+    eta is read by `target_posterior` over the whole base, as the result
+    covers every base row; rows outside the view are never touched.
     """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape[0] != v.base.n:
-        raise DomainError("eta must be base-aligned")
-    if not np.all((eta >= 0) & (eta <= 1)):
-        raise DomainError("target posterior must lie in [0, 1]")
+    out = target_posterior(eta, v.base.n)
     if not (0.0 <= p <= 1.0):
         raise DomainError("p must lie in [0, 1]")
     if not delta >= 0.0:
         raise DomainError("delta must be nonnegative")
 
-    eta_view = eta[v.indices]
-    out = eta.copy()
+    eta_view = out[v.indices]
     if p == 0.0:
         return out, PushupParams(p=p, delta=delta, eta_floor=math.inf, x_p=np.array([], dtype=int))
 
@@ -355,7 +353,7 @@ def run_eoo(
     modalities = list(ds.group_rows)
     tree = tree0 if tree0 is not None else init_stump(modalities, ds.group_column)
     trace = RunTrace()
-    eta = _eta_base(ds, eta_estimate)
+    eta = target_posterior(eta_estimate, ds.n)
     eps = spec.eps
 
     one_split = replace(spec.induction, max_iterations=1)

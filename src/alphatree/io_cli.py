@@ -1,5 +1,10 @@
 """Dataset ingest, model files, and the split plan.
 
+Ingest reads every numeric column role by one rule, `_parse_numbers`: a
+score or target cell must lie in [0, 1], a weight must be finite and >= 0,
+and a numeric feature value must be finite.  A cell that breaks its role's
+rule is a LoadError naming its 1-based data row, the cell and the rule.
+
 Model files are canonical JSON: sorted keys, two-space indent, no NaN, one
 trailing newline.  Loading a file and saving it again reproduces the bytes
 exactly, which is what makes model diffs trustworthy.
@@ -41,8 +46,6 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 SCORING_MODES = ("conservative", "audacious")
-
-RESERVED_DEFAULTS = ("label", "group", "score", "weight")
 
 
 class LoadError(ValueError):
@@ -92,44 +95,6 @@ def _parse_labels(raw: list[str]) -> list[int]:
     return labels
 
 
-def _parse_probability(raw: str, row: int, noun: str) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise LoadError(f"row {row}: {noun} {raw!r} is not a number") from None
-    if not math.isfinite(v) or v < 0.0 or v > 1.0:
-        raise LoadError(f"row {row}: {noun} {raw!r} must lie in [0, 1]")
-    return v
-
-
-def _parse_weight(raw: str, row: int) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise LoadError(f"row {row}: weight {raw!r} is not a number") from None
-    if not math.isfinite(v) or v < 0.0:
-        raise LoadError(f"row {row}: weight {raw!r} must be finite and >= 0")
-    return v
-
-
-def _parse_number(raw: str, row: int, name: str) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise LoadError(f"row {row}: feature {name!r} value {raw!r} is not numeric") from None
-    if not math.isfinite(v):
-        raise LoadError(f"row {row}: feature {name!r} value {raw!r} is not finite")
-    return v
-
-
-def _parse_floats(raw: list[str]) -> np.ndarray | None:
-    """Every cell as a float, or None when some cell does not parse."""
-    try:
-        return np.fromiter(map(float, raw), dtype=float, count=len(raw))
-    except ValueError:
-        return None
-
-
 def _in_unit_interval(values: np.ndarray) -> np.ndarray:
     return (values >= 0.0) & (values <= 1.0)
 
@@ -138,17 +103,30 @@ def _finite_nonnegative(values: np.ndarray) -> np.ndarray:
     return (values >= 0.0) & (values < math.inf)
 
 
-def _checked(values: np.ndarray | None, raw: list[str], ok, parse_cell, *args) -> np.ndarray:
-    """`values`, the cells of `raw` as floats, when `ok(values)` holds for every one.
+def _parse_numbers(raw: list[str], noun: str, ok, unparsed: str | None, failed: str) -> np.ndarray | None:
+    """The cells of a column as floats, when every one parses and passes `ok`.
 
-    Otherwise, or when `values` is None because some cell does not parse,
-    the per-cell `parse_cell(cell, row, *args)` runs down `raw` and raises
-    at the first bad row.  Every `ok` of this module is False at NaN, so a
-    NaN cell always takes that path.
+    `ok` maps floats to booleans, elementwise, and is False at NaN.  The
+    first bad cell is a LoadError "row r: {noun} {cell!r} {phrase}", with
+    `unparsed` as the phrase for a cell that does not parse and `failed`
+    for one that fails `ok`.  With `unparsed` None, a column with a cell
+    that does not parse is None instead.  Only a bad column is read cell
+    by cell.
     """
-    if values is None or not np.all(ok(values)):
-        values = np.array([parse_cell(v, r, *args) for r, v in enumerate(raw, start=1)])
-    return values
+    try:
+        values = np.fromiter(map(float, raw), dtype=float, count=len(raw))
+        if np.all(ok(values)):
+            return values
+    except ValueError:
+        if unparsed is None:
+            return None
+    for r, cell in enumerate(raw, start=1):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise LoadError(f"row {r}: {noun} {cell!r} {unparsed}") from None
+        if not ok(value):
+            raise LoadError(f"row {r}: {noun} {cell!r} {failed}")
 
 
 def _parse_feature(name: str, raw: list[str], kind: str | None) -> tuple[np.ndarray, str]:
@@ -158,13 +136,12 @@ def _parse_feature(name: str, raw: list[str], kind: str | None) -> tuple[np.ndar
     else categorical.  A numeric cell that does not parse or is not finite
     is a LoadError naming its 1-based data row and the column.
     """
-    values = None
     if kind in (None, "numeric"):
-        values = _parse_floats(raw)
-        if kind is None:
-            kind = "categorical" if values is None else "numeric"
-    if kind == "numeric":
-        return _checked(values, raw, np.isfinite, _parse_number, name), kind
+        unparsed = None if kind is None else "is not numeric"
+        values = _parse_numbers(raw, f"feature {name!r} value", np.isfinite, unparsed, "is not finite")
+        if values is not None:
+            return values, "numeric"
+        kind = "categorical"
     if kind == "categorical":
         return np.array(raw, dtype=object), kind
     raise LoadError(f"feature {name!r} has unknown kind {kind!r}")
@@ -286,8 +263,7 @@ def parse_probabilities(table: Table, name: str, noun: str) -> np.ndarray:
 
     A bad cell is a LoadError that names its 1-based row and calls it the `noun`.
     """
-    raw = table.column(name)
-    return _checked(_parse_floats(raw), raw, _in_unit_interval, _parse_probability, noun)
+    return _parse_numbers(table.column(name), noun, _in_unit_interval, "is not a number", "must lie in [0, 1]")
 
 
 def load_dataset(
@@ -319,8 +295,8 @@ def load_dataset(
     groups = table.column(group_column)
     weights = None
     if weight_column is not None:
-        raw = table.column(weight_column)
-        weights = _checked(_parse_floats(raw), raw, _finite_nonnegative, _parse_weight)
+        weights = _parse_numbers(table.column(weight_column), "weight", _finite_nonnegative,
+                                 "is not a number", "must be finite and >= 0")
     target = None
     if target_column is not None:
         target = parse_probabilities(table, target_column, "target")

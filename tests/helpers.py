@@ -374,7 +374,7 @@ def proxy_group_tree_reference(columns, kinds, groups, max_depth: int = 8, min_l
         return Node(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
 
     root = build(np.arange(n), 0)
-    return ProxyTree(tree=AlphaTree(root), labels=tuple(labels), classes=classes)
+    return ProxyTree(tree=AlphaTree(root), labels=tuple(labels))
 
 
 def proxy_predict_reference(proxy: ProxyTree, columns) -> np.ndarray:
@@ -521,3 +521,58 @@ def read_csv_reference(path, required, features=()) -> tuple[list[str], list[lis
         if name not in header:
             raise LoadError(f"missing feature column {name!r}")
     return header, rows
+
+
+# ---------------------------------------------------------------------------
+# oracle of the ingest cell rules: one parser per column role, cell by cell
+# ---------------------------------------------------------------------------
+
+
+def _parse_probability(raw: str, row: int, noun: str) -> float:
+    try:
+        v = float(raw)
+    except ValueError:
+        raise LoadError(f"row {row}: {noun} {raw!r} is not a number") from None
+    if not math.isfinite(v) or v < 0.0 or v > 1.0:
+        raise LoadError(f"row {row}: {noun} {raw!r} must lie in [0, 1]")
+    return v
+
+
+def _parse_weight(raw: str, row: int) -> float:
+    try:
+        v = float(raw)
+    except ValueError:
+        raise LoadError(f"row {row}: weight {raw!r} is not a number") from None
+    if not math.isfinite(v) or v < 0.0:
+        raise LoadError(f"row {row}: weight {raw!r} must be finite and >= 0")
+    return v
+
+
+def _parse_number(raw: str, row: int, name: str) -> float:
+    try:
+        v = float(raw)
+    except ValueError:
+        raise LoadError(f"row {row}: feature {name!r} value {raw!r} is not numeric") from None
+    if not math.isfinite(v):
+        raise LoadError(f"row {row}: feature {name!r} value {raw!r} is not finite")
+    return v
+
+
+def parse_column_reference(role: str, name: str, raw: list[str]) -> np.ndarray:
+    """Cells of a column read as `load_dataset` reads its role, one cell at a time.
+
+    role is "score", "target", "weight", "numeric" or "inferred".  An
+    inferred column is numeric when every cell parses as a float, else it
+    is the cells as they are.  The first bad cell raises its LoadError.
+    """
+    if role == "inferred":
+        try:
+            [float(cell) for cell in raw]
+        except ValueError:
+            return np.array(raw, dtype=object)
+    parse_cell, args = {
+        "score": (_parse_probability, ("score",)),
+        "target": (_parse_probability, ("target",)),
+        "weight": (_parse_weight, ()),
+    }.get(role, (_parse_number, (name,)))
+    return np.array([parse_cell(v, r, *args) for r, v in enumerate(raw, start=1)])

@@ -113,6 +113,18 @@ def test_edge_rejects_a_nan_target():
         edge(full_view(ds), np.array([1.0, math.nan]), ds.scores, 1.0)
 
 
+def test_a_target_of_the_wrong_length_is_a_domain_error():
+    # numpy's broadcast error named neither the target nor the row count
+    ds, _ = two_row_dataset()
+    for eta in (np.full(3, 0.5), np.array([0.5]), np.full((2, 1), 0.5)):
+        with pytest.raises(DomainError, match=r"target posterior has shape \(\d+(, 1)?,?\) for 2 rows"):
+            edge(full_view(ds), eta, ds.scores, 1.0)
+        with pytest.raises(DomainError, match="target posterior has shape"):
+            topdown(full_view(ds), eta, ds.scores, 1.0, single_leaf_tree(), InductionConfig())
+    # one value stands for every row
+    assert edge(full_view(ds), 0.25, ds.scores, 1.0) == edge(full_view(ds), np.full(2, 0.25), ds.scores, 1.0)
+
+
 def test_conservative_alpha_oracles():
     assert leaf_alpha_conservative(0.5, 1.0) == pytest.approx(LOG3, abs=1e-15)
     assert leaf_alpha_conservative(0.5, 3.0) == pytest.approx(

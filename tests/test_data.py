@@ -275,6 +275,31 @@ def test_empirical_risk_rejects_a_nan_posterior():
         empirical_risk(v, np.array([math.nan] + [0.5] * 5), np.ones(6))
 
 
+def test_empirical_risk_checks_the_target_posterior():
+    # NaN read as an infinite risk, and 1.5 returned log 2 with no error
+    ds = make_dataset({"x": np.zeros(3)}, {"x": "numeric"}, np.array([1, -1, 1]), ["g"] * 3,
+                      np.full(3, 0.5), 1.0)
+    v, q = full_view(ds), np.full(3, 0.5)
+    for eta in ([0.5, math.nan, 0.2], [0.5, 1.5, 0.2], [-0.1, 0.5, 0.2]):
+        with pytest.raises(DomainError, match=r"^target posterior must lie in \[0, 1\]$"):
+            empirical_risk(v, q, np.array(eta))
+    with pytest.raises(DomainError, match=r"^target posterior has shape \(4,\) for 3 rows$"):
+        empirical_risk(v, q, np.full(4, 0.5))
+    # only the view's rows are read, so only they are checked
+    assert empirical_risk(make_view(ds, [0, 2]), q, np.array([0.5, math.nan, 0.2])) == LOG2
+    assert empirical_risk(v, q, 0.3) == empirical_risk(v, q, np.full(3, 0.3))
+
+
+def test_make_dataset_target_takes_one_value_for_every_row():
+    # a scalar target raised IndexError
+    ds = make_dataset({"x": np.zeros(3)}, {"x": "numeric"}, np.array([1, -1, 1]), ["g"] * 3,
+                      np.full(3, 0.5), 1.0, target=0.25)
+    assert ds.target.tolist() == [0.25] * 3
+    with pytest.raises(DomainError, match=r"target posterior has shape \(2,\) for 3 rows"):
+        make_dataset({"x": np.zeros(3)}, {"x": "numeric"}, np.array([1, -1, 1]), ["g"] * 3,
+                     np.full(3, 0.5), 1.0, target=np.full(2, 0.25))
+
+
 def test_empirical_risk_proper():
     # cross entropy is minimized only by the target itself
     rng = np.random.default_rng(9)

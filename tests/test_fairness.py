@@ -227,6 +227,26 @@ def test_pushup_rejects_nan():
         pushup_posterior(np.array([0.5, 0.5]), v, 0.5, math.nan)
 
 
+def test_target_checks_name_the_length_and_take_one_value():
+    # a wrong length raised numpy's broadcast ValueError, and pushup_posterior
+    # raised IndexError on one value
+    ds = make_dataset({"x": np.zeros(3)}, {"x": "numeric"}, np.array([1, -1, 1]),
+                      ["a", "a", "b"], np.array([0.3, 0.5, 0.7]), 1.0)
+    v = full_view(ds)
+    tree = single_leaf_tree()
+    with pytest.raises(DomainError, match=r"target posterior has shape \(4,\) for 3 rows"):
+        subgroup_risks(ds, tree, np.full(4, 0.5))
+    with pytest.raises(DomainError, match=r"target posterior has shape \(2,\) for 3 rows"):
+        pushup_posterior(np.full(2, 0.2), v, 0.5, 0.1)
+    with pytest.raises(DomainError, match=r"target posterior must lie in \[0, 1\]"):
+        pushup_posterior(1.5, v, 0.5, 0.1)
+    assert subgroup_risks(ds, tree, 0.2) == subgroup_risks(ds, tree, np.full(3, 0.2))
+    out, params = pushup_posterior(0.2, v, 0.5, 0.1)
+    full_out, full_params = pushup_posterior(np.full(3, 0.2), v, 0.5, 0.1)
+    assert out.tolist() == full_out.tolist() == [0.6] * 3
+    assert params.eta_floor == full_params.eta_floor and params.x_p.tolist() == full_params.x_p.tolist()
+
+
 def advantage_fixture():
     # group A: 9 of 10 positives above 1/2; group B: 6 of 10
     hi, lo = float(expit(1.0)), float(expit(-1.0))

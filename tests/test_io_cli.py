@@ -62,7 +62,7 @@ from alphatree.cli import _write_trace, main
 from alphatree.core import expit
 from alphatree.io_cli import read_csv
 
-from helpers import probe_columns, random_tree, read_csv_reference
+from helpers import parse_column_reference, probe_columns, random_tree, read_csv_reference
 
 
 def write_csv(path, header, rows):
@@ -360,6 +360,49 @@ def test_load_dataset_infers_kinds_the_same_on_both_paths(tmp_path, end):
                         "oops": "categorical", "group": "categorical"}
     assert ds.columns["x"].tolist() == [0.5, 1000.0, -2.0]
     assert ds.columns["oops"].tolist() == ["1", "oops", "2"]
+
+
+ORACLE_COLUMNS = {"score": "score", "target": "t", "weight": "w", "numeric": "x", "inferred": "z"}
+GOOD_CELLS = ["0.5", " 0.5", "1", "0.25 ", "1e-3", "+.75"]
+BAD_CELLS = ["abc", "", "nan", "inf", "-inf", "1e999", "1.5", "-0.1"]
+
+
+@example(role="inferred", cells=["nan", "abc"])
+@example(role="numeric", cells=["0.5", "1e999", "abc"])
+@example(role="score", cells=["0.5", "abc", "1.5"])
+@example(role="weight", cells=["1.5", "-0.1", ""])
+@given(role=st.sampled_from(sorted(ORACLE_COLUMNS)),
+       cells=st.lists(st.sampled_from(GOOD_CELLS + BAD_CELLS), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_dataset_reads_numeric_columns_as_the_per_cell_parsers(tmp_path, role, cells):
+    # one column of the role holds the drawn cells; every other cell is good
+    column = ORACLE_COLUMNS[role]
+    header = ["label", "group", "score", "w", "t", "x", "z"]
+    rows = [["1" if r % 2 else "0", "a", "0.5", "1", "0.5", "2", "3"] for r in range(len(cells))]
+    for row, cell in zip(rows, cells):
+        row[header.index(column)] = cell
+    want = outcome(lambda: parse_column_reference(role, column, cells))
+    if role == "score" and not isinstance(want, str):
+        want = clip_score(want, 30.0)
+    path = tmp_path / "d.csv"
+    for end in ("\n", "\r\n"):
+        path.write_bytes(end.join(",".join(row) for row in [header] + rows).encode("utf-8") + end.encode())
+        # CRLF line ends send the file through the csv module
+        assert (read_csv(path, ["score"]).lines is None) == (end == "\r\n")
+        got = outcome(lambda: load_dataset(path, 30.0, kinds={"x": "numeric"}, weight_column="w",
+                                           target_column="t"))
+        if isinstance(want, str):
+            assert got == want
+            continue
+        values = {"score": got.scores, "target": got.target, "weight": got.weights}.get(role)
+        if values is None:
+            values = got.columns[column]
+            assert got.kinds[column] == ("categorical" if want.dtype == object else "numeric")
+        assert values.dtype == want.dtype
+        if want.dtype == object:
+            assert values.tolist() == want.tolist()
+        else:
+            assert values.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
