@@ -29,6 +29,7 @@ from .core import (
     apply_alpha,
     dot,
     nlogit,
+    per_row,
 )
 from .data import RunTrace, View, binary_entropy, log_loss, make_view, target_posterior
 
@@ -174,11 +175,19 @@ def edge(v: View, eta_t, scores, B: float, nlogit_values=None) -> float:
     return min(1.0, max(-1.0, e))
 
 
+def _edge_number(edge_value: float) -> float:
+    """The edge as a float; NaN is a DomainError, which a clamp would hide."""
+    e = float(edge_value)
+    if math.isnan(e):
+        raise DomainError("edge must be a number, got nan")
+    return e
+
+
 def leaf_alpha_conservative(edge_value: float, B: float) -> float:
     """Leaf label (1/B) * log((1+edge)/(1-edge)), the edge clamped into
     [-(1 - EDGE_EPS), 1 - EDGE_EPS]: |alpha| * B <= log((2 - EDGE_EPS)/EDGE_EPS),
     about 21.42, so a wrapped clipped score never rounds to 0 or 1."""
-    e = min(1.0 - EDGE_EPS, max(EDGE_EPS - 1.0, float(edge_value)))
+    e = min(1.0 - EDGE_EPS, max(EDGE_EPS - 1.0, _edge_number(edge_value)))
     a = math.log((1.0 + e) / (1.0 - e)) / float(B)
     return min(A_MAX, max(-A_MAX, a))
 
@@ -188,7 +197,7 @@ def leaf_alpha_audacious(e_pos: float, e_neg: float, B: float) -> float:
     |alpha| * B <= log(1/EDGE_EPS), about 20.72."""
     e_pos = float(e_pos)
     e_neg = float(e_neg)
-    if e_pos < 0 or e_neg < 0:
+    if not (e_pos >= 0 and e_neg >= 0):  # NaN fails too
         raise DomainError("edge parts must be nonnegative")
     if e_pos < EDGE_EPS and e_neg < EDGE_EPS:
         raise UndefinedLeafError("leaf has no alignment signal (e+ = e- = 0)")
@@ -198,7 +207,7 @@ def leaf_alpha_audacious(e_pos: float, e_neg: float, B: float) -> float:
 
 def leaf_entropy(edge_value: float) -> float:
     """Binary entropy of (1+edge)/2."""
-    e = min(1.0, max(-1.0, float(edge_value)))
+    e = min(1.0, max(-1.0, _edge_number(edge_value)))
     return float(binary_entropy(0.5 * (1.0 + e)))
 
 
@@ -210,7 +219,7 @@ def audacious_leaf_bound(e_pos: float, e_neg: float) -> float:
     """
     e_pos = float(e_pos)
     e_neg = float(e_neg)
-    if e_pos < 0 or e_neg < 0 or e_pos + e_neg > 1.0 + 1e-9:
+    if not (e_pos >= 0 and e_neg >= 0 and e_pos + e_neg <= 1.0 + 1e-9):  # NaN fails too
         raise DomainError("edge parts must be nonnegative with sum <= 1")
     s = e_pos + e_neg
     if s == 0.0:
@@ -535,9 +544,7 @@ def balanced_weights(v_at_leaf: View, eta_t, scores, B: float, nlogit_values=Non
 def _indicator_rows(h, v: View) -> np.ndarray:
     """±1 per view row; +1 where the split test passes (left child)."""
     if isinstance(h, np.ndarray):
-        arr = np.asarray(h, dtype=float)
-        if arr.shape[0] != v.n:
-            raise DomainError("indicator array must align with the view")
+        arr = per_row(h, v.n, "indicator", float)
         if not np.all(np.isin(arr, (-1.0, 1.0))):
             raise DomainError("indicator values must be ±1")
         return arr

@@ -48,6 +48,7 @@ __all__ = [
     "apply_alpha",
     "compose_alpha",
     "dot",
+    "per_row",
     "evaluate_tree",
     "wrap",
     "wrap_chain",
@@ -199,6 +200,27 @@ def dot(a, b) -> float:
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     return float(np.einsum("i,i->", a, b))
+
+
+def per_row(values, n: int | None, noun: str, dtype=None) -> np.ndarray:
+    """values as one value per row of n rows: the one row rule of the package.
+
+    n values are returned as they are, with no copy; one value stands for
+    every row and is returned as a new array of n copies.  Any other shape
+    is DomainError("{noun} has shape {shape} for {n} rows").  With n None
+    the values set the row count and must be one-dimensional.  dtype, when
+    given, converts first, as np.asarray does.
+    """
+    arr = np.asarray(values, dtype=dtype)
+    if n is None:
+        if arr.ndim == 1:
+            return arr
+        raise DomainError(f"{noun} has shape {arr.shape}; it must be one-dimensional")
+    if arr.shape == (n,):
+        return arr
+    if arr.shape == ():
+        return np.full(n, arr)
+    raise DomainError(f"{noun} has shape {arr.shape} for {n} rows")
 
 
 def compose_alpha(alpha: float, alpha2: float) -> float:
@@ -469,9 +491,17 @@ def invert_tree(tree: AlphaTree) -> AlphaTree:
 
 
 def route_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
-    """Vectorized routing: leaf id for each of n rows of column arrays."""
+    """Vectorized routing: leaf id for each of n rows of column arrays.
+
+    Every column the tree tests is read by `per_row` once per call: n
+    values, or one value for every row; another shape is a DomainError.
+    A tree that tests a feature as both kinds is a SchemaError (see
+    AlphaTree.feature_kinds), and columns it does not test are not read.
+    """
+    tested = {name: per_row(columns[name], n, f"column {name!r}")
+              for name in tree.feature_kinds() if name in columns}
     out = np.empty(n, dtype=np.int64)
-    _route_rows(tree.root, columns, np.arange(n), out)
+    _route_rows(tree.root, tested, np.arange(n), out)
     return out
 
 
@@ -482,7 +512,7 @@ def _route_rows(node, columns, idx, out):
     feature = node.test.feature
     if feature not in columns:
         raise SchemaError(f"rows are missing feature {feature!r}")
-    col = np.asarray(columns[feature])
+    col = columns[feature]
     # a modality string never equals a number: such rows would all go right
     if node.test.kind == "categorical" and np.issubdtype(col.dtype, np.number):
         raise SchemaError(f"feature {feature!r} is tested as categorical but its column is numeric")
@@ -508,7 +538,11 @@ def alpha_at_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int) ->
 
 
 def wrapped_scores(tree: AlphaTree, columns: Mapping[str, np.ndarray], scores: np.ndarray) -> np.ndarray:
-    """Wrapped probability for every row: one apply_alpha with routed alphas."""
-    scores = np.asarray(scores, dtype=float)
+    """Wrapped probability for every row: one apply_alpha with routed alphas.
+
+    scores set the row count and must be one-dimensional; every tested
+    column is then n values or one value for every row (see `route_rows`).
+    """
+    scores = per_row(scores, None, "scores", float)
     alphas = alpha_at_rows(tree, columns, scores.shape[0])
     return apply_alpha(scores, alphas)

@@ -6,10 +6,13 @@ score, optional target-posterior column, and nonnegative row weights.  A View
 is a cheap handle on a weighted subset of rows with weights renormalized to
 sum 1; every expectation in the package is taken under a View.
 
-Per-row auxiliary arrays (scores, target posteriors) are always aligned
-with the base Dataset; Views pick rows out by index.  `target_posterior`
-holds the one rule for a target posterior: n values or one value for every
-row, each in [0, 1].  Every entry point that takes one reads it there.
+Every per-row array is read by one rule, `core.per_row`: n values, or one
+value that stands for every row.  A Dataset and a View check their own
+rows when they are built, so a dataclasses.replace is checked too.  Per-row
+auxiliary arrays (scores, target posteriors) are always aligned with the
+base Dataset; Views pick rows out by index.  `target_posterior` holds the
+one rule for a target posterior: per_row's shape, each value in [0, 1].
+Every entry point that takes one reads it there.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 # route_rows is not called here; it stays bound for perfbench/tracer.py, which swaps it by name
-from .core import DomainError, clip_score, dot, route_rows, xlogy
+from .core import DomainError, clip_score, dot, per_row, route_rows, xlogy
 
 __all__ = [
     "EmptyMeasureError",
@@ -66,6 +69,12 @@ class Dataset:
     from both as {**features, group_column: groups}, so a re-grouped
     dataclasses.replace(ds, groups=g) routes on g; columns and group_rows
     are built on first read.
+
+    labels set the row count n and must be one-dimensional.  groups,
+    scores, weights, target (when given) and every feature are read by
+    `per_row` when the dataset is built, replaced or not: n values are kept
+    as they are, one value becomes n copies, and another shape is a
+    DomainError naming it and n.  Their values are make_dataset's to check.
     """
 
     features: dict[str, np.ndarray]
@@ -77,6 +86,16 @@ class Dataset:
     weights: np.ndarray
     target: np.ndarray | None = None
     group_column: str = "group"
+
+    def __post_init__(self):
+        labels = per_row(self.labels, None, "labels")
+        n = labels.shape[0]
+        rows = {name: per_row(getattr(self, name), n, name) for name in ("groups", "scores", "weights")}
+        if self.target is not None:
+            rows["target"] = per_row(self.target, n, "target")
+        rows["features"] = {name: per_row(col, n, f"feature {name!r}") for name, col in self.features.items()}
+        for name, values in {"labels": labels, **rows}.items():
+            object.__setattr__(self, name, values)
 
     @property
     def n(self) -> int:
@@ -101,15 +120,13 @@ class Dataset:
 def target_posterior(eta_t, n: int, rows=None) -> np.ndarray:
     """A new array of the target posterior of an n-row base at `rows`, or at every row.
 
-    eta_t is n values, or one value that stands for every row; another
-    shape is a DomainError naming both counts.  Only the rows returned are
-    checked, so a caller that reads a view pays for the view's rows.  A
-    returned value outside [0, 1], NaN included, is a DomainError.
+    eta_t is read by `per_row`: n values, or one value that stands for
+    every row; another shape is a DomainError naming both counts.  Only the
+    rows returned are checked, so a caller that reads a view pays for the
+    view's rows.  A returned value outside [0, 1], NaN included, is a
+    DomainError.
     """
-    eta = np.asarray(eta_t, dtype=float)
-    if eta.shape not in ((), (n,)):
-        raise DomainError(f"target posterior has shape {eta.shape} for {n} rows")
-    eta = np.broadcast_to(eta, (n,))
+    eta = per_row(eta_t, n, "target posterior", float)
     out = eta.copy() if rows is None else eta[rows]
     if not np.all((out >= 0) & (out <= 1)):  # NaN, as from None, fails too
         raise DomainError("target posterior must lie in [0, 1]")
@@ -130,10 +147,13 @@ def make_dataset(
 ) -> Dataset:
     """Validate, clip scores, and assemble a Dataset.
 
-    The groups are routed under group_column as a categorical column but are
-    never a split candidate: a feature of that name is a DomainError.
+    labels set the row count.  groups, scores, weights, target and every
+    feature are n values or one value for every row; the Dataset checks
+    their shapes (see Dataset) and this function their values.  The groups
+    are routed under group_column as a categorical column but are never a
+    split candidate: a feature of that name is a DomainError.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = per_row(labels, None, "labels", np.int64)
     n = labels.shape[0]
     if n == 0:
         raise EmptyMeasureError("dataset needs at least one row")
@@ -141,18 +161,12 @@ def make_dataset(
         raise DomainError("labels must be -1 or +1")
 
     groups = np.asarray(groups, dtype=object)
-    if groups.shape[0] != n:
-        raise DomainError("group column length mismatch")
-
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape[0] != n:
-        raise DomainError("score column length mismatch")
     scores = clip_score(scores, clip_B)
 
     if weights is None:
         weights = np.ones(n, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] != n or np.any(~np.isfinite(weights)) or np.any(weights < 0):
+    if np.any(~np.isfinite(weights)) or np.any(weights < 0):
         raise DomainError("weights must be finite and nonnegative")
     if weights.sum() <= 0:
         raise DomainError("total weight must be positive")
@@ -168,8 +182,6 @@ def make_dataset(
         if kind not in ("numeric", "categorical"):
             raise DomainError(f"feature {name!r} has unknown kind {kind!r}")
         col = np.asarray(features[name])
-        if col.shape[0] != n:
-            raise DomainError(f"feature {name!r} length mismatch")
         if kind == "numeric":
             col = col.astype(float)
             if not np.all(np.isfinite(col)):
@@ -191,33 +203,54 @@ def make_dataset(
     )
 
 
+def _view_rows(indices, n: int) -> np.ndarray:
+    """indices as the int64 rows of an n-row base: integers in [0, n), at least one."""
+    rows = per_row(indices, None, "view indices")
+    if rows.shape[0] == 0:
+        raise EmptyMeasureError("view must contain at least one row")
+    if not (np.issubdtype(rows.dtype, np.integer) and rows.min() >= 0 and rows.max() < n):
+        raise DomainError(f"view indices must be integers in [0, {n})")
+    return rows.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class View:
-    """Weighted subset of a Dataset; weights sum to 1."""
+    """Weighted subset of a Dataset; weights sum to 1.
+
+    A View checks its own rows when it is built: indices are integers in
+    [0, base.n), at least one, and weights are one per index (see per_row).
+    """
 
     base: Dataset
     indices: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        indices = _view_rows(self.indices, self.base.n)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "weights", per_row(self.weights, indices.shape[0], "view weights"))
 
     @property
     def n(self) -> int:
         return int(self.indices.shape[0])
 
     def pick(self, arr: np.ndarray) -> np.ndarray:
-        """Select the view's rows out of a base-aligned array."""
-        arr = np.asarray(arr)
-        if arr.shape[0] != self.base.n:
-            raise DomainError("array is not aligned with the base dataset")
-        return arr[self.indices]
+        """Select the view's rows out of a base-aligned array, read by per_row."""
+        return per_row(arr, self.base.n, "base-aligned array")[self.indices]
 
 
 def make_view(base: Dataset, indices, raw_weights=None) -> View:
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.shape[0] == 0:
-        raise EmptyMeasureError("view must contain at least one row")
+    """A View of base's rows at indices, weighted by raw_weights normalized to sum 1.
+
+    indices must be integers in [0, base.n); none is an EmptyMeasureError.
+    raw_weights default to the base's weights at those rows and are one
+    value per index or one value for every index (see per_row).  Zero total
+    weight is an EmptyMeasureError.
+    """
+    indices = _view_rows(indices, base.n)
     if raw_weights is None:
         raw_weights = base.weights[indices]
-    raw_weights = np.asarray(raw_weights, dtype=float)
+    raw_weights = per_row(raw_weights, indices.shape[0], "view weights", float)
     total = raw_weights.sum()
     if total <= 0:
         raise EmptyMeasureError("view has zero total weight")
@@ -244,12 +277,11 @@ def log_loss(q, eta):
 def empirical_risk(v: View, q, eta_t) -> float:
     """Expected log-loss of posterior q against target eta_t under the view.
 
-    Both q and eta_t are base-aligned arrays (or scalars broadcast over the
-    base); eta_t is read by `target_posterior`.  Natural log.  Scores of
+    Both q and eta_t are base-aligned: n values, or one value for every row
+    (see per_row); eta_t is read by `target_posterior`.  Natural log.  Scores of
     exactly 0 or 1 facing opposing target mass raise InfiniteRiskError.
     """
-    q = np.broadcast_to(np.asarray(q, dtype=float), (v.base.n,))
-    qv = q[v.indices]
+    qv = per_row(q, v.base.n, "posterior", float)[v.indices]
     if not np.all((qv >= 0) & (qv <= 1)):
         raise DomainError("posterior values must lie in [0, 1]")
     ev = target_posterior(eta_t, v.base.n, v.indices)
@@ -262,7 +294,7 @@ def empirical_risk(v: View, q, eta_t) -> float:
 def binary_entropy(p):
     """H(p) = -p log p - (1-p) log(1-p), natural log, with 0 log 0 = 0."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+    if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):  # NaN fails too
         raise DomainError("binary_entropy requires p in [0, 1]")
     clipped = np.minimum(np.maximum(arr, 0.0), 1.0)
     out = log_loss(clipped, clipped)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, dot, expit, route_rows, single_leaf_tree
+from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, dot, expit, per_row, route_rows, single_leaf_tree
 from .data import levels
 
 __all__ = [
@@ -85,13 +85,14 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
 
     Numeric features get a weighted Gaussian with variance floored at
     1e-9 * range^2 (1e-12 if the feature is constant); categorical ones get
-    add-one smoothing (w_count + 1) / (W_class + |domain| + 1).
+    add-one smoothing (w_count + 1) / (W_class + |domain| + 1).  labels set
+    the row count; weights and every column are read by `per_row`.
     """
-    y = np.asarray(labels)
-    w = np.asarray(weights, dtype=float)
+    y = per_row(labels, None, "labels")
+    w = per_row(weights, y.shape[0], "weights", float)
     if not np.all(np.isin(y, (-1, 1))):
         raise DomainError("labels must be ±1")
-    if w.shape != y.shape or not np.all(np.isfinite(w) & (w >= 0)) or not w.sum() > 0:
+    if not np.all(np.isfinite(w) & (w >= 0)) or not w.sum() > 0:
         raise DomainError("weights must be finite, nonnegative and not all zero")
     if not kinds:
         raise DomainError("no feature columns to fit the posterior estimate on")
@@ -104,7 +105,7 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
 
     features: dict = {}
     for name, kind in kinds.items():
-        col = columns[name]
+        col = per_row(columns[name], y.shape[0], f"feature {name!r}")
         if kind == "numeric":
             values = np.asarray(col, dtype=float)
             rng = float(values.max() - values.min())
@@ -139,13 +140,17 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
 
 
 def gaussian_plugin_eval(model: GaussianPlugin, columns) -> np.ndarray:
-    """Posterior P(Y=+1 | x) per row, clamped into [1e-15, 1 - 1e-15]."""
+    """Posterior P(Y=+1 | x) per row, clamped into [1e-15, 1 - 1e-15].
+
+    The first column of the model sets the row count; every other column is
+    read by `per_row` against it.
+    """
     first = next(iter(model.kinds))
-    n = len(columns[first])
+    n = per_row(columns[first], None, f"feature {first!r}").shape[0]
     margin = np.full(n, model.log_prior_pos - model.log_prior_neg)
     for name, kind in model.kinds.items():
         feat = model.features[name]
-        col = columns[name]
+        col = per_row(columns[name], n, f"feature {name!r}")
         if kind == "numeric":
             values = np.asarray(col, dtype=float)
             lp = -0.5 * (np.log(2.0 * math.pi * feat.var_pos) + (values - feat.mean_pos) ** 2 / feat.var_pos)
@@ -215,20 +220,23 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     of its children, each child holding at least min_leaf rows; ties go to
     the earliest feature in schema order, then the lowest threshold / first
     modality in sorted order.  A node splits only when that beats its own
-    weighted entropy by more than 1e-12.
+    weighted entropy by more than 1e-12.  groups set the row count; every
+    column in kinds is read by `per_row` against it.
     """
     if max_depth < 0:
         raise DomainError(f"proxy group tree depth must be >= 0, got {max_depth}")
-    rows = levels(np.asarray(groups, dtype=object))
+    groups = per_row(groups, None, "groups", object)
+    rows = levels(groups)
     classes = tuple(rows)
-    y = np.empty(len(groups), dtype=np.int64)
+    n = groups.shape[0]
+    y = np.empty(n, dtype=np.int64)
     for i, idx in enumerate(rows.values()):
         y[idx] = i
-    n = len(y)
     if n == 0:
         raise DomainError("need at least one row")
     if not kinds:
         raise DomainError("no feature columns to grow the proxy group tree on")
+    columns = {name: per_row(columns[name], n, f"feature {name!r}") for name in kinds}
     one_hot = np.eye(len(classes), dtype=np.int64)
 
     def counts_of(idx):
@@ -246,7 +254,7 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
         if depth >= max_depth or len(idx) < 2 * min_leaf or np.count_nonzero(counts) <= 1:
             return leaf(idx)
         parent_h = _kernels.class_entropy(counts) * len(idx)
-        node_columns = {name: np.asarray(columns[name])[idx] for name in kinds}
+        node_columns = {name: col[idx] for name, col in columns.items()}
         # the identity is symmetric, so its columns at y are the one-hot rows, transposed
         stats = one_hot.take(y[idx], axis=1)
         found = _kernels.split_search(node_columns, kinds, stats, _kernels.class_score, min_leaf)

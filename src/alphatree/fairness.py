@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .boosting import InductionConfig, topdown
-from .core import AlphaTree, DomainError, dot, wrapped_scores
+from .core import AlphaTree, DomainError, dot, per_row, wrapped_scores
 from .data import (
     Dataset,
     EmptyMeasureError,
@@ -133,11 +133,14 @@ def _group_weights(ds: Dataset) -> dict:
 def group_means(values: np.ndarray, weights: np.ndarray, group_rows: Mapping) -> dict:
     """Weighted mean of a per-row quantity over each group's rows.
 
-    group_rows maps each group, in result order, to its row indices.  Each
-    group's weights are normalized to sum 1 and dotted with its values, the
-    arithmetic of a group View; a group whose rows carry no weight raises
-    EmptyMeasureError.
+    group_rows maps each group, in result order, to its row indices.  The
+    weights set the row count; values are one per row or one for every row
+    (see per_row).  Each group's weights are normalized to sum 1 and dotted
+    with its values, the arithmetic of a group View; a group whose rows
+    carry no weight raises EmptyMeasureError.
     """
+    weights = per_row(weights, None, "weights")
+    values = per_row(values, weights.shape[0], "values")
     out = {}
     for g, idx in group_rows.items():
         w = weights[idx]

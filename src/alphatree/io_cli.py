@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import AlphaTree, DomainError, Leaf, Node, SplitTest
+from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, per_row
 from .data import Dataset, make_dataset
 
 __all__ = [
@@ -533,10 +533,10 @@ def split_plan(labels, groups, seed: int) -> np.ndarray:
     are apportioned by largest remainder, ties resolved toward the earlier
     role, so every stratum lands as close to 2:2:1 as integers allow.
     """
-    y = np.asarray(labels)
-    g = np.asarray(groups, dtype=object)
-    if y.shape[0] != g.shape[0] or y.shape[0] == 0:
-        raise DomainError("labels and groups must align and be nonempty")
+    y = per_row(labels, None, "labels")
+    g = per_row(groups, y.shape[0], "groups", object)
+    if y.shape[0] == 0:
+        raise DomainError("split plan needs at least one row")
     rng = np.random.default_rng(seed)
     out = np.empty(y.shape[0], dtype=object)
     strata = sorted({(int(yy), gg) for yy, gg in zip(y.tolist(), g.tolist())}, key=str)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import AlphaTree, DomainError, alpha_at_rows, dot, logit, wrapped_scores, xlogy
+from .core import AlphaTree, DomainError, alpha_at_rows, dot, logit, per_row, wrapped_scores, xlogy
 from .data import Dataset, EmptyMeasureError, full_view
 # advantage_rate is not called here; it stays bound for perfbench/tracer.py, which swaps it by name
 from .fairness import (
@@ -113,11 +113,14 @@ def metric_auc(ds: Dataset, tree: AlphaTree) -> float:
 
 
 def empirical_kl(weights, q_unfair, q_fair) -> float:
-    """Weighted KL divergence of Bernoulli(q_unfair) from Bernoulli(q_fair)."""
-    w = np.asarray(weights, dtype=float)
-    qu = np.asarray(q_unfair, dtype=float)
-    qf = np.asarray(q_fair, dtype=float)
-    if np.any(qu <= 0) or np.any(qu >= 1) or np.any(qf <= 0) or np.any(qf >= 1):
+    """Weighted KL divergence of Bernoulli(q_unfair) from Bernoulli(q_fair).
+
+    q_unfair sets the row count; weights and q_fair are read by `per_row`.
+    """
+    qu = per_row(q_unfair, None, "q_unfair", float)
+    w = per_row(weights, qu.shape[0], "weights", float)
+    qf = per_row(q_fair, qu.shape[0], "q_fair", float)
+    if not np.all((qu > 0) & (qu < 1) & (qf > 0) & (qf < 1)):  # NaN fails too
         raise DomainError("scores must lie strictly inside (0, 1)")
     terms = xlogy(qu, qu / qf) + xlogy(1.0 - qu, (1.0 - qu) / (1.0 - qf))
     return dot(w, terms)
@@ -125,14 +128,14 @@ def empirical_kl(weights, q_unfair, q_fair) -> float:
 
 def kl_bound_s1(B: float) -> float:
     """Closed-form drift ceiling pi^2 / (6 (2 + e^B + e^-B))."""
-    if B <= 0:
+    if not B > 0:  # NaN fails too
         raise DomainError("clip level must be positive")
     return math.pi**2 / (6.0 * (2.0 + math.exp(B) + math.exp(-B)))
 
 
 def s1_applicable(tree: AlphaTree, B: float) -> bool:
     """The s1 ceiling needs B <= 3 and every leaf within 1/B of identity."""
-    if B <= 0:
+    if not B > 0:  # NaN fails too
         raise DomainError("clip level must be positive")
     if B > 3.0:
         return False
@@ -145,8 +148,11 @@ def kl_bound_s2() -> float:
 
 
 def s2_applicable(tree: AlphaTree, columns, q_unfair) -> bool:
-    """The s2 ceiling needs |logit(q) (1 - alpha)| <= 1 on every row."""
-    qu = np.asarray(q_unfair, dtype=float)
+    """The s2 ceiling needs |logit(q) (1 - alpha)| <= 1 on every row.
+
+    q_unfair sets the row count; the tested columns are read as in route_rows.
+    """
+    qu = per_row(q_unfair, None, "q_unfair", float)
     alphas = alpha_at_rows(tree, columns, qu.shape[0])
     f = np.abs(logit(qu) * (1.0 - alphas))
     return bool(np.all(f <= 1.0))
@@ -158,13 +164,14 @@ def kl_taylor_bound(weights, q_unfair, alphas, order: int = 6) -> tuple[float, f
     Returns (value, tail): value sums w * q(1-q) * f^k / (k(k-1)) for
     k = 2..order with f = |logit(q)(1 - alpha)|; tail caps the remainder by
     w * q(1-q) * f^(order+1) / order when every f <= 1, else +inf.
+    q_unfair sets the row count; weights and alphas are read by `per_row`.
     """
     if order < 2:
         raise DomainError("series order must be >= 2")
-    w = np.asarray(weights, dtype=float)
-    qu = np.asarray(q_unfair, dtype=float)
-    a = np.asarray(alphas, dtype=float)
-    if np.any(qu <= 0) or np.any(qu >= 1):
+    qu = per_row(q_unfair, None, "q_unfair", float)
+    w = per_row(weights, qu.shape[0], "weights", float)
+    a = per_row(alphas, qu.shape[0], "alphas", float)
+    if not np.all((qu > 0) & (qu < 1)):  # NaN fails too
         raise DomainError("scores must lie strictly inside (0, 1)")
     f = np.abs(logit(qu) * (1.0 - a))
     curvature = w * qu * (1.0 - qu)

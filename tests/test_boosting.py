@@ -143,6 +143,12 @@ def test_conservative_alpha_clamps_and_flips():
             -leaf_alpha_conservative(e, 2.0), abs=1e-12)
 
 
+def test_conservative_alpha_rejects_a_nan_edge():
+    # the clamp read NaN as -1 and returned -21.42
+    with pytest.raises(DomainError, match="edge must be a number"):
+        leaf_alpha_conservative(math.nan, 1.0)
+
+
 def test_conservative_alpha_minimizes_objective():
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -169,12 +175,24 @@ def test_audacious_alpha_basics():
         leaf_alpha_audacious(-0.1, 0.2, 1.0)
 
 
+def test_audacious_alpha_rejects_a_nan_edge_part():
+    # a NaN part passed the sign check and the floor made it EDGE_EPS: -50.0
+    with pytest.raises(DomainError, match="edge parts must be nonnegative"):
+        leaf_alpha_audacious(math.nan, 0.2, 1.0)
+
+
 def test_leaf_entropy_oracle():
     assert leaf_entropy(0.5) == pytest.approx(0.5623351446188083, abs=1e-15)
     assert leaf_entropy(0.0) == pytest.approx(LOG2, abs=1e-15)
     assert leaf_entropy(1.0) == 0.0
     assert leaf_entropy(-1.0) == 0.0
     assert leaf_entropy(-0.5) == leaf_entropy(0.5)
+
+
+def test_leaf_entropy_rejects_a_nan_edge():
+    # the clamp read NaN as -1 and returned -0.0
+    with pytest.raises(DomainError, match="edge must be a number"):
+        leaf_entropy(math.nan)
 
 
 def test_audacious_bound_oracles():
@@ -184,6 +202,11 @@ def test_audacious_bound_oracles():
     assert audacious_leaf_bound(0.0, 0.0) == pytest.approx(LOG2, abs=1e-15)
     with pytest.raises(DomainError):
         audacious_leaf_bound(0.8, 0.4)
+
+
+def test_audacious_bound_rejects_a_nan_edge_part():
+    with pytest.raises(DomainError, match="edge parts must be nonnegative"):
+        audacious_leaf_bound(math.nan, 0.2)
 
 
 def test_audacious_bound_never_exceeds_leaf_entropy():

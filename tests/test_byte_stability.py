@@ -2,7 +2,8 @@
 
 Three `train` commands (cvar, eoo, and sp from a proxy group tree) run
 through `cli.main` on one seeded 3,000-row file.  The sha256 of each model
-file and trace CSV is pinned.  A change meant to keep results, such as a
+file and trace CSV is pinned, and so are those of `apply`'s output file and
+`eval`'s stdout for the cvar model on the same file.  A change meant to keep results, such as a
 speed-up, must leave every digest as it is; a change meant to move them
 updates the digests and says why.
 """
@@ -68,3 +69,20 @@ def test_train_outputs_are_byte_identical(run, data, tmp_path, monkeypatch, caps
     assert main(argv) == 0
     capsys.readouterr()
     assert (digest(model), digest(trace)) == DIGESTS[run]
+
+
+# first 16 hex digits of sha256 of `apply`'s output file and `eval`'s stdout
+# for the cvar model of DIGESTS, run on the same file it was trained on
+SCORE_DIGESTS = ("827e270f818feb7e", "9ab3df6c30384906")
+
+
+def test_apply_and_eval_outputs_are_byte_identical(data, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ALPHATREE_SEED", raising=False)
+    model, applied = tmp_path / "model.json", tmp_path / "applied.csv"
+    assert main(["train", "--data", str(data), *FLAGS["cvar"], "--out", str(model)]) == 0
+    assert digest(model) == DIGESTS["cvar"][0]
+    assert main(["apply", "--data", str(data), "--model", str(model), "--out", str(applied)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--model", str(model)]) == 0
+    report = capsys.readouterr().out.encode("utf-8")
+    assert (digest(applied), hashlib.sha256(report).hexdigest()[:16]) == SCORE_DIGESTS

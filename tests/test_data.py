@@ -234,6 +234,12 @@ def test_binary_entropy_oracle_and_edges():
         binary_entropy(-1e-6)
 
 
+def test_binary_entropy_rejects_nan():
+    # [0.3, nan] returned [0.611, nan]
+    with pytest.raises(DomainError, match="requires p in"):
+        binary_entropy(np.array([0.3, math.nan]))
+
+
 def test_binary_entropy_concave_symmetric():
     eta = np.linspace(0.0, 1.0, 41)
     h = np.array([binary_entropy(float(e)) for e in eta])

@@ -238,6 +238,13 @@ def test_empirical_kl_validation():
         empirical_kl(w, np.array([0.5]), np.array([1.0]))
 
 
+def test_empirical_kl_rejects_nan_scores():
+    with pytest.raises(DomainError, match="strictly inside"):
+        empirical_kl([0.5, 0.5], [0.3, math.nan], [0.4, 0.5])
+    with pytest.raises(DomainError, match="strictly inside"):
+        empirical_kl([0.5, 0.5], [0.3, 0.4], [math.nan, 0.5])
+
+
 def test_kl_bound_s1_oracles():
     assert kl_bound_s1(3.0) == pytest.approx(0.0743126266177878, abs=1e-15)
     # B -> 0 recovers the data-independent constant pi^2 / 24
@@ -249,6 +256,11 @@ def test_kl_bound_s1_oracles():
         kl_bound_s1(0.0)
     with pytest.raises(DomainError):
         kl_bound_s1(-1.0)
+
+
+def test_kl_bound_s1_rejects_a_nan_clip_level():
+    with pytest.raises(DomainError, match="clip level must be positive"):
+        kl_bound_s1(math.nan)
 
 
 def test_kl_bound_s1_monotone_decreasing_in_B():
