@@ -257,17 +257,13 @@ class SplitTest:
             if self.modality is not None:
                 raise SchemaError("numeric test cannot carry a modality")
         elif self.kind == "categorical":
-            if self.modality is None:
-                raise SchemaError("categorical test needs a modality")
+            # a model file holds a modality as a JSON string, and so does a CSV cell
+            if not isinstance(self.modality, str):
+                raise SchemaError(f"categorical test needs a string modality, got {self.modality!r}")
             if self.threshold is not None:
                 raise SchemaError("categorical test cannot carry a threshold")
         else:
             raise SchemaError(f"unknown test kind {self.kind!r}")
-
-    def passes(self, value) -> bool:
-        if self.kind == "numeric":
-            return float(value) <= float(self.threshold)
-        return value == self.modality
 
     def passes_rows(self, values: np.ndarray) -> np.ndarray:
         if self.kind == "numeric":
@@ -445,14 +441,13 @@ def stump(test: SplitTest, alpha_left: float, alpha_right: float) -> AlphaTree:
 
 
 def evaluate_tree(tree: AlphaTree, x: Mapping) -> tuple[int, float]:
-    """Route a single record to its leaf; returns (leaf_id, alpha)."""
-    node = tree.root
-    while isinstance(node, Node):
-        feature = node.test.feature
-        if feature not in x:
-            raise SchemaError(f"record is missing feature {feature!r}")
-        node = node.left if node.test.passes(x[feature]) else node.right
-    return node.leaf_id, node.alpha
+    """Route a single record to its leaf; returns (leaf_id, alpha).
+
+    The record is one row: `route_rows` reads each of its values as a
+    column of one value, by the same rule as any column.
+    """
+    leaf_id = int(route_rows(tree, x, 1)[0])
+    return leaf_id, tree.alpha_of(leaf_id)
 
 
 def wrap(tree: AlphaTree, q_u: float, x: Mapping) -> float:
@@ -490,16 +485,58 @@ def invert_tree(tree: AlphaTree) -> AlphaTree:
     return tree.with_leaf_updates(updates)
 
 
-def route_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
-    """Vectorized routing: leaf id for each of n rows of column arrays.
+def read_columns(columns: Mapping, kinds: Mapping[str, str], n: int, noun: str = "column") -> dict:
+    """Each column that kinds names, read once as n values of its kind.
 
-    Every column the tree tests is read by `per_row` once per call: n
-    values, or one value for every row; another shape is a DomainError.
-    A tree that tests a feature as both kinds is a SchemaError (see
-    AlphaTree.feature_kinds), and columns it does not test are not read.
+    A missing column is a SchemaError, and the shape is read by `per_row`
+    as "{noun} 'x'".  A numeric column is read as float64: one that does
+    not convert is a SchemaError, and a NaN or ±inf is a DomainError.  A
+    categorical column is read as an object array; a numeric one is a
+    SchemaError, since a modality string never equals a number.
     """
-    tested = {name: per_row(columns[name], n, f"column {name!r}")
-              for name in tree.feature_kinds() if name in columns}
+    out = {}
+    for name, kind in kinds.items():
+        if name not in columns:
+            raise SchemaError(f"rows are missing feature {name!r}")
+        col = per_row(columns[name], n, f"{noun} {name!r}")
+        if kind == "numeric":
+            try:
+                col = np.asarray(col, dtype=float)
+            except (TypeError, ValueError):
+                raise SchemaError(f"feature {name!r} is tested as numeric but its column is not") from None
+            if not np.isfinite(col).all():
+                raise DomainError(f"feature {name!r} has non-finite values")
+        elif kind == "categorical":
+            if np.issubdtype(col.dtype, np.number):
+                raise SchemaError(f"feature {name!r} is tested as categorical but its column is numeric")
+            col = np.asarray(col, dtype=object)
+        else:
+            raise DomainError(f"feature {name!r} has unknown kind {kind!r}")
+        out[name] = col
+    return out
+
+
+def row_count(columns: Mapping, names) -> int:
+    """Rows of the named columns: the length of the first one-dimensional one, else 1.
+
+    A column of one value stands for every row, so it sets no count, and
+    columns of one value each are one row, as a record is.
+    """
+    for name in names:
+        if name in columns and np.ndim(columns[name]) == 1:
+            return len(columns[name])
+    return 1
+
+
+def route_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+    """Leaf id for each of n rows of column arrays: the one walk of a tree.
+
+    Every column the tree tests is read once per call, as the kind of its
+    tests (see `read_columns`); columns it does not test are not read.  A
+    tree that tests a feature as both kinds is a SchemaError (see
+    AlphaTree.feature_kinds).
+    """
+    tested = read_columns(columns, tree.feature_kinds(), n)
     out = np.empty(n, dtype=np.int64)
     _route_rows(tree.root, tested, np.arange(n), out)
     return out
@@ -509,17 +546,7 @@ def _route_rows(node, columns, idx, out):
     if isinstance(node, Leaf):
         out[idx] = node.leaf_id
         return
-    feature = node.test.feature
-    if feature not in columns:
-        raise SchemaError(f"rows are missing feature {feature!r}")
-    col = columns[feature]
-    # a modality string never equals a number: such rows would all go right
-    if node.test.kind == "categorical" and np.issubdtype(col.dtype, np.number):
-        raise SchemaError(f"feature {feature!r} is tested as categorical but its column is numeric")
-    try:
-        mask = node.test.passes_rows(col[idx])
-    except (TypeError, ValueError):
-        raise SchemaError(f"feature {feature!r} is tested as numeric but its column is not") from None
+    mask = node.test.passes_rows(columns[node.test.feature][idx])
     _route_rows(node.left, columns, idx[mask], out)
     _route_rows(node.right, columns, idx[~mask], out)
 

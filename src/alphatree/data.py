@@ -33,6 +33,7 @@ __all__ = [
     "View",
     "make_dataset",
     "make_view",
+    "read_labels",
     "target_posterior",
     "full_view",
     "levels",
@@ -117,6 +118,17 @@ class Dataset:
         return {name: self.kinds[name] for name in self.features}
 
 
+def read_labels(labels) -> np.ndarray:
+    """labels as int64: one-dimensional (see per_row), each value -1 or +1 as given.
+
+    The one label rule of the package; 1.5 is not rounded to a label.
+    """
+    y = per_row(labels, None, "labels")
+    if not np.all(np.isin(y, (-1, 1))):
+        raise DomainError("labels must be -1 or +1")
+    return y.astype(np.int64, copy=False)
+
+
 def target_posterior(eta_t, n: int, rows=None) -> np.ndarray:
     """A new array of the target posterior of an n-row base at `rows`, or at every row.
 
@@ -153,12 +165,10 @@ def make_dataset(
     are routed under group_column as a categorical column but are never a
     split candidate: a feature of that name is a DomainError.
     """
-    labels = per_row(labels, None, "labels", np.int64)
+    labels = read_labels(labels)
     n = labels.shape[0]
     if n == 0:
         raise EmptyMeasureError("dataset needs at least one row")
-    if not np.all(np.isin(labels, (-1, 1))):
-        raise DomainError("labels must be -1 or +1")
 
     groups = np.asarray(groups, dtype=object)
     scores = clip_score(scores, clip_B)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, dot, expit, per_row, route_rows, single_leaf_tree
-from .data import levels
+from .core import (AlphaTree, DomainError, Leaf, Node, SplitTest, dot, expit, per_row, read_columns, route_rows,
+                   row_count, single_leaf_tree)
+from .data import levels, read_labels
 
 __all__ = [
     "label_plugin",
@@ -33,11 +34,8 @@ VARIANCE_FLOOR_ABS = 1e-12
 
 
 def label_plugin(labels) -> np.ndarray:
-    """Degenerate posterior 1{y = +1} straight from the labels."""
-    y = np.asarray(labels)
-    if not np.all(np.isin(y, (-1, 1))):
-        raise DomainError("labels must be ±1")
-    return (y == 1).astype(float)
+    """Degenerate posterior 1{y = +1} straight from the labels (see `data.read_labels`)."""
+    return (read_labels(labels) == 1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +84,11 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
     Numeric features get a weighted Gaussian with variance floored at
     1e-9 * range^2 (1e-12 if the feature is constant); categorical ones get
     add-one smoothing (w_count + 1) / (W_class + |domain| + 1).  labels set
-    the row count; weights and every column are read by `per_row`.
+    the row count (see `data.read_labels`); weights are read by `per_row`,
+    and the columns as routing reads them (see `core.read_columns`).
     """
-    y = per_row(labels, None, "labels")
+    y = read_labels(labels)
     w = per_row(weights, y.shape[0], "weights", float)
-    if not np.all(np.isin(y, (-1, 1))):
-        raise DomainError("labels must be ±1")
     if not np.all(np.isfinite(w) & (w >= 0)) or not w.sum() > 0:
         raise DomainError("weights must be finite, nonnegative and not all zero")
     if not kinds:
@@ -104,17 +101,15 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
         raise DomainError("both classes need positive weight")
 
     features: dict = {}
-    for name, kind in kinds.items():
-        col = per_row(columns[name], y.shape[0], f"feature {name!r}")
-        if kind == "numeric":
-            values = np.asarray(col, dtype=float)
+    for name, values in read_columns(columns, kinds, y.shape[0], "feature").items():
+        if kinds[name] == "numeric":
             rng = float(values.max() - values.min())
             floor = max(VARIANCE_FLOOR_SCALE * rng * rng, VARIANCE_FLOOR_ABS)
             mp, vp = _weighted_gaussian(values[pos], w[pos], floor)
             mn, vn = _weighted_gaussian(values[neg], w[neg], floor)
             features[name] = _NumericFeature(mp, vp, mn, vn)
-        elif kind == "categorical":
-            domain = levels(col)
+        else:
+            domain = levels(values)
             d = len(domain)
             logp_pos = {}
             logp_neg = {}
@@ -127,8 +122,6 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
                 floor_pos=math.log(1.0 / (w_pos + d + 1.0)),
                 floor_neg=math.log(1.0 / (w_neg + d + 1.0)),
             )
-        else:
-            raise DomainError(f"feature {name!r} has unknown kind {kind!r}")
 
     total = w_pos + w_neg
     return GaussianPlugin(
@@ -142,25 +135,21 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
 def gaussian_plugin_eval(model: GaussianPlugin, columns) -> np.ndarray:
     """Posterior P(Y=+1 | x) per row, clamped into [1e-15, 1 - 1e-15].
 
-    The first column of the model sets the row count; every other column is
-    read by `per_row` against it.
+    The first one-dimensional column of the model sets the row count (see
+    `core.row_count`), and the columns are read as routing reads them (see
+    `core.read_columns`).
     """
-    first = next(iter(model.kinds))
-    n = per_row(columns[first], None, f"feature {first!r}").shape[0]
+    n = row_count(columns, model.kinds)
     margin = np.full(n, model.log_prior_pos - model.log_prior_neg)
-    for name, kind in model.kinds.items():
+    for name, values in read_columns(columns, model.kinds, n, "feature").items():
         feat = model.features[name]
-        col = per_row(columns[name], n, f"feature {name!r}")
-        if kind == "numeric":
-            values = np.asarray(col, dtype=float)
+        if model.kinds[name] == "numeric":
             lp = -0.5 * (np.log(2.0 * math.pi * feat.var_pos) + (values - feat.mean_pos) ** 2 / feat.var_pos)
             ln = -0.5 * (np.log(2.0 * math.pi * feat.var_neg) + (values - feat.mean_neg) ** 2 / feat.var_neg)
-            margin += lp - ln
         else:
-            vals = np.asarray(col)
-            lp = np.array([feat.logp_pos.get(m, feat.floor_pos) for m in vals.tolist()])
-            ln = np.array([feat.logp_neg.get(m, feat.floor_neg) for m in vals.tolist()])
-            margin += lp - ln
+            lp = np.array([feat.logp_pos.get(m, feat.floor_pos) for m in values.tolist()])
+            ln = np.array([feat.logp_neg.get(m, feat.floor_neg) for m in values.tolist()])
+        margin += lp - ln
     eta = expit(margin)
     return np.clip(eta, ETA_CLAMP, 1.0 - ETA_CLAMP)
 
@@ -209,7 +198,10 @@ class ProxyTree:
     labels: tuple
 
     def predict(self, columns) -> np.ndarray:
-        n = len(next(iter(columns.values())))
+        """Group label of each row.  Only the columns the tree tests are read,
+        and one of them sets the row count (see `core.row_count`); a tree that
+        tests nothing takes it from the columns given."""
+        n = row_count(columns, self.tree.feature_kinds() or columns)
         return np.array(self.labels, dtype=object)[route_rows(self.tree, columns, n)]
 
 
@@ -221,7 +213,8 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     the earliest feature in schema order, then the lowest threshold / first
     modality in sorted order.  A node splits only when that beats its own
     weighted entropy by more than 1e-12.  groups set the row count; every
-    column in kinds is read by `per_row` against it.
+    column in kinds is read against it as routing reads it (see
+    `core.read_columns`).
     """
     if max_depth < 0:
         raise DomainError(f"proxy group tree depth must be >= 0, got {max_depth}")
@@ -236,7 +229,7 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
         raise DomainError("need at least one row")
     if not kinds:
         raise DomainError("no feature columns to grow the proxy group tree on")
-    columns = {name: per_row(columns[name], n, f"feature {name!r}") for name in kinds}
+    columns = read_columns(columns, kinds, n, "feature")
     one_hot = np.eye(len(classes), dtype=np.int64)
 
     def counts_of(idx):

@@ -11,6 +11,7 @@ from alphatree import (
     Leaf,
     LoadError,
     Node,
+    SchemaError,
     SplitTest,
     full_view,
     make_dataset,
@@ -96,6 +97,23 @@ def random_tree(rng, max_depth=4, alpha_of=None):
         return Node(test, build(depth + 1), build(depth + 1))
 
     return AlphaTree(build(0))
+
+
+def evaluate_tree_reference(tree: AlphaTree, x) -> tuple[int, float]:
+    """Per-record walk with scalar tests: the routing reference for `route_rows`.
+
+    A numeric test passes iff float(value) <= threshold, a categorical one
+    iff value == modality; only the features on the record's path are read.
+    """
+    node = tree.root
+    while isinstance(node, Node):
+        test = node.test
+        if test.feature not in x:
+            raise SchemaError(f"record is missing feature {test.feature!r}")
+        value = x[test.feature]
+        passes = float(value) <= test.threshold if test.kind == "numeric" else value == test.modality
+        node = node.left if passes else node.right
+    return node.leaf_id, node.alpha
 
 
 def probe_columns(rng, n):

@@ -36,7 +36,7 @@ from alphatree import (
 import alphatree.core as core
 from alphatree.core import expit, xlogy
 
-from helpers import expit_reference, probe_columns, random_tree, xlogy_reference
+from helpers import evaluate_tree_reference, expit_reference, probe_columns, random_tree, xlogy_reference
 
 
 def test_clip_bounds_unit():
@@ -279,6 +279,14 @@ def test_split_test_validation():
         SplitTest("x", "numeric", math.nan, None)
 
 
+def test_a_categorical_test_needs_a_string_modality():
+    # a model file holds a modality as a JSON string: an integer one could be trained but not loaded
+    for modality in (1, 1.5, None, b"a"):
+        with pytest.raises(SchemaError, match=re.escape(f"needs a string modality, got {modality!r}")):
+            SplitTest("g", "categorical", None, modality)
+    assert SplitTest("g", "categorical", None, np.str_("a")).modality == "a"
+
+
 def test_leaf_validation():
     with pytest.raises(DomainError):
         Leaf(0, math.nan)
@@ -399,7 +407,7 @@ def test_alpha_at_rows_matches_pointwise_routing():
     alphas = alpha_at_rows(t, cols, 64)
     for i in range(64):
         x = {k: cols[k][i] for k in cols}
-        _, a = evaluate_tree(t, x)
+        _, a = evaluate_tree_reference(t, x)
         assert alphas[i] == a
 
 
@@ -437,3 +445,104 @@ def test_invert_tree_round_trips_scores():
 def test_invert_tree_rejects_flattened_leaves():
     with pytest.raises(NonInvertibleError):
         invert_tree(single_leaf_tree(alpha=0.0))
+
+
+# ---------------------------------------------------------------------------
+# one walk: a record is one row of route_rows
+# ---------------------------------------------------------------------------
+
+STUMP_X = stump(SplitTest("x", "numeric", 0.5, None), 2.0, 0.5)
+STUMP_G = stump(SplitTest("g", "categorical", None, "1"), 2.0, 0.5)
+
+
+def test_evaluate_tree_wrap_and_wrap_chain_route_through_route_rows(monkeypatch):
+    calls = []
+    real = core.route_rows
+
+    def counting(tree, columns, n):
+        calls.append(n)
+        return real(tree, columns, n)
+
+    monkeypatch.setattr(core, "route_rows", counting)
+    assert evaluate_tree(STUMP_X, {"x": 0.9}) == (1, 0.5)
+    assert calls == [1]
+    assert wrap(STUMP_X, 0.3, {"x": 0.2}) == apply_alpha(0.3, 2.0)
+    assert calls == [1, 1]
+    assert wrap_chain([STUMP_X, STUMP_G, STUMP_X], 0.3, {"x": 0.2, "g": "1"}) == apply_alpha(0.3, 8.0)
+    assert calls == [1] * 5
+
+
+def test_a_non_finite_routed_value_is_a_domain_error():
+    # each was routed to the right leaf without a word
+    message = "^feature 'x' has non-finite values$"
+    with pytest.raises(DomainError, match=message):
+        wrapped_scores(STUMP_X, {"x": [0.2, math.nan]}, [0.3, 0.3])
+    with pytest.raises(DomainError, match=message):
+        core.route_rows(STUMP_X, {"x": np.array([None], dtype=object)}, 1)
+    for value in (math.nan, None, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=message):
+            evaluate_tree(STUMP_X, {"x": value})
+
+
+def test_a_record_value_is_read_as_its_column_would_be():
+    # an integer never equals the modality "1": the record went right, the column was refused
+    message = "^feature 'g' is tested as categorical but its column is numeric$"
+    with pytest.raises(SchemaError, match=message):
+        evaluate_tree(STUMP_G, {"g": 1})
+    with pytest.raises(SchemaError, match=message):
+        core.route_rows(STUMP_G, {"g": [1]}, 1)
+    # a bare ValueError from float("abc") before
+    with pytest.raises(SchemaError, match="^feature 'x' is tested as numeric but its column is not$"):
+        evaluate_tree(STUMP_X, {"x": "abc"})
+    with pytest.raises(SchemaError, match="^rows are missing feature 'x'$"):
+        evaluate_tree(STUMP_X, {"g": "1"})
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except (ValueError, TypeError) as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+BAD_VALUES = {"nan": math.nan, "None": None, "abc": "abc", "int": 1}
+# the bad values a column of each kind refuses; the rest are routed
+UNROUTABLE = {"numeric": {"nan", "None", "abc"}, "categorical": {"nan", "int"}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), bad=st.sampled_from(sorted(BAD_VALUES)))
+def test_a_record_routes_and_fails_as_its_row_does(seed, n, bad):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng)
+    cols = probe_columns(rng, n)
+    ids = core.route_rows(tree, cols, n)
+    for i in range(n):
+        record = {name: col[i] for name, col in cols.items()}
+        leaf_id, alpha = evaluate_tree_reference(tree, record)
+        assert ids[i] == leaf_id and evaluate_tree(tree, record) == (leaf_id, alpha)
+
+    # one bad value in one tested column
+    kinds = tree.feature_kinds()
+    if not kinds:
+        return
+    name = sorted(kinds)[int(rng.integers(len(kinds)))]
+    i = int(rng.integers(n))
+    column = cols[name].astype(object)
+    column[i] = BAD_VALUES[bad]
+    record = {key: col[i] for key, col in {**cols, name: column}.items()}
+    by_record = _outcome(lambda: evaluate_tree(tree, record))
+    by_row = _outcome(lambda: core.route_rows(tree, {key: [value] for key, value in record.items()}, 1))
+    assert by_record[0] == by_row[0]
+    if by_record[0] == "value":
+        assert by_record[1][0] == by_row[1][0]
+    else:
+        assert by_record == by_row
+    assert (by_record[0] == "error") == (bad in UNROUTABLE[kinds[name]])
+    if kinds[name] == "numeric":
+        # the whole column fails as its bad row does
+        by_column = _outcome(lambda: core.route_rows(tree, {**cols, name: column}, n))
+        if by_record[0] == "error":
+            assert by_column == by_record
+        else:
+            assert by_column[1][i] == by_record[1][0]

@@ -19,16 +19,17 @@ from alphatree import (
     clip_bounds,
     condition_on_group,
     empirical_risk,
-    evaluate_tree,
     full_view,
+    gaussian_plugin_fit,
+    label_plugin,
     make_dataset,
     make_view,
     route_rows,
     stump,
 )
-from alphatree.data import levels
+from alphatree.data import levels, read_labels
 
-from helpers import probe_columns, random_dataset, random_tree
+from helpers import evaluate_tree_reference, probe_columns, random_dataset, random_tree
 
 LOG2 = math.log(2.0)
 
@@ -193,7 +194,7 @@ def test_route_rows_matches_pointwise_evaluation():
     ids = route_rows(tree, cols, 50)
     for i in range(50):
         x = {k: cols[k][i] for k in cols}
-        lid, _ = evaluate_tree(tree, x)
+        lid, _ = evaluate_tree_reference(tree, x)
         assert ids[i] == lid
 
 
@@ -360,3 +361,15 @@ def test_run_trace_rejects_rewinding_iterations():
     tr.add(3, "m", 1.0)
     with pytest.raises(ValueError):
         tr.add(2, "m", 1.0)
+
+
+def test_labels_are_read_by_one_rule():
+    # make_dataset rounded 1.5 and -1.2 to labels; the estimators said "labels must be ±1"
+    labels = [1.5, -1.2, 1.0]
+    for read in (lambda y: make_dataset({}, {}, y, "a", 0.5, 2.0), label_plugin,
+                 lambda y: gaussian_plugin_fit({"x": [0.1, 0.2, 0.3]}, {"x": "numeric"}, y, 1.0)):
+        with pytest.raises(DomainError, match=r"^labels must be -1 or \+1$"):
+            read(labels)
+    assert read_labels([1.0, -1.0]).dtype == np.int64 and read_labels([1.0, -1.0]).tolist() == [1, -1]
+    with pytest.raises(DomainError, match=r"^labels has shape \(\); it must be one-dimensional$"):
+        label_plugin(1)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from alphatree import (
     DomainError,
     Leaf,
+    SchemaError,
+    SplitTest,
     evaluate_tree,
     gaussian_plugin_eval,
     gaussian_plugin_fit,
@@ -17,7 +19,9 @@ from alphatree import (
     label_plugin,
     proxy_group_tree,
     route_rows,
+    stump,
 )
+from alphatree.estimators import ProxyTree
 from helpers import proxy_group_tree_reference, proxy_predict_reference
 
 
@@ -255,3 +259,47 @@ def test_proxy_tree_matches_row_loop_reference(
     ref = proxy_group_tree_reference(columns, kinds, groups, max_depth=max_depth, min_leaf=min_leaf)
     assert fast == ref
     assert fast.predict(columns).tolist() == proxy_predict_reference(ref, columns).tolist()
+
+
+def mixed_plugin():
+    return gaussian_plugin_fit({"x": np.array([0.1, 0.5, 0.9, 0.3]), "c": np.array(list("abab"), dtype=object)},
+                               {"x": "numeric", "c": "categorical"}, [1, -1, 1, -1], 1.0)
+
+
+def test_proxy_predict_reads_only_the_columns_its_tree_tests():
+    # the row count came from the first column given, tested or not
+    proxy = ProxyTree(stump(SplitTest("x", "numeric", 0.5, None), 1.0, 1.0), ("a", "b"))
+    for z in (np.ones(5), 3.0):
+        assert proxy.predict({"z": z, "x": [0.1, 0.9]}).tolist() == ["a", "b"]
+    assert ProxyTree(init_stump(("only",)), ("only",)).predict({"z": np.ones(3)}).tolist() == ["only"] * 3
+
+
+def test_gaussian_plugin_eval_takes_one_value_of_its_first_column_for_every_row():
+    # the first column set the row count, so it could not be one value
+    model = mixed_plugin()
+    c = np.array(["a", "b", "a"], dtype=object)
+    assert gaussian_plugin_eval(model, {"x": 0.3, "c": c}).tolist() == \
+        gaussian_plugin_eval(model, {"x": np.full(3, 0.3), "c": c}).tolist()
+
+
+def test_the_estimators_reject_a_non_finite_numeric_value():
+    # NaN gave NaN posteriors and class moments, and the proxy tree sent its row right
+    x = np.array([0.1, np.nan, 0.9, 0.3])
+    message = "^feature 'x' has non-finite values$"
+    with pytest.raises(DomainError, match=message):
+        gaussian_plugin_fit({"x": x}, {"x": "numeric"}, [1, -1, 1, -1], 1.0)
+    with pytest.raises(DomainError, match=message):
+        gaussian_plugin_eval(mixed_plugin(), {"x": [np.nan, 0.3], "c": ["a", "b"]})
+    with pytest.raises(DomainError, match=message):
+        proxy_group_tree({"x": x}, {"x": "numeric"}, ["a", "b", "a", "b"], min_leaf=1)
+
+
+def test_the_estimators_name_a_missing_column():
+    # each was a bare KeyError: 'x'
+    message = "^rows are missing feature 'x'$"
+    with pytest.raises(SchemaError, match=message):
+        gaussian_plugin_fit({"c": ["a", "b"]}, {"x": "numeric"}, [1, -1], 1.0)
+    with pytest.raises(SchemaError, match=message):
+        gaussian_plugin_eval(mixed_plugin(), {"c": ["a", "b"]})
+    with pytest.raises(SchemaError, match=message):
+        proxy_group_tree({"c": ["a", "b"]}, {"x": "numeric"}, ["a", "b"], min_leaf=1)

@@ -15,6 +15,7 @@ from alphatree import (
     EmptyMeasureError,
     EooSpec,
     InductionConfig,
+    SchemaError,
     SpSpec,
     advantage_rate,
     condition_on_group,
@@ -609,3 +610,18 @@ def test_regrouping_by_replace_equals_a_new_dataset(seed, names):
         tree_m, trace_m = run(made)
         assert tree_r.root == tree_m.root
         assert repr(trace_r.rows) == repr(trace_m.rows)
+
+
+def test_a_tree_that_a_model_file_cannot_hold_cannot_be_grown():
+    # run_cvar trained on integer groups, and load_model refused the file save_model wrote
+    n = 40
+    labels = np.resize([1, -1], n)
+    with pytest.raises(SchemaError, match="needs a string modality, got 0"):
+        run_cvar(make_dataset({}, {}, labels, np.resize([0, 1], n), 0.4, 2.0), CvarSpec(beta=0.5))
+    # an integer categorical feature fails in split search
+    codes = np.resize([0, 0, 1, 1], n)
+    ds = make_dataset({"c": codes}, {"c": "categorical"}, np.where(codes == 0, 1, -1), "a",
+                      np.resize([0.3, 0.7], n), 2.0)
+    with pytest.raises(SchemaError, match="needs a string modality, got 0"):
+        run_cvar(ds, CvarSpec(beta=0.5, risk_threshold=0.0, outer_rounds=2,
+                              induction=InductionConfig(max_iterations=4, min_child_count=1)))

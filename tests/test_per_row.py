@@ -28,7 +28,6 @@ from alphatree import (
     edge,
     empirical_kl,
     empirical_risk,
-    evaluate_tree,
     full_view,
     gaussian_plugin_eval,
     gaussian_plugin_fit,
@@ -48,6 +47,7 @@ from alphatree import (
 from alphatree.core import dot, per_row, xlogy
 from alphatree.data import levels, log_loss, target_posterior
 from alphatree.estimators import ProxyTree
+from helpers import evaluate_tree_reference
 
 B = 2.0
 KINDS = {"x": "numeric", "c": "categorical"}
@@ -119,12 +119,12 @@ class Site(NamedTuple):
 
 
 def _route_expect(v, fx):
-    return np.array([evaluate_tree(TREE, {"x": a, "c": b})[0] for a, b in zip(v, fx.c)])
+    return np.array([evaluate_tree_reference(TREE, {"x": a, "c": b})[0] for a, b in zip(v, fx.c)])
 
 
 def _alpha_rows(fx, **columns):
     rows = zip(columns.get("x", fx.x), columns.get("c", fx.c))
-    return np.array([evaluate_tree(TREE, {"x": a, "c": b})[1] for a, b in rows])
+    return np.array([evaluate_tree_reference(TREE, {"x": a, "c": b})[1] for a, b in rows])
 
 
 def _kl_expect(w, qu, qf):
