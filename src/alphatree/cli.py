@@ -386,29 +386,33 @@ def _finite_or_none(value):
 
 
 def _cmd_eval(args) -> int:
+    from .core import route_rows  # looked up per call, as perfbench/tracer.py swaps it
+
     tree, meta = load_model(args.model)
     clip_B = meta.clip_B
     ds = _load(args, clip_B, tree)
     eta = label_plugin(ds.labels)
     w = full_view(ds).weights
-    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    # the rows are routed once; every figure below looks their alphas up at these ids
+    leaf_ids = route_rows(tree, ds.columns, ds.n)
+    q_f = wrapped_scores(tree, ds.columns, ds.scores, leaf_ids)
     report = {
         "n": ds.n,
         "clip_B": clip_B,
         "n_leaves": tree.n_leaves,
-        "zero_one": metric_zero_one(ds, tree),
+        "zero_one": metric_zero_one(ds, tree, leaf_ids),
         # a file with one class has no ROC area
-        "auc": _undefined_as_none(metric_auc, ds, tree),
+        "auc": _undefined_as_none(metric_auc, ds, tree, leaf_ids),
         # a group without weighted positive rows has no true-positive rate
-        "eoo_gap": _undefined_as_none(metric_eoo_gap, ds, tree, undefined=EmptyMeasureError),
-        "sp_gap": metric_sp_gap(ds, tree),
-        "md": metric_md(ds, tree),
-        "cvar": metric_cvar(ds, tree, eta, args.beta),
-        "subgroup_risks": {str(g): r for g, r in subgroup_risks(ds, tree, eta).items()},
+        "eoo_gap": _undefined_as_none(metric_eoo_gap, ds, tree, leaf_ids, undefined=EmptyMeasureError),
+        "sp_gap": metric_sp_gap(ds, tree, leaf_ids),
+        "md": metric_md(ds, tree, leaf_ids),
+        "cvar": metric_cvar(ds, tree, eta, args.beta, leaf_ids),
+        "subgroup_risks": {str(g): r for g, r in subgroup_risks(ds, tree, eta, leaf_ids).items()},
         # a wrapped score of exactly 0 or 1 leaves the drift undefined
         "empirical_kl": _undefined_as_none(empirical_kl, w, ds.scores, q_f),
         "kl_bound_s1": kl_bound_s1(clip_B) if s1_applicable(tree, clip_B) else None,
-        "kl_bound_s2": kl_bound_s2() if s2_applicable(tree, ds.columns, ds.scores) else None,
+        "kl_bound_s2": kl_bound_s2() if s2_applicable(tree, ds.columns, ds.scores, leaf_ids) else None,
     }
     print(json.dumps(_finite_or_none(report), sort_keys=True, indent=2, allow_nan=False))
     return 0

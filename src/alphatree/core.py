@@ -57,6 +57,7 @@ __all__ = [
     "single_leaf_tree",
     "stump",
     "route_rows",
+    "reroute",
     "alpha_table",
     "alpha_at_rows",
 ]
@@ -340,18 +341,7 @@ class AlphaTree:
 
         Raises SchemaError when one feature is tested as both kinds.
         """
-        kinds: dict[str, str] = {}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                continue
-            test = node.test
-            if kinds.setdefault(test.feature, test.kind) != test.kind:
-                raise SchemaError(f"feature {test.feature!r} is tested as both numeric and categorical")
-            stack.append(node.right)
-            stack.append(node.left)
-        return kinds
+        return _feature_kinds([self.root])
 
     def max_leaf_id(self) -> int:
         return max(leaf.leaf_id for leaf in self._leaves)
@@ -372,6 +362,22 @@ class AlphaTree:
     def with_leaf_updates(self, updates: Mapping[int, Leaf]) -> "AlphaTree":
         """Return a new tree with some leaves replaced wholesale (same ids)."""
         return AlphaTree(_update_leaves(self.root, updates))
+
+
+def _feature_kinds(roots) -> dict[str, str]:
+    """Kind of test on each feature tested below any of roots (see AlphaTree.feature_kinds)."""
+    kinds: dict[str, str] = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            continue
+        test = node.test
+        if kinds.setdefault(test.feature, test.kind) != test.kind:
+            raise SchemaError(f"feature {test.feature!r} is tested as both numeric and categorical")
+        stack.append(node.right)
+        stack.append(node.left)
+    return kinds
 
 
 def _iter_leaves(node: Node | Leaf) -> Iterator[Leaf]:
@@ -559,17 +565,97 @@ def alpha_table(tree: AlphaTree) -> np.ndarray:
     return table
 
 
-def alpha_at_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
-    """Per-row leaf exponent for n rows of column arrays."""
-    return alpha_table(tree)[route_rows(tree, columns, n)]
+def _leaf_ids(tree: AlphaTree, leaf_ids, n: int | None) -> np.ndarray:
+    """leaf_ids as integer ids of n rows (see `per_row`), each naming a leaf of tree.
+
+    Any other id is a DomainError that names it: `alpha_table` holds 0 at
+    an id no leaf holds, so an id left over from a split leaf would
+    otherwise take alpha 0.
+    """
+    ids = per_row(leaf_ids, n, "leaf ids")
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise DomainError(f"leaf ids must be integers, got dtype {ids.dtype}")
+    top = tree.max_leaf_id()
+    held = np.zeros(top + 2, dtype=bool)
+    held[[leaf.leaf_id for leaf in tree.leaves()]] = True
+    # every id out of range is clipped onto the last slot, which holds no leaf: -1 is its index too
+    named = held[np.clip(ids, -1, top + 1)]
+    if not named.all():
+        raise DomainError(f"leaf id {ids[np.argmin(named)]} names no leaf of the tree")
+    return ids
 
 
-def wrapped_scores(tree: AlphaTree, columns: Mapping[str, np.ndarray], scores: np.ndarray) -> np.ndarray:
+def _replacements(old: Node | Leaf, new: Node | Leaf, out: dict) -> None:
+    """Put in out, at the id of each leaf of old that new has replaced, the subtree in its place.
+
+    new must be old with some leaves replaced (`AlphaTree.replace_leaf`):
+    a node of old whose place holds another test is a DomainError.
+    """
+    if isinstance(old, Leaf):
+        if not (isinstance(new, Leaf) and new.leaf_id == old.leaf_id):
+            out[old.leaf_id] = new
+    elif isinstance(new, Leaf) or new.test != old.test:
+        raise DomainError("the tree was not grown from the tree the leaf ids were routed by")
+    else:
+        _replacements(old.left, new.left, out)
+        _replacements(old.right, new.right, out)
+
+
+def reroute(tree0: AlphaTree, tree: AlphaTree, columns: Mapping[str, np.ndarray], leaf_ids) -> np.ndarray:
+    """The leaf ids of rows under tree, given their ids under tree0, the tree it was grown from.
+
+    tree must be tree0 with some leaves replaced by subtrees
+    (`AlphaTree.replace_leaf`, as `topdown` grows), else a DomainError.  A
+    row whose leaf tree kept keeps its id; the rows of a replaced leaf are
+    routed through the subtree in its place, by the walk of `route_rows`,
+    which reads only those rows of the columns the subtrees test.
+    leaf_ids set the row count n and must each name a leaf of tree0, else a
+    DomainError names one; each tested column is n values or one value for
+    every row (see `per_row`).  Returns a new int64 array.
+    """
+    ids = _leaf_ids(tree0, leaf_ids, None)
+    out = ids.astype(np.int64)
+    subtrees: dict[int, Node | Leaf] = {}
+    _replacements(tree0.root, tree.root, subtrees)
+    replaced = np.zeros(tree0.max_leaf_id() + 1, dtype=bool)
+    replaced[list(subtrees)] = True
+    stale = np.flatnonzero(replaced[ids])
+    if stale.shape[0]:
+        n = ids.shape[0]
+        kinds = _feature_kinds(subtrees.values())
+        rows = {name: per_row(columns[name], n, f"column {name!r}")[stale]
+                for name in kinds if name in columns}
+        tested = read_columns(rows, kinds, stale.shape[0])
+        routed = np.empty(stale.shape[0], dtype=np.int64)
+        stale_ids = ids[stale]
+        for leaf_id, subtree in subtrees.items():
+            _route_rows(subtree, tested, np.flatnonzero(stale_ids == leaf_id), routed)
+        out[stale] = routed
+    return out
+
+
+def alpha_at_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int, leaf_ids=None) -> np.ndarray:
+    """Per-row leaf exponent for n rows of column arrays.
+
+    With leaf_ids (each row's leaf id, as `route_rows` gives it) nothing is
+    routed and columns are not read: the exponents are looked up at the
+    ids, each of which must name a leaf of tree, else a DomainError names
+    it.
+    """
+    if leaf_ids is None:
+        return alpha_table(tree)[route_rows(tree, columns, n)]
+    return alpha_table(tree)[_leaf_ids(tree, leaf_ids, n)]
+
+
+def wrapped_scores(tree: AlphaTree, columns: Mapping[str, np.ndarray], scores: np.ndarray,
+                   leaf_ids=None) -> np.ndarray:
     """Wrapped probability for every row: one apply_alpha with routed alphas.
 
     scores set the row count and must be one-dimensional; every tested
     column is then n values or one value for every row (see `route_rows`).
+    leaf_ids, when given, are each row's leaf and replace routing (see
+    `alpha_at_rows`).
     """
     scores = per_row(scores, None, "scores", float)
-    alphas = alpha_at_rows(tree, columns, scores.shape[0])
+    alphas = alpha_at_rows(tree, columns, scores.shape[0], leaf_ids)
     return apply_alpha(scores, alphas)

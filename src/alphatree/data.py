@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 # route_rows is not called here; it stays bound for perfbench/tracer.py, which swaps it by name
-from .core import DomainError, clip_score, dot, per_row, route_rows, xlogy
+from .core import DomainError, clip_score, dot, per_row, read_columns, route_rows, xlogy
 
 __all__ = [
     "EmptyMeasureError",
@@ -68,8 +68,8 @@ class Dataset:
     fixes split tie-breaking; groups holds the groups a run measures,
     schedules and routes on.  columns, every routable column, is derived
     from both as {**features, group_column: groups}, so a re-grouped
-    dataclasses.replace(ds, groups=g) routes on g; columns and group_rows
-    are built on first read.
+    dataclasses.replace(ds, groups=g) routes on g; columns, group_rows and
+    positive_rows are built on first read.
 
     labels set the row count n and must be one-dimensional.  groups,
     scores, weights, target (when given) and every feature are read by
@@ -113,6 +113,12 @@ class Dataset:
     @cached_property
     def group_rows(self) -> dict:
         return levels(self.groups)
+
+    @cached_property
+    def positive_rows(self) -> dict:
+        """Positive-label row indices of every group that has positive rows."""
+        pos = self.labels == 1
+        return {g: idx[pos[idx]] for g, idx in self.group_rows.items() if pos[idx].any()}
 
     def feature_kinds(self) -> dict[str, str]:
         return {name: self.kinds[name] for name in self.features}
@@ -161,9 +167,11 @@ def make_dataset(
 
     labels set the row count.  groups, scores, weights, target and every
     feature are n values or one value for every row; the Dataset checks
-    their shapes (see Dataset) and this function their values.  The groups
-    are routed under group_column as a categorical column but are never a
-    split candidate: a feature of that name is a DomainError.
+    their shapes (see Dataset) and this function their values.  Each
+    feature is read as its kind by `core.read_columns`, the rule a tree
+    reads it by when it routes.  The groups are routed under group_column
+    as a categorical column but are never a split candidate: a feature of
+    that name is a DomainError.
     """
     labels = read_labels(labels)
     n = labels.shape[0]
@@ -184,21 +192,9 @@ def make_dataset(
     if target is not None:
         target = target_posterior(target, n)
 
-    checked: dict[str, np.ndarray] = {}
-    for name in features:
-        if name == group_column:
-            raise DomainError(f"feature {name!r} has the group column's name")
-        kind = kinds.get(name)
-        if kind not in ("numeric", "categorical"):
-            raise DomainError(f"feature {name!r} has unknown kind {kind!r}")
-        col = np.asarray(features[name])
-        if kind == "numeric":
-            col = col.astype(float)
-            if not np.all(np.isfinite(col)):
-                raise DomainError(f"feature {name!r} has non-finite values")
-        else:
-            col = col.astype(object)
-        checked[name] = col
+    if group_column in features:
+        raise DomainError(f"feature {group_column!r} has the group column's name")
+    checked = read_columns(features, {name: kinds.get(name) for name in features}, n, "feature")
 
     return Dataset(
         features=checked,

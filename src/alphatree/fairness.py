@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .boosting import InductionConfig, topdown
-from .core import AlphaTree, DomainError, dot, per_row, wrapped_scores
+from .core import AlphaTree, DomainError, dot, per_row, reroute, wrapped_scores
 from .data import (
     Dataset,
     EmptyMeasureError,
@@ -151,13 +151,15 @@ def group_means(values: np.ndarray, weights: np.ndarray, group_rows: Mapping) ->
     return out
 
 
-def subgroup_risks(ds: Dataset, tree: AlphaTree, eta_t=None) -> dict:
+def subgroup_risks(ds: Dataset, tree: AlphaTree, eta_t=None, leaf_ids=None) -> dict:
     """Wrapped log-loss risk of every group's conditional measure.
 
-    The target defaults to the label plug-in posterior.
+    The target defaults to the label plug-in posterior.  leaf_ids, when
+    given, are every row's leaf under tree and replace routing (see
+    `core.wrapped_scores`).
     """
     eta = label_plugin(ds.labels) if eta_t is None else target_posterior(eta_t, ds.n)
-    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    q_f = wrapped_scores(tree, ds.columns, ds.scores, leaf_ids)
     return group_means(log_loss(q_f, eta), ds.weights, ds.group_rows)
 
 
@@ -213,6 +215,8 @@ def run_cvar(
     outer_rounds, or when a round fails to lower the tail mean.  The target
     posterior defaults to the label plug-in.
     """
+    from .core import route_rows  # looked up per call, as perfbench/tracer.py swaps it
+
     modalities = list(ds.group_rows)
     trace = RunTrace()
     if tree0 is None:
@@ -224,10 +228,11 @@ def run_cvar(
     eta = label_plugin(ds.labels) if eta_t is None else target_posterior(eta_t, ds.n)
     gw = _group_weights(ds)
 
+    leaf_ids = route_rows(tree, ds.columns, ds.n)
     it = 0
     prev_cvar = math.inf
     for r in range(spec.outer_rounds + 1):
-        risks = subgroup_risks(ds, tree, eta)
+        risks = subgroup_risks(ds, tree, eta, leaf_ids)
         _, tail = cvar_quantile(risks, spec.beta)
         cvar = cvar_value(risks, spec.beta, gw)
         final = r == spec.outer_rounds
@@ -242,10 +247,11 @@ def run_cvar(
         prev_cvar = cvar
         worst = max(sorted(tail, key=str), key=lambda g: risks[g])
         v = condition_on_group(ds, worst)
-        tree, trace = topdown(
+        grown, trace = topdown(
             v, eta, ds.scores, ds.clip_B, tree, spec.induction,
             trace=trace, iteration_start=it,
         )
+        leaf_ids, tree = reroute(tree, grown, ds.columns, leaf_ids), grown
         it = trace.last_iteration() + 1
     return tree, trace
 
@@ -293,31 +299,26 @@ def pushup_posterior(eta, v: View, p: float, delta: float) -> tuple[np.ndarray, 
     return out, params
 
 
-def _positive_rows(ds: Dataset) -> dict:
-    """Positive-label row indices of every group that has positive rows."""
-    pos = ds.labels == 1
-    return {g: idx[pos[idx]] for g, idx in ds.group_rows.items() if pos[idx].any()}
-
-
 def advantage_rate(ds: Dataset, tree: AlphaTree, group) -> float:
     """Weighted P(prediction = 1 | Y = +1, group) under the wrapped scores.
 
     A wrapped score of exactly 1/2 counts as a negative prediction.
     """
     q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    rows = _positive_rows(ds)
+    rows = ds.positive_rows
     if group not in rows:
         raise EmptyMeasureError(f"group {group!r} has no positive rows")
     return group_means((q_f > 0.5).astype(float), ds.weights, {group: rows[group]})[group]
 
 
-def _rates(ds: Dataset, tree: AlphaTree) -> dict:
+def _rates(ds: Dataset, tree: AlphaTree, leaf_ids=None) -> dict:
     """Advantage rate of every group whose positive rows carry weight.
 
-    A group without such rows has no rate and is skipped.
+    A group without such rows has no rate and is skipped.  leaf_ids, when
+    given, replace routing (see `core.wrapped_scores`).
     """
-    q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    rows = {g: idx for g, idx in _positive_rows(ds).items() if ds.weights[idx].any()}
+    q_f = wrapped_scores(tree, ds.columns, ds.scores, leaf_ids)
+    rows = {g: idx for g, idx in ds.positive_rows.items() if ds.weights[idx].any()}
     out = group_means((q_f > 0.5).astype(float), ds.weights, rows)
     if len(out) < 2:
         raise EmptyMeasureError("equal opportunity needs >= 2 groups with positives")
@@ -353,6 +354,8 @@ def run_eoo(
     reaches eps^4/2 + E[H(eta_t)], when the observed gap is already within
     eps, or when the induction budget (max_iterations splits) is spent.
     """
+    from .core import route_rows  # looked up per call, as perfbench/tracer.py swaps it
+
     modalities = list(ds.group_rows)
     tree = tree0 if tree0 is not None else init_stump(modalities, ds.group_column)
     trace = RunTrace()
@@ -360,12 +363,13 @@ def run_eoo(
     eps = spec.eps
 
     one_split = replace(spec.induction, max_iterations=1)
+    leaf_ids = route_rows(tree, ds.columns, ds.n)
     it = 0
     s_low_prev = None
     pushed = None
     final = False
     for step in range(spec.induction.max_iterations + 1):
-        rates = _rates(ds, tree)
+        rates = _rates(ds, tree, leaf_ids)
         if step == 0:
             s_star = max(sorted(rates, key=str), key=lambda g: rates[g])
             k = _raise_k(float(spec.K), eps, rates[s_star])
@@ -387,10 +391,11 @@ def run_eoo(
             s_low_prev = s_low
         stop = (eps**4) / 2.0 + dot(v.weights, binary_entropy(pushed[v.indices]))
         n_before = tree.n_leaves
-        tree, trace = topdown(
+        grown, trace = topdown(
             v, pushed, ds.scores, ds.clip_B, tree, one_split,
             trace=trace, iteration_start=it, risk_stop=stop,
         )
+        leaf_ids, tree = reroute(tree, grown, ds.columns, leaf_ids), grown
         it = trace.last_iteration() + 1
         # a step that reaches the risk stop or grows nothing makes the next measurement the last
         final = trace.values("risk")[-1] <= stop or tree.n_leaves == n_before
@@ -415,6 +420,8 @@ def run_sp(
     outer round, so the grown side follows the argmin/argmax as they move;
     the reference side of the final round is never modified.
     """
+    from .core import route_rows  # looked up per call, as perfbench/tracer.py swaps it
+
     modalities = list(ds.group_rows)
     if len(modalities) < 2:
         raise EmptyMeasureError("statistical parity needs >= 2 groups")
@@ -422,9 +429,11 @@ def run_sp(
     trace = RunTrace()
 
     score_means = group_means(ds.scores, ds.weights, ds.group_rows)
+    leaf_ids = route_rows(tree, ds.columns, ds.n)
     it = 0
     for r in range(spec.outer_rounds + 1):
-        means = group_means(wrapped_scores(tree, ds.columns, ds.scores), ds.weights, ds.group_rows)
+        q_f = wrapped_scores(tree, ds.columns, ds.scores, leaf_ids)
+        means = group_means(q_f, ds.weights, ds.group_rows)
         s_hi = max(sorted(means, key=str), key=lambda g: means[g])
         s_lo = min(sorted(means, key=str), key=lambda g: means[g])
         gap = means[s_hi] - means[s_lo]
@@ -437,9 +446,10 @@ def run_sp(
         v = condition_on_group(ds, grow)
         eta_round = np.full(ds.n, 0.5)
         eta_round[v.indices] = score_means[ref]
-        tree, trace = topdown(
+        grown, trace = topdown(
             v, eta_round, ds.scores, ds.clip_B, tree, spec.induction,
             trace=trace, iteration_start=it,
         )
+        leaf_ids, tree = reroute(tree, grown, ds.columns, leaf_ids), grown
         it = trace.last_iteration() + 1
     return tree, trace

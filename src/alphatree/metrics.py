@@ -17,7 +17,6 @@ from .data import Dataset, EmptyMeasureError, full_view
 # advantage_rate is not called here; it stays bound for perfbench/tracer.py, which swaps it by name
 from .fairness import (
     _group_weights,
-    _positive_rows,
     advantage_rate,
     cvar_value,
     group_means,
@@ -41,52 +40,56 @@ __all__ = [
 
 S2_CONSTANT = math.pi**2 / 24.0
 
+# Every metric_* takes an optional trailing leaf_ids, each row's leaf under
+# the tree: a caller that holds them, as eval does, skips routing (see
+# core.wrapped_scores).  metric_*(ds, tree) routes the dataset's rows.
+
 
 def _spread(means: dict) -> float:
     return float(max(means.values()) - min(means.values()))
 
 
-def metric_eoo_gap(ds: Dataset, tree: AlphaTree) -> float:
+def metric_eoo_gap(ds: Dataset, tree: AlphaTree, leaf_ids=None) -> float:
     """Largest spread of P(pred = 1 | Y = +1, group) across groups."""
-    q_f = wrapped_scores(tree, ds.columns, ds.scores)
-    rates = group_means((q_f > 0.5).astype(float), ds.weights, _positive_rows(ds))
+    q_f = wrapped_scores(tree, ds.columns, ds.scores, leaf_ids)
+    rates = group_means((q_f > 0.5).astype(float), ds.weights, ds.positive_rows)
     missing = [g for g in ds.group_rows if g not in rates]
     if missing:
         raise EmptyMeasureError(f"group {missing[0]!r} has no positive rows")
     return _spread(rates)
 
 
-def metric_sp_gap(ds: Dataset, tree: AlphaTree) -> float:
+def metric_sp_gap(ds: Dataset, tree: AlphaTree, leaf_ids=None) -> float:
     """Largest spread of the mean wrapped score across groups."""
-    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    q_f = wrapped_scores(tree, ds.columns, ds.scores, leaf_ids)
     return _spread(group_means(q_f, ds.weights, ds.group_rows))
 
 
-def metric_md(ds: Dataset, tree: AlphaTree) -> float:
+def metric_md(ds: Dataset, tree: AlphaTree, leaf_ids=None) -> float:
     """Largest spread of P(pred = 1 | group) across groups."""
-    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    q_f = wrapped_scores(tree, ds.columns, ds.scores, leaf_ids)
     return _spread(group_means((q_f > 0.5).astype(float), ds.weights, ds.group_rows))
 
 
-def metric_zero_one(ds: Dataset, tree: AlphaTree) -> float:
+def metric_zero_one(ds: Dataset, tree: AlphaTree, leaf_ids=None) -> float:
     """Weighted misclassification rate of the wrapped predictions."""
-    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    q_f = wrapped_scores(tree, ds.columns, ds.scores, leaf_ids)
     preds = np.where(q_f > 0.5, 1, -1)
     return dot(full_view(ds).weights, preds != ds.labels)
 
 
-def metric_cvar(ds: Dataset, tree: AlphaTree, eta_t, beta: float) -> float:
+def metric_cvar(ds: Dataset, tree: AlphaTree, eta_t, beta: float, leaf_ids=None) -> float:
     """Mass-weighted mean wrapped log-loss over the beta-tail of subgroup risks."""
-    risks = subgroup_risks(ds, tree, eta_t)
+    risks = subgroup_risks(ds, tree, eta_t, leaf_ids)
     return cvar_value(risks, beta, _group_weights(ds))
 
 
-def metric_auc(ds: Dataset, tree: AlphaTree) -> float:
+def metric_auc(ds: Dataset, tree: AlphaTree, leaf_ids=None) -> float:
     """Weighted ROC area of the wrapped scores against the labels.
 
     Ties in the score contribute half, the usual rank convention.
     """
-    q_f = wrapped_scores(tree, ds.columns, ds.scores)
+    q_f = wrapped_scores(tree, ds.columns, ds.scores, leaf_ids)
     w = full_view(ds).weights
     pos = ds.labels == 1
     w_pos = float(w[pos].sum())
@@ -147,13 +150,14 @@ def kl_bound_s2() -> float:
     return S2_CONSTANT
 
 
-def s2_applicable(tree: AlphaTree, columns, q_unfair) -> bool:
+def s2_applicable(tree: AlphaTree, columns, q_unfair, leaf_ids=None) -> bool:
     """The s2 ceiling needs |logit(q) (1 - alpha)| <= 1 on every row.
 
-    q_unfair sets the row count; the tested columns are read as in route_rows.
+    q_unfair sets the row count; the tested columns are read as in
+    route_rows, or leaf_ids, when given, replace routing (see alpha_at_rows).
     """
     qu = per_row(q_unfair, None, "q_unfair", float)
-    alphas = alpha_at_rows(tree, columns, qu.shape[0])
+    alphas = alpha_at_rows(tree, columns, qu.shape[0], leaf_ids)
     f = np.abs(logit(qu) * (1.0 - alphas))
     return bool(np.all(f <= 1.0))
 

@@ -373,3 +373,21 @@ def test_labels_are_read_by_one_rule():
     assert read_labels([1.0, -1.0]).dtype == np.int64 and read_labels([1.0, -1.0]).tolist() == [1, -1]
     with pytest.raises(DomainError, match=r"^labels has shape \(\); it must be one-dimensional$"):
         label_plugin(1)
+
+
+def test_make_dataset_reads_features_as_routing_does():
+    # each raised a bare ValueError naming no feature, or was taken and failed later
+    labels, scores = [1, -1], [0.3, 0.6]
+    with pytest.raises(SchemaError, match="^feature 'x' is tested as numeric but its column is not$"):
+        make_dataset({"x": ["a", "0.5"]}, {"x": "numeric"}, labels, "a", scores, 2.0)
+    with pytest.raises(SchemaError, match="^feature 'c' is tested as categorical but its column is numeric$"):
+        make_dataset({"c": [0, 1]}, {"c": "categorical"}, labels, "a", scores, 2.0)
+    with pytest.raises(DomainError, match="^feature 'x' has non-finite values$"):
+        make_dataset({"x": [0.5, math.nan]}, {"x": "numeric"}, labels, "a", scores, 2.0)
+    with pytest.raises(DomainError, match=r"^feature 'x' has shape \(3,\) for 2 rows$"):
+        make_dataset({"x": [0.5, 1.0, 2.0]}, {"x": "numeric"}, labels, "a", scores, 2.0)
+    with pytest.raises(DomainError, match="^feature 'x' has unknown kind 'ordinal'$"):
+        make_dataset({"x": [0.5, 1.0]}, {"x": "ordinal"}, labels, "a", scores, 2.0)
+    ds = make_dataset({"x": ["0.5", 1], "c": "k"}, {"x": "numeric", "c": "categorical"}, labels, "a", scores, 2.0)
+    assert ds.features["x"].tolist() == [0.5, 1.0] and ds.features["c"].tolist() == ["k", "k"]
+    assert ds.features["c"].dtype == object

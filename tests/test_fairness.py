@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import alphatree.core as core
 import alphatree.fairness as fairness
 from alphatree import (
     CvarSpec,
@@ -16,6 +18,7 @@ from alphatree import (
     EooSpec,
     InductionConfig,
     SchemaError,
+    SplitTest,
     SpSpec,
     advantage_rate,
     condition_on_group,
@@ -31,6 +34,7 @@ from alphatree import (
     run_eoo,
     run_sp,
     single_leaf_tree,
+    stump,
     subgroup_risks,
 )
 from alphatree.core import expit
@@ -618,10 +622,63 @@ def test_a_tree_that_a_model_file_cannot_hold_cannot_be_grown():
     labels = np.resize([1, -1], n)
     with pytest.raises(SchemaError, match="needs a string modality, got 0"):
         run_cvar(make_dataset({}, {}, labels, np.resize([0, 1], n), 0.4, 2.0), CvarSpec(beta=0.5))
-    # an integer categorical feature fails in split search
+    # an integer categorical feature is refused when the dataset is built
     codes = np.resize([0, 0, 1, 1], n)
-    ds = make_dataset({"c": codes}, {"c": "categorical"}, np.where(codes == 0, 1, -1), "a",
-                      np.resize([0.3, 0.7], n), 2.0)
-    with pytest.raises(SchemaError, match="needs a string modality, got 0"):
-        run_cvar(ds, CvarSpec(beta=0.5, risk_threshold=0.0, outer_rounds=2,
-                              induction=InductionConfig(max_iterations=4, min_child_count=1)))
+    with pytest.raises(SchemaError, match="^feature 'c' is tested as categorical but its column is numeric$"):
+        make_dataset({"c": codes}, {"c": "categorical"}, np.where(codes == 0, 1, -1), "a",
+                     np.resize([0.3, 0.7], n), 2.0)
+
+
+def _driver_runs(ds, eta, cfg, direction="up"):
+    """Each driver as a function of its start tree."""
+    return {
+        "cvar": lambda t0: run_cvar(ds, CvarSpec(beta=0.5, outer_rounds=3, induction=cfg), t0, eta_t=eta),
+        "eoo": lambda t0: run_eoo(ds, EooSpec(eps=0.001, K=2.0, induction=cfg), t0, eta_estimate=eta),
+        "sp": lambda t0: run_sp(ds, SpSpec(eps=0.001, direction=direction, outer_rounds=3, induction=cfg), t0),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), driver=st.sampled_from(["cvar", "eoo", "sp"]),
+       start=st.sampled_from(["stump", "leaf", "mixed"]), direction=st.sampled_from(["up", "down"]))
+def test_carried_leaf_ids_equal_a_full_route_at_every_measurement(seed, driver, start, direction):
+    rng = np.random.default_rng(seed)
+    ds, eta = random_dataset(rng, n_max=250)
+    # a mixed start's leaves hold rows of both groups, so growing one group's
+    # view splits leaves that also hold rows outside the view
+    tree0 = {
+        "stump": None,
+        "leaf": single_leaf_tree(),
+        "mixed": stump(SplitTest("x0", "numeric", float(np.round(rng.normal(0.0, 0.5), 2))), 1.0, 1.0),
+    }[start]
+    cfg = InductionConfig(max_iterations=int(rng.integers(1, 6)), min_child_count=5)
+    real = fairness.wrapped_scores
+    measured = []
+
+    def checking(tree, columns, scores, leaf_ids=None):
+        # checked before the lookup, so a stale id fails here, not as a DomainError
+        assert leaf_ids is not None
+        np.testing.assert_array_equal(leaf_ids, core.route_rows(tree, ds.columns, ds.n))
+        measured.append(tree.n_leaves)
+        return real(tree, columns, scores, leaf_ids)
+
+    with mock.patch.object(fairness, "wrapped_scores", checking):
+        try:
+            _driver_runs(ds, eta, cfg, direction)[driver](tree0)
+        except (DomainError, EmptyMeasureError):
+            assert driver == "eoo" and len(measured) == 1  # no feasible quota; raised at step 0
+    assert measured
+
+
+def test_each_driver_routes_every_row_once(monkeypatch):
+    ds = eoo_planted_dataset(3)
+    cfg = InductionConfig(max_iterations=4, min_child_count=5, min_child_fraction=0.01)
+    real = core.route_rows
+    routed = []
+    monkeypatch.setattr(core, "route_rows", lambda tree, columns, n: routed.append(n) or real(tree, columns, n))
+    for driver, run in _driver_runs(ds, label_plugin(ds.labels), cfg).items():
+        routed.clear()
+        tree, _ = run(None)
+        assert tree.n_leaves > 3, driver  # the run grew the stump, so its rows were re-routed
+        # one full route, first; later, topdown routes its view and reroute walks only new subtrees
+        assert routed.count(ds.n) == 1 and routed[0] == ds.n, (driver, routed)

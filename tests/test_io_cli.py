@@ -771,6 +771,24 @@ def test_cli_train_apply_eval_inspect(tmp_path, capsys):
     assert f"leaves: {tree.n_leaves}" in text
 
 
+def test_cli_eval_routes_its_rows_once(tmp_path, capsys, monkeypatch):
+    # every figure of the report looked its alphas up by routing all rows again
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    model = tmp_path / "m.json"
+    assert main(train_args(data, model)) == 0
+    capsys.readouterr()
+    real = alphatree.core.route_rows
+    routed = []
+    monkeypatch.setattr(alphatree.core, "route_rows", lambda tree, columns, n: routed.append(n) or real(tree, columns, n))
+    assert main(["eval", "--data", str(data), "--model", str(model), "--split", "all"]) == 0
+    assert routed == [60]
+    report = json.loads(capsys.readouterr().out)
+    ds = load_dataset(data, 3.0)
+    tree, _ = load_model(model)
+    assert report["sp_gap"] == metric_sp_gap(ds, tree) and report["md"] == metric_md(ds, tree)
+
+
 def test_cli_inspect_classifies_alphas(tmp_path, capsys):
     tree = AlphaTree(
         Node(SplitTest("x", "numeric", threshold=0.0),

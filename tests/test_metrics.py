@@ -1,6 +1,7 @@
 """Fairness metrics and KL proximity bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from alphatree import (
     subgroup_risks,
     wrapped_scores,
 )
-from alphatree.core import expit
-from alphatree.metrics import S2_CONSTANT
+from alphatree.core import expit, route_rows
+from alphatree.metrics import S2_CONSTANT, s2_applicable
 
 from helpers import metric_auc_reference, probe_columns, random_dataset, random_tree
 
@@ -393,3 +394,26 @@ def test_kl_taylor_validation():
                         order=1)
     with pytest.raises(DomainError):
         kl_taylor_bound(np.array([1.0]), np.array([0.0]), np.array([1.5]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_figure_is_the_same_from_carried_leaf_ids(seed):
+    rng = np.random.default_rng(seed)
+    base, eta = random_dataset(rng)
+    # random_tree tests the columns of probe_columns
+    ds = make_dataset(probe_columns(rng, base.n), {"x0": "numeric", "x1": "numeric", "c0": "categorical"},
+                      base.labels, base.groups, base.scores, base.clip_B, weights=base.weights)
+    tree = random_tree(rng, max_depth=3, alpha_of=lambda r: float(r.uniform(0.2, 2.0)))
+    ids = route_rows(tree, ds.columns, ds.n)
+    for metric in (metric_zero_one, metric_sp_gap, metric_md, metric_auc, metric_eoo_gap):
+        try:
+            expect = metric(ds, tree)
+        except (DomainError, EmptyMeasureError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                metric(ds, tree, ids)
+        else:
+            assert metric(ds, tree, ids) == expect
+    assert metric_cvar(ds, tree, eta, 0.5, ids) == metric_cvar(ds, tree, eta, 0.5)
+    assert subgroup_risks(ds, tree, eta, ids) == subgroup_risks(ds, tree, eta)
+    assert s2_applicable(tree, ds.columns, ds.scores, ids) == s2_applicable(tree, ds.columns, ds.scores)
