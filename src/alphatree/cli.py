@@ -24,6 +24,7 @@ from .core import (
     DomainError,
     Leaf,
     SchemaError,
+    _walk,
     clip_score,
     wrapped_scores,
 )
@@ -430,26 +431,6 @@ def _classify_alpha(a: float) -> str:
     return "polarity-reversing (alpha<0)"
 
 
-def _describe(node, depth: int, lines: list) -> None:
-    pad = "  " * depth
-    if isinstance(node, Leaf):
-        lines.append(
-            f"{pad}leaf {node.leaf_id}: alpha={node.alpha!r} [{_classify_alpha(node.alpha)}]"
-            f" edge={node.edge!r} mass={node.mass!r}"
-        )
-        return
-    lines.append(f"{pad}if {node.test.describe()}:")
-    _describe(node.left, depth + 1, lines)
-    lines.append(f"{pad}else:")
-    _describe(node.right, depth + 1, lines)
-
-
-def _depth(node) -> int:
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + max(_depth(node.left), _depth(node.right))
-
-
 def _cmd_inspect(args) -> int:
     tree, meta = load_model(args.model)
     lines = [
@@ -457,10 +438,18 @@ def _cmd_inspect(args) -> int:
         f"scoring: {meta.scoring}",
         f"strategy: {meta.strategy}",
         f"leaves: {tree.n_leaves}",
-        f"depth: {_depth(tree.root)}",
+        f"depth: {max(depth for _, depth, _ in _walk(tree.root))}",
         "",
     ]
-    _describe(tree.root, 0, lines)
+    for node, depth, side in _walk(tree.root):
+        pad = "  " * depth
+        if side == "right":
+            lines.append(f"{pad[2:]}else:")
+        if isinstance(node, Leaf):
+            lines.append(f"{pad}leaf {node.leaf_id}: alpha={node.alpha!r} [{_classify_alpha(node.alpha)}]"
+                         f" edge={node.edge!r} mass={node.mass!r}")
+        else:
+            lines.append(f"{pad}if {node.test.describe()}:")
     print("\n".join(lines))
     return 0
 

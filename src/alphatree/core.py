@@ -73,6 +73,11 @@ ALPHA_ZERO_TOL = 1e-12
 # |edge| = 1.
 EDGE_EPS = 1e-9
 
+# Most tests on one path of a tree.  Routing, an edit and a model file's write
+# and read recurse once per level; at this depth all fit Python's default
+# recursion limit in a command (under Python 3.11 a write first fails at 989).
+_MAX_DEPTH = 960
+
 
 class DomainError(ValueError):
     """An input fell outside the mathematical domain of an operation."""
@@ -310,24 +315,46 @@ class AlphaTree:
     integers (not bool) in [0, 2 * leaves], so `alpha_table` is small: a
     tree grown from k leaves by s splits tops out at id k - 1 + 2s, below
     2(k + s).  Any other id is a SchemaError naming the leaf's path from the
-    root, ``tree``.  The leaves are walked once, here, and kept in order.
+    root, ``tree``, and so is a tree more than _MAX_DEPTH tests deep.  The
+    tree is walked once, here, into the leaf table that every read uses:
+    the leaves in order, the leaf and the alpha at each id, and held ids.
     """
 
     root: Node | Leaf
     _leaves: tuple[Leaf, ...] = field(init=False, repr=False, compare=False)
+    _by_id: dict = field(init=False, repr=False, compare=False)
+    _alphas: np.ndarray = field(init=False, repr=False, compare=False)
+    _held: np.ndarray = field(init=False, repr=False, compare=False)
+    _kinds: dict | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        leaves = tuple(_iter_leaves(self.root))
+        leaves = tuple(node for node, _, _ in _walk(self.root) if isinstance(node, Leaf))
         top = 2 * len(leaves)
         for leaf in leaves:
             leaf_id = leaf.leaf_id
             integer = isinstance(leaf_id, (int, np.integer)) and not isinstance(leaf_id, bool)
             if not (integer and 0 <= leaf_id <= top):
-                where = next(path for node, path in _leaf_paths(self.root) if node is leaf)
-                raise SchemaError(f"{where}: leaf_id must be an integer in [0, {top}], got {leaf_id}")
-        if len({leaf.leaf_id for leaf in leaves}) != len(leaves):
+                where = []  # the leaf's path, built only for this message
+                for node, d, side in _walk(self.root):
+                    where[d:] = [side]
+                    if node is leaf:
+                        break
+                raise SchemaError(f"{'.'.join(where)}: leaf_id must be an integer in [0, {top}], got {leaf_id}")
+        by_id = {leaf.leaf_id: leaf for leaf in leaves}
+        if len(by_id) != len(leaves):
             raise SchemaError("leaf identifiers must be unique")
-        object.__setattr__(self, "_leaves", leaves)
+        # a tree of k leaves is at most k - 1 tests deep
+        depth = max(d for _, d, _ in _walk(self.root)) if len(leaves) > _MAX_DEPTH + 1 else 0
+        if depth > _MAX_DEPTH:
+            raise SchemaError(f"tree is {depth} tests deep; a model file holds at most {_MAX_DEPTH}")
+        ids = np.fromiter(by_id, dtype=np.int64, count=len(leaves))
+        alphas = np.zeros(ids.max() + 1)
+        alphas[ids] = np.fromiter((leaf.alpha for leaf in leaves), dtype=float, count=len(leaves))
+        held = np.zeros(alphas.shape[0] + 1, dtype=bool)  # the last slot holds no leaf
+        held[ids] = True
+        alphas.flags.writeable = held.flags.writeable = False
+        for name, value in zip(("_leaves", "_by_id", "_alphas", "_held"), (leaves, by_id, alphas, held)):
+            object.__setattr__(self, name, value)
 
     def leaves(self) -> tuple[Leaf, ...]:
         return self._leaves
@@ -339,98 +366,71 @@ class AlphaTree:
     def feature_kinds(self) -> dict[str, str]:
         """Kind of test ("numeric" or "categorical") on each feature the tree tests.
 
-        Raises SchemaError when one feature is tested as both kinds.
+        Features come in the pre-order of their first test; found on the
+        first read, and copied on each.  Raises SchemaError when one
+        feature is tested as both kinds.
         """
-        return _feature_kinds([self.root])
+        if self._kinds is None:
+            kinds: dict[str, str] = {}
+            for test in (node.test for node, _, _ in _walk(self.root) if isinstance(node, Node)):
+                if kinds.setdefault(test.feature, test.kind) != test.kind:
+                    raise SchemaError(f"feature {test.feature!r} is tested as both numeric and categorical")
+            object.__setattr__(self, "_kinds", kinds)
+        return dict(self._kinds)
 
     def max_leaf_id(self) -> int:
-        return max(leaf.leaf_id for leaf in self._leaves)
+        return self._alphas.shape[0] - 1
 
     def alpha_of(self, leaf_id: int) -> float:
-        for leaf in self._leaves:
-            if leaf.leaf_id == leaf_id:
-                return leaf.alpha
-        raise SchemaError(f"no leaf with id {leaf_id}")
+        if leaf_id not in self._by_id:
+            raise SchemaError(f"no leaf with id {leaf_id}")
+        return self._by_id[leaf_id].alpha
 
     def replace_leaf(self, leaf_id: int, subtree: Node | Leaf) -> "AlphaTree":
         """Return a new tree with the identified leaf swapped for a subtree."""
-        found, new_root = _replace(self.root, leaf_id, subtree)
-        if not found:
+        if leaf_id not in self._by_id:
             raise SchemaError(f"no leaf with id {leaf_id}")
-        return AlphaTree(new_root)
+        return AlphaTree(_rebuild(self.root, {leaf_id: subtree}))
 
     def with_leaf_updates(self, updates: Mapping[int, Leaf]) -> "AlphaTree":
-        """Return a new tree with some leaves replaced wholesale (same ids)."""
-        return AlphaTree(_update_leaves(self.root, updates))
-
-
-def _feature_kinds(roots) -> dict[str, str]:
-    """Kind of test on each feature tested below any of roots (see AlphaTree.feature_kinds)."""
-    kinds: dict[str, str] = {}
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            continue
-        test = node.test
-        if kinds.setdefault(test.feature, test.kind) != test.kind:
-            raise SchemaError(f"feature {test.feature!r} is tested as both numeric and categorical")
-        stack.append(node.right)
-        stack.append(node.left)
-    return kinds
-
-
-def _iter_leaves(node: Node | Leaf) -> Iterator[Leaf]:
-    """Leaves from left to right; one explicit stack, so O(nodes) at any depth."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            yield node
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-
-
-def _leaf_paths(node: Node | Leaf) -> Iterator[tuple[Leaf, str]]:
-    """Leaves from left to right, each with its path from the root, named ``tree``."""
-    stack = [(node, "tree")]
-    while stack:
-        node, where = stack.pop()
-        if isinstance(node, Leaf):
-            yield node, where
-        else:
-            stack.append((node.right, where + ".right"))
-            stack.append((node.left, where + ".left"))
-
-
-def _replace(node: Node | Leaf, leaf_id: int, subtree: Node | Leaf):
-    if isinstance(node, Leaf):
-        if node.leaf_id == leaf_id:
-            return True, subtree
-        return False, node
-    found, new_left = _replace(node.left, leaf_id, subtree)
-    if found:
-        return True, Node(node.test, new_left, node.right)
-    found, new_right = _replace(node.right, leaf_id, subtree)
-    if found:
-        return True, Node(node.test, node.left, new_right)
-    return False, node
-
-
-def _update_leaves(node: Node | Leaf, updates: Mapping[int, Leaf]):
-    if isinstance(node, Leaf):
-        new = updates.get(node.leaf_id)
-        if new is None:
-            return node
-        if new.leaf_id != node.leaf_id:
+        """Return a new tree with some leaves replaced wholesale (same ids); other ids are ignored."""
+        updates = {leaf_id: new for leaf_id, new in updates.items() if leaf_id in self._by_id}
+        if any(new.leaf_id != leaf_id for leaf_id, new in updates.items()):
             raise SchemaError("leaf update must preserve the leaf id")
-        return new
-    return Node(
-        node.test,
-        _update_leaves(node.left, updates),
-        _update_leaves(node.right, updates),
-    )
+        return AlphaTree(_rebuild(self.root, updates))
+
+
+def _walk(root: Node | Leaf) -> Iterator[tuple[Node | Leaf, int, str]]:
+    """(node, depth, side) of each node in pre-order, left child first, over one stack: the one walk.
+
+    depth counts the tests above node; side is "left", "right", or "tree" at root.
+    """
+    stack = [(root, 0, "tree")]
+    while stack:
+        item = stack.pop()
+        yield item
+        node, depth, _ = item
+        if isinstance(node, Node):
+            stack.append((node.right, depth + 1, "right"))
+            stack.append((node.left, depth + 1, "left"))
+
+
+def _rebuild(node: Node | Leaf, replacements: dict[int, Node | Leaf]) -> Node | Leaf:
+    """node with each leaf replacements names swapped for its value: the one tree edit.
+
+    A subtree with no replaced leaf is returned as the same object.  Each
+    replacement is popped from replacements once placed, so the walk stops
+    descending when none is left.
+    """
+    if not replacements:
+        return node
+    if isinstance(node, Leaf):
+        return replacements.pop(node.leaf_id, node)
+    left = _rebuild(node.left, replacements)
+    right = _rebuild(node.right, replacements)
+    if left is node.left and right is node.right:
+        return node
+    return Node(node.test, left, right)
 
 
 def single_leaf_tree(alpha: float = 1.0, leaf_id: int = 0) -> AlphaTree:
@@ -535,7 +535,7 @@ def row_count(columns: Mapping, names) -> int:
 
 
 def route_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
-    """Leaf id for each of n rows of column arrays: the one walk of a tree.
+    """Leaf id for each of n rows of column arrays: the one routing of rows.
 
     Every column the tree tests is read once per call, as the kind of its
     tests (see `read_columns`); columns it does not test are not read.  A
@@ -558,11 +558,8 @@ def _route_rows(node, columns, idx, out):
 
 
 def alpha_table(tree: AlphaTree) -> np.ndarray:
-    """Leaf exponents indexed by leaf id; 0 at ids no leaf holds."""
-    table = np.zeros(tree.max_leaf_id() + 1, dtype=float)
-    for leaf in tree.leaves():
-        table[leaf.leaf_id] = leaf.alpha
-    return table
+    """Leaf exponents indexed by leaf id, 0 at ids no leaf holds: the tree's own read-only table."""
+    return tree._alphas
 
 
 def _leaf_ids(tree: AlphaTree, leaf_ids, n: int | None) -> np.ndarray:
@@ -575,11 +572,9 @@ def _leaf_ids(tree: AlphaTree, leaf_ids, n: int | None) -> np.ndarray:
     ids = per_row(leaf_ids, n, "leaf ids")
     if not np.issubdtype(ids.dtype, np.integer):
         raise DomainError(f"leaf ids must be integers, got dtype {ids.dtype}")
-    top = tree.max_leaf_id()
-    held = np.zeros(top + 2, dtype=bool)
-    held[[leaf.leaf_id for leaf in tree.leaves()]] = True
+    held = tree._held
     # every id out of range is clipped onto the last slot, which holds no leaf: -1 is its index too
-    named = held[np.clip(ids, -1, top + 1)]
+    named = held[np.clip(ids, -1, held.shape[0] - 1)]
     if not named.all():
         raise DomainError(f"leaf id {ids[np.argmin(named)]} names no leaf of the tree")
     return ids
@@ -589,8 +584,11 @@ def _replacements(old: Node | Leaf, new: Node | Leaf, out: dict) -> None:
     """Put in out, at the id of each leaf of old that new has replaced, the subtree in its place.
 
     new must be old with some leaves replaced (`AlphaTree.replace_leaf`):
-    a node of old whose place holds another test is a DomainError.
+    a node of old whose place holds another test is a DomainError.  A
+    subtree new shares with old holds no replaced leaf.
     """
+    if old is new:
+        return
     if isinstance(old, Leaf):
         if not (isinstance(new, Leaf) and new.leaf_id == old.leaf_id):
             out[old.leaf_id] = new
@@ -608,10 +606,11 @@ def reroute(tree0: AlphaTree, tree: AlphaTree, columns: Mapping[str, np.ndarray]
     (`AlphaTree.replace_leaf`, as `topdown` grows), else a DomainError.  A
     row whose leaf tree kept keeps its id; the rows of a replaced leaf are
     routed through the subtree in its place, by the walk of `route_rows`,
-    which reads only those rows of the columns the subtrees test.
-    leaf_ids set the row count n and must each name a leaf of tree0, else a
-    DomainError names one; each tested column is n values or one value for
-    every row (see `per_row`).  Returns a new int64 array.
+    which reads only those rows of the columns the subtrees test, each as
+    tree tests it (see AlphaTree.feature_kinds).  leaf_ids set the row
+    count n and must each name a leaf of tree0, else a DomainError names
+    one; each tested column is n values or one value for every row (see
+    `per_row`).  Returns a new int64 array.
     """
     ids = _leaf_ids(tree0, leaf_ids, None)
     out = ids.astype(np.int64)
@@ -622,7 +621,9 @@ def reroute(tree0: AlphaTree, tree: AlphaTree, columns: Mapping[str, np.ndarray]
     stale = np.flatnonzero(replaced[ids])
     if stale.shape[0]:
         n = ids.shape[0]
-        kinds = _feature_kinds(subtrees.values())
+        of_tree = tree.feature_kinds()
+        kinds = {node.test.feature: of_tree[node.test.feature] for subtree in subtrees.values()
+                 for node, _, _ in _walk(subtree) if isinstance(node, Node)}
         rows = {name: per_row(columns[name], n, f"column {name!r}")[stale]
                 for name in kinds if name in columns}
         tested = read_columns(rows, kinds, stale.shape[0])

@@ -224,17 +224,25 @@ class View:
     """Weighted subset of a Dataset; weights sum to 1.
 
     A View checks its own rows when it is built: indices are integers in
-    [0, base.n), at least one, and weights are one per index (see per_row).
+    [0, base.n), at least one.  The weights it is given are raw: one per
+    index or one for every index (see per_row), the base's weights at those
+    rows when None, and normalized here to sum 1.  No rows, or zero total
+    weight, is an EmptyMeasureError.
     """
 
     base: Dataset
     indices: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         indices = _view_rows(self.indices, self.base.n)
+        raw = self.base.weights[indices] if self.weights is None else self.weights
+        raw = per_row(raw, indices.shape[0], "view weights", float)
+        total = raw.sum()
+        if total <= 0:
+            raise EmptyMeasureError("view has zero total weight")
         object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "weights", per_row(self.weights, indices.shape[0], "view weights"))
+        object.__setattr__(self, "weights", raw / total)
 
     @property
     def n(self) -> int:
@@ -246,21 +254,8 @@ class View:
 
 
 def make_view(base: Dataset, indices, raw_weights=None) -> View:
-    """A View of base's rows at indices, weighted by raw_weights normalized to sum 1.
-
-    indices must be integers in [0, base.n); none is an EmptyMeasureError.
-    raw_weights default to the base's weights at those rows and are one
-    value per index or one value for every index (see per_row).  Zero total
-    weight is an EmptyMeasureError.
-    """
-    indices = _view_rows(indices, base.n)
-    if raw_weights is None:
-        raw_weights = base.weights[indices]
-    raw_weights = per_row(raw_weights, indices.shape[0], "view weights", float)
-    total = raw_weights.sum()
-    if total <= 0:
-        raise EmptyMeasureError("view has zero total weight")
-    return View(base=base, indices=indices, weights=raw_weights / total)
+    """A View of base's rows at indices, weighted by raw_weights normalized to sum 1 (see View)."""
+    return View(base, indices, raw_weights)
 
 
 def full_view(ds: Dataset) -> View:

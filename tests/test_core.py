@@ -358,17 +358,110 @@ def test_leaf_id_range_is_checked_before_uniqueness():
 def test_tree_walks_its_leaves_once_per_construction(monkeypatch):
     rng = np.random.default_rng(19)
     tree = random_tree(rng, max_depth=5)
+    kinds = tree.feature_kinds()  # found by one walk, on the first read
     walks = []
-    real = core._iter_leaves
-    monkeypatch.setattr(core, "_iter_leaves", lambda node: walks.append(node) or real(node))
+    real = core._walk
+    monkeypatch.setattr(core, "_walk", lambda node: walks.append(node) or real(node))
     leaves = tree.leaves()
+    ids = [leaf.leaf_id for leaf in leaves]
+    alphas = [leaf.alpha for leaf in leaves]
     assert tree.n_leaves == len(leaves)
-    assert tree.max_leaf_id() == max(leaf.leaf_id for leaf in leaves)
-    assert [tree.alpha_of(leaf.leaf_id) for leaf in leaves] == [leaf.alpha for leaf in leaves]
-    assert core.alpha_table(tree)[[leaf.leaf_id for leaf in leaves]].tolist() == [leaf.alpha for leaf in leaves]
+    assert tree.max_leaf_id() == max(ids)
+    assert [tree.alpha_of(i) for i in ids] == alphas
+    assert core.alpha_table(tree)[ids].tolist() == alphas
+    assert tree.feature_kinds() == kinds
+    q = np.full(len(ids), 0.3)
+    assert wrapped_scores(tree, {}, q, ids).tolist() == apply_alpha(q, alphas).tolist()
     assert walks == []
     grown = tree.replace_leaf(leaves[0].leaf_id, Leaf(tree.max_leaf_id() + 1, 1.0))
     assert walks == [grown.root]
+
+
+def test_a_tree_keeps_its_own_facts():
+    tree = random_tree(np.random.default_rng(23), max_depth=4)
+    kinds = tree.feature_kinds()
+    kinds["x9"] = "numeric"
+    assert "x9" not in tree.feature_kinds()
+    with pytest.raises(ValueError, match="read-only"):
+        core.alpha_table(tree)[0] = 7.0
+    for leaf_id in (-1, tree.max_leaf_id() + 1, "0"):
+        with pytest.raises(SchemaError, match=f"^no leaf with id {leaf_id}$"):
+            tree.alpha_of(leaf_id)
+
+
+def _edited(node, replacements):
+    """Reference edit: node with each leaf replacements names swapped, every node above rebuilt."""
+    if isinstance(node, Leaf):
+        return replacements.get(node.leaf_id, node)
+    return Node(node.test, _edited(node.left, replacements), _edited(node.right, replacements))
+
+
+def _leaf_ids_below(node):
+    return {node.leaf_id} if isinstance(node, Leaf) else _leaf_ids_below(node.left) | _leaf_ids_below(node.right)
+
+
+def _assert_shares_untouched(old, new, replaced):
+    """Every subtree of old with no leaf in replaced is the same object in new."""
+    if not _leaf_ids_below(old) & replaced:
+        assert new is old
+    elif isinstance(old, Node):
+        assert new is not old
+        _assert_shares_untouched(old.left, new.left, replaced)
+        _assert_shares_untouched(old.right, new.right, replaced)
+
+
+def _random_edit(rng, tree):
+    """(edit, replacements, error): a random edit of tree, the leaves it replaces, and its SchemaError or None.
+
+    Half are a replace_leaf, half a with_leaf_updates; the replacements are
+    keyed by ids the tree holds.
+    """
+    held = [leaf.leaf_id for leaf in tree.leaves()]
+    top = tree.max_leaf_id()
+    if rng.random() < 0.5:
+        leaf_id = int(rng.choice(held)) if rng.random() < 0.9 else top + 1
+        # ids as topdown numbers them, or one past the range rule, or a duplicate id
+        pairs = [(top + 1, top + 2), (top + 1, 3 * top + 9), (top + 1, held[0])]
+        a, b = pairs[int(rng.choice(3, p=[0.7, 0.15, 0.15]))]
+        test = SplitTest("x0", "numeric", float(np.round(rng.normal(), 2)), None)
+        subtree = Node(test, Leaf(a, 0.5), Leaf(b, 2.0)) if rng.random() < 0.8 else Leaf(leaf_id, 4.0)
+        if leaf_id not in held:
+            return lambda: tree.replace_leaf(leaf_id, subtree), {}, f"no leaf with id {leaf_id}"
+        return lambda: tree.replace_leaf(leaf_id, subtree), {leaf_id: subtree}, None
+    chosen = rng.choice(held, size=int(rng.integers(0, len(held) + 1)), replace=False).tolist()
+    updates = {i: Leaf(i, float(rng.uniform(-3.0, 3.0)), edge=0.25, mass=0.5) for i in chosen}
+    error = None
+    if chosen and rng.random() < 0.15:
+        updates[chosen[0]] = Leaf(top + 1, 1.0)
+        error = "leaf update must preserve the leaf id"
+    replacements = dict(updates)
+    if rng.random() < 0.3:
+        updates[top + 1 + int(rng.integers(0, 3))] = Leaf(0, 1.0)  # an id the tree does not hold: ignored
+    return lambda: tree.with_leaf_updates(updates), replacements, error
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_an_edit_equals_the_tree_built_from_the_edited_root(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_depth=int(rng.integers(0, 5)))
+    edit, replacements, error = _random_edit(rng, tree)
+    try:
+        if error is not None:
+            raise SchemaError(error)
+        expected = AlphaTree(_edited(tree.root, replacements))
+    except SchemaError as exc:
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
+            edit()
+        return
+    grown = edit()
+    assert grown.root == expected.root
+    assert grown.leaves() == expected.leaves()  # in order, with their ids and alphas
+    assert grown.max_leaf_id() == expected.max_leaf_id()
+    np.testing.assert_array_equal(core.alpha_table(grown), core.alpha_table(expected))
+    cols = probe_columns(rng, 40)
+    np.testing.assert_array_equal(core.route_rows(grown, cols, 40), core.route_rows(expected, cols, 40))
+    _assert_shares_untouched(tree.root, grown.root, set(replacements))
 
 
 def test_single_leaf_tree_is_identity_wrap():

@@ -27,7 +27,8 @@ from alphatree import (
     route_rows,
     stump,
 )
-from alphatree.data import levels, read_labels
+import alphatree.data as data_module
+from alphatree.data import View, levels, read_labels
 
 from helpers import evaluate_tree_reference, probe_columns, random_dataset, random_tree
 
@@ -138,6 +139,22 @@ def test_make_view_renormalizes_and_rejects_empty():
     assert v.weights[2] == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(EmptyMeasureError):
         make_view(ds, np.array([], dtype=int))
+
+
+def test_a_view_checks_its_rows_once_and_normalizes_its_own_weights(monkeypatch):
+    ds = tiny_dataset()
+    calls = []
+    real = data_module._view_rows
+    monkeypatch.setattr(data_module, "_view_rows", lambda indices, n: calls.append(n) or real(indices, n))
+    made = make_view(ds, [0, 2, 4], raw_weights=[1.0, 1.0, 2.0])
+    assert calls == [ds.n]
+    # a View built directly holds the same rows and weights, summing to 1
+    direct = View(ds, [0, 2, 4], [1.0, 1.0, 2.0])
+    assert direct.weights.tolist() == made.weights.tolist() == [0.25, 0.25, 0.5]
+    assert direct.indices.dtype == np.int64
+    assert View(ds, [1, 3]).weights.tolist() == (ds.weights[[1, 3]] / ds.weights[[1, 3]].sum()).tolist()
+    with pytest.raises(EmptyMeasureError, match="^view has zero total weight$"):
+        View(ds, [0, 1], [0.0, 0.0])
 
 
 def test_view_pick_requires_base_alignment():

@@ -1454,6 +1454,43 @@ def test_cli_rejects_a_model_nested_too_deeply(tmp_path, capsys):
     assert capsys.readouterr().err == "error: schema nests too deeply to decode\n"
 
 
+def many_groups_csv(path, k, n=3000):
+    """n rows over k groups g0000, g0001, ...: the group stump of cvar is a chain of k - 1 tests."""
+    rng = np.random.default_rng(5)
+    write_csv(path, ["x", "group", "label", "score"],
+              [[round(float(rng.normal()), 4), f"g{i % k:04d}", 1 if i % 3 else -1, 0.3 + 0.4 * (i % 2)]
+               for i in range(n)])
+
+
+def cvar_args(data, out):
+    return ["train", "--data", str(data), "--strategy", "cvar", "--iterations", "2", "--rounds", "1",
+            "--out", str(out)]
+
+
+def test_cli_refuses_a_tree_deeper_than_a_model_file_holds(tmp_path, capsys):
+    # routing it, writing it and reading it back would each overflow the recursion limit
+    data = tmp_path / "g.csv"
+    many_groups_csv(data, 1100)
+    assert main(cvar_args(data, tmp_path / "m.json")) == 2
+    assert capsys.readouterr().err == "error: tree is 1099 tests deep; a model file holds at most 960\n"
+
+
+def test_cli_trains_evaluates_and_inspects_a_tree_at_the_depth_bound(tmp_path):
+    # 961 groups give a stump exactly 960 tests deep; every recursive walk of it
+    # (routing, an edit, the model write and read) must fit a command-line process
+    data = tmp_path / "g.csv"
+    many_groups_csv(data, 961)
+    model = tmp_path / "m.json"
+    src = str(Path(alphatree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for args in (cvar_args(data, model), ["eval", "--data", str(data), "--model", str(model)],
+                 ["inspect", "--model", str(model)]):
+        run = subprocess.run([sys.executable, "-m", "alphatree.cli", *args], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+    assert "depth: 960\n" in run.stdout
+
+
 MUTATIONS = ("drop", "duplicate", "swap", b'"', b"\r", b"\x00", b"\xe9", b"\xef\xbb\xbf", b"a" * 200_000)
 
 
