@@ -9,13 +9,11 @@ parity) and quantifies the harm of wrapping through KL drift bounds.
 """
 
 from .boosting import (
-    BalancedWeights,
     DegenerateLeafError,
     InductionConfig,
     LeafStats,
     SplitCandidate,
     UndefinedLeafError,
-    WhaReport,
     audacious_leaf_bound,
     balanced_weights,
     best_split,
@@ -60,7 +58,6 @@ from .data import (
     EmptyMeasureError,
     InfiniteRiskError,
     RunTrace,
-    TraceRow,
     View,
     binary_entropy,
     condition_on_group,
@@ -70,7 +67,6 @@ from .data import (
     make_view,
 )
 from .estimators import (
-    GaussianPlugin,
     gaussian_plugin_eval,
     gaussian_plugin_fit,
     init_stump,
@@ -80,7 +76,6 @@ from .estimators import (
 from .fairness import (
     CvarSpec,
     EooSpec,
-    PushupParams,
     SpSpec,
     advantage_rate,
     cvar_quantile,

@@ -25,6 +25,7 @@ from .core import (
     Leaf,
     Node,
     SplitTest,
+    _leaf_ids,
     alpha_table,
     apply_alpha,
     dot,
@@ -409,37 +410,39 @@ def best_split(
 class _Grown(NamedTuple):
     """State of a topdown call after one iteration.
 
-    leaf_ids (the leaf id of every view row) and stats (per reached leaf,
-    in ascending leaf id) are carried from split to split and change in
-    place after the next one.
+    stats (per reached leaf, in ascending leaf id) is carried from split
+    to split and changes in place after the next one.
     """
 
     tree: AlphaTree
     event: str
     entropy: float
     risk: float
-    leaf_ids: np.ndarray
     stats: dict[int, LeafStats]
 
 
-def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConfig):
+def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConfig, leaf_ids: np.ndarray):
     """Yield the state after iteration 0 (tree0 labelled) and after each split.
 
-    A split updates only the split leaf's share of the carried state: its
-    rows' leaf ids and log-loss, and the two children's stats and labels.
+    leaf_ids is the leaf id of every base row under tree0, and each split
+    re-ids in it the split leaf's base rows, inside the view and out.
+    Otherwise a split updates only the split leaf's share of the carried
+    state: its rows' log-loss, and the two children's stats and labels.
     The rows of a leaf are found once, the first time it is searched, and
     split with it; a leaf whose search finds no split is not searched again.
     """
-    from .core import route_rows
-
     scores_rows = v.pick(scores)
     signals = _row_signals(v, eta_t, scores, B)
-    tested = tree0.feature_kinds()
-    leaf_ids = route_rows(tree0, {name: v.base.columns[name][v.indices] for name in tested
-                                  if name in v.base.columns}, v.n)
-    stats = leaf_stats(v, tree0, eta_t, scores, B, leaf_ids_rows=leaf_ids, signals=signals)
+    ids0 = leaf_ids[v.indices]  # the view's ids under tree0, read for leaves of tree0 alone
+    # base rows outside the view in a leaf that it reaches: a split of that leaf re-ids them too
+    reached = np.zeros(tree0.max_leaf_id() + 1, dtype=bool)
+    reached[ids0] = True
+    strays = reached[leaf_ids]
+    strays[v.indices] = False
+    strays = np.flatnonzero(strays)
+    stats = leaf_stats(v, tree0, eta_t, scores, B, leaf_ids_rows=ids0, signals=signals)
     tree = relabel_leaves(tree0, stats, cfg.scoring, B)
-    loss = log_loss(apply_alpha(scores_rows, alpha_table(tree)[leaf_ids]), signals.eta)
+    loss = log_loss(apply_alpha(scores_rows, alpha_table(tree)[ids0]), signals.eta)
     rows_of: dict[int, np.ndarray] = {}
     unsplittable: set[int] = set()
     for it in range(cfg.max_iterations + 1):
@@ -449,8 +452,8 @@ def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConf
                 if st.count < 2 * cfg.min_child_count or st.leaf_id in unsplittable:
                     continue
                 rows = rows_of.get(st.leaf_id)
-                if rows is None:
-                    rows = rows_of[st.leaf_id] = np.flatnonzero(leaf_ids == st.leaf_id)
+                if rows is None:  # a leaf of tree0: a child gets its rows from the split
+                    rows = rows_of[st.leaf_id] = np.flatnonzero(ids0 == st.leaf_id)
                 leaf_v = make_view(v.base, v.indices[rows], raw_weights=v.weights[rows])
                 cand = best_split(leaf_v, eta_t, scores, B, cfg)
                 if cand is not None:
@@ -460,10 +463,14 @@ def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConf
                 return  # no leaf can be split
             test = cand.test
             left_id = tree.max_leaf_id() + 1
-            passes = test.passes_rows(v.base.columns[test.feature][leaf_v.indices])
-            leaf_ids[rows] = np.where(passes, left_id, left_id + 1)
+            column = v.base.columns[test.feature]
+            passes = test.passes_rows(column[leaf_v.indices])
+            split_ids = np.where(passes, left_id, left_id + 1)
+            leaf_ids[leaf_v.indices] = split_ids
+            mine = strays[leaf_ids[strays] == st.leaf_id]
+            leaf_ids[mine] = np.where(test.passes_rows(column[mine]), left_id, left_id + 1)
             # bincount adds each leaf's rows in row order, as over the whole view
-            children = leaf_stats(leaf_v, tree, eta_t, scores, B, leaf_ids_rows=leaf_ids[rows],
+            children = leaf_stats(leaf_v, tree, eta_t, scores, B, leaf_ids_rows=split_ids,
                                   signals=signals._make(a[rows] for a in signals))
             left, right = (_relabelled(Leaf(i, 1.0), children, cfg.scoring, B)
                            for i in (left_id, left_id + 1))
@@ -475,7 +482,23 @@ def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConf
             loss[rows] = log_loss(apply_alpha(scores_rows[rows], alpha_rows), signals.eta[rows])
             event = f"split leaf={st.leaf_id} {test.describe()}"
         h = sum(st.mass * st.entropy for st in stats.values())
-        yield _Grown(tree, event, h, dot(v.weights, loss), leaf_ids, stats)
+        yield _Grown(tree, event, h, dot(v.weights, loss), stats)
+
+
+def _carried_ids(tree0: AlphaTree, leaf_ids, n: int) -> np.ndarray:
+    """leaf_ids as topdown updates them in place: n int64 ids in a writeable array, each a leaf of tree0.
+
+    Anything else is a DomainError, never a silent copy whose updates the
+    caller would not see.
+    """
+    if not isinstance(leaf_ids, np.ndarray):
+        raise DomainError(f"leaf ids must be an int64 array, got {type(leaf_ids).__name__}")
+    if leaf_ids.dtype != np.int64 or leaf_ids.shape != (n,):
+        raise DomainError(f"leaf ids must be {n} int64 values, "
+                          f"got dtype {leaf_ids.dtype} and shape {leaf_ids.shape}")
+    if not leaf_ids.flags.writeable:
+        raise DomainError("leaf ids must be writeable: topdown updates them in place")
+    return _leaf_ids(tree0, leaf_ids, n)
 
 
 def topdown(
@@ -489,6 +512,7 @@ def topdown(
     trace: RunTrace | None = None,
     iteration_start: int = 0,
     risk_stop: float | None = None,
+    leaf_ids: np.ndarray | None = None,
 ) -> tuple[AlphaTree, RunTrace]:
     """Heaviest-leaf top-down induction.
 
@@ -499,16 +523,25 @@ def topdown(
     be split, or the view risk reaches risk_stop.  The per-iteration tree
     entropy sequence is non-increasing.
 
-    The view's rows are routed once, and its per-row signals, leaf stats
+    leaf_ids, when given, is the leaf id of every base row under tree0, a
+    writeable int64 array (see `_carried_ids`); on return it holds each
+    row's id under the returned tree, as trace holds the new rows.  Without
+    it the base is routed once.  The view's per-row signals, leaf stats
     and log-loss are computed once.  A split then costs the rows of the
     leaf it splits: its search, the ids, stats and labels of its two
     children, and its rows' log-loss.  The tree entropy is a sum over the
     leaves and the risk a dot over the view's rows.
     """
+    from .core import route_rows  # looked up per call, as perfbench/tracer.py swaps it
+
+    if leaf_ids is None:
+        leaf_ids = route_rows(tree0, v.base.columns, v.base.n)
+    else:
+        leaf_ids = _carried_ids(tree0, leaf_ids, v.base.n)
     if trace is None:
         trace = RunTrace()
     tree = tree0
-    for it, grown in enumerate(_grow(v, eta_t, scores, B, tree0, cfg)):
+    for it, grown in enumerate(_grow(v, eta_t, scores, B, tree0, cfg, leaf_ids)):
         tree = grown.tree
         trace.add(iteration_start + it, "tree_entropy", grown.entropy, event=grown.event)
         trace.add(iteration_start + it, "risk", grown.risk)

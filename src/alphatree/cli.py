@@ -40,6 +40,7 @@ from .io_cli import (
     LoadError,
     ModelFormatError,
     ModelMeta,
+    _finite_number,
     load_dataset,
     load_model,
     parse_features,
@@ -75,15 +76,8 @@ USER_ERRORS = (
 )
 
 
-SCHEMA_KEYS = {
-    "label_column",
-    "group_column",
-    "score_column",
-    "weight_column",
-    "target_column",
-    "feature_kinds",
-    "clip_B",
-}
+COLUMN_KEYS = {"label_column", "group_column", "score_column", "weight_column", "target_column"}
+SCHEMA_KEYS = COLUMN_KEYS | {"feature_kinds", "clip_B"}
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -181,6 +175,13 @@ def _schema_file(args) -> dict:
     extra = raw.keys() - SCHEMA_KEYS
     if extra:
         raise LoadError(f"schema has unknown keys {sorted(extra)}")
+    for key in sorted(raw.keys() & COLUMN_KEYS):
+        if not isinstance(raw[key], str):
+            raise LoadError(f"schema {key} must be a string")
+    if not isinstance(raw.get("feature_kinds", {}), dict):
+        raise LoadError("schema feature_kinds must be an object")
+    if "clip_B" in raw:
+        raw["clip_B"] = _finite_number(raw["clip_B"], "schema clip_B", LoadError)
     return raw
 
 

@@ -57,7 +57,6 @@ __all__ = [
     "single_leaf_tree",
     "stump",
     "route_rows",
-    "reroute",
     "alpha_table",
     "alpha_at_rows",
 ]
@@ -497,8 +496,9 @@ def read_columns(columns: Mapping, kinds: Mapping[str, str], n: int, noun: str =
     A missing column is a SchemaError, and the shape is read by `per_row`
     as "{noun} 'x'".  A numeric column is read as float64: one that does
     not convert is a SchemaError, and a NaN or ±inf is a DomainError.  A
-    categorical column is read as an object array; a numeric one is a
-    SchemaError, since a modality string never equals a number.
+    categorical column is read as an object array of strings; a numeric
+    one, or one holding any other value (None, nan, 1), is a SchemaError
+    naming its first such row, since a modality string never equals it.
     """
     out = {}
     for name, kind in kinds.items():
@@ -516,6 +516,11 @@ def read_columns(columns: Mapping, kinds: Mapping[str, str], n: int, noun: str =
             if np.issubdtype(col.dtype, np.number):
                 raise SchemaError(f"feature {name!r} is tested as categorical but its column is numeric")
             col = np.asarray(col, dtype=object)
+            values = col.tolist()
+            if any(not issubclass(t, str) for t in set(map(type, values))):
+                row = next(i for i, value in enumerate(values) if not isinstance(value, str))
+                raise SchemaError(f"feature {name!r} is tested as categorical but row {row} holds "
+                                  f"{values[row]!r}, not a string")
         else:
             raise DomainError(f"feature {name!r} has unknown kind {kind!r}")
         out[name] = col
@@ -578,61 +583,6 @@ def _leaf_ids(tree: AlphaTree, leaf_ids, n: int | None) -> np.ndarray:
     if not named.all():
         raise DomainError(f"leaf id {ids[np.argmin(named)]} names no leaf of the tree")
     return ids
-
-
-def _replacements(old: Node | Leaf, new: Node | Leaf, out: dict) -> None:
-    """Put in out, at the id of each leaf of old that new has replaced, the subtree in its place.
-
-    new must be old with some leaves replaced (`AlphaTree.replace_leaf`):
-    a node of old whose place holds another test is a DomainError.  A
-    subtree new shares with old holds no replaced leaf.
-    """
-    if old is new:
-        return
-    if isinstance(old, Leaf):
-        if not (isinstance(new, Leaf) and new.leaf_id == old.leaf_id):
-            out[old.leaf_id] = new
-    elif isinstance(new, Leaf) or new.test != old.test:
-        raise DomainError("the tree was not grown from the tree the leaf ids were routed by")
-    else:
-        _replacements(old.left, new.left, out)
-        _replacements(old.right, new.right, out)
-
-
-def reroute(tree0: AlphaTree, tree: AlphaTree, columns: Mapping[str, np.ndarray], leaf_ids) -> np.ndarray:
-    """The leaf ids of rows under tree, given their ids under tree0, the tree it was grown from.
-
-    tree must be tree0 with some leaves replaced by subtrees
-    (`AlphaTree.replace_leaf`, as `topdown` grows), else a DomainError.  A
-    row whose leaf tree kept keeps its id; the rows of a replaced leaf are
-    routed through the subtree in its place, by the walk of `route_rows`,
-    which reads only those rows of the columns the subtrees test, each as
-    tree tests it (see AlphaTree.feature_kinds).  leaf_ids set the row
-    count n and must each name a leaf of tree0, else a DomainError names
-    one; each tested column is n values or one value for every row (see
-    `per_row`).  Returns a new int64 array.
-    """
-    ids = _leaf_ids(tree0, leaf_ids, None)
-    out = ids.astype(np.int64)
-    subtrees: dict[int, Node | Leaf] = {}
-    _replacements(tree0.root, tree.root, subtrees)
-    replaced = np.zeros(tree0.max_leaf_id() + 1, dtype=bool)
-    replaced[list(subtrees)] = True
-    stale = np.flatnonzero(replaced[ids])
-    if stale.shape[0]:
-        n = ids.shape[0]
-        of_tree = tree.feature_kinds()
-        kinds = {node.test.feature: of_tree[node.test.feature] for subtree in subtrees.values()
-                 for node, _, _ in _walk(subtree) if isinstance(node, Node)}
-        rows = {name: per_row(columns[name], n, f"column {name!r}")[stale]
-                for name in kinds if name in columns}
-        tested = read_columns(rows, kinds, stale.shape[0])
-        routed = np.empty(stale.shape[0], dtype=np.int64)
-        stale_ids = ids[stale]
-        for leaf_id, subtree in subtrees.items():
-            _route_rows(subtree, tested, np.flatnonzero(stale_ids == leaf_id), routed)
-        out[stale] = routed
-    return out
 
 
 def alpha_at_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int, leaf_ids=None) -> np.ndarray:

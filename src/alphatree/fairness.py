@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .boosting import InductionConfig, topdown
-from .core import AlphaTree, DomainError, dot, per_row, reroute, wrapped_scores
+from .core import AlphaTree, DomainError, dot, per_row, wrapped_scores
 from .data import (
     Dataset,
     EmptyMeasureError,
@@ -247,11 +247,10 @@ def run_cvar(
         prev_cvar = cvar
         worst = max(sorted(tail, key=str), key=lambda g: risks[g])
         v = condition_on_group(ds, worst)
-        grown, trace = topdown(
+        tree, trace = topdown(
             v, eta, ds.scores, ds.clip_B, tree, spec.induction,
-            trace=trace, iteration_start=it,
+            trace=trace, iteration_start=it, leaf_ids=leaf_ids,
         )
-        leaf_ids, tree = reroute(tree, grown, ds.columns, leaf_ids), grown
         it = trace.last_iteration() + 1
     return tree, trace
 
@@ -391,11 +390,10 @@ def run_eoo(
             s_low_prev = s_low
         stop = (eps**4) / 2.0 + dot(v.weights, binary_entropy(pushed[v.indices]))
         n_before = tree.n_leaves
-        grown, trace = topdown(
+        tree, trace = topdown(
             v, pushed, ds.scores, ds.clip_B, tree, one_split,
-            trace=trace, iteration_start=it, risk_stop=stop,
+            trace=trace, iteration_start=it, risk_stop=stop, leaf_ids=leaf_ids,
         )
-        leaf_ids, tree = reroute(tree, grown, ds.columns, leaf_ids), grown
         it = trace.last_iteration() + 1
         # a step that reaches the risk stop or grows nothing makes the next measurement the last
         final = trace.values("risk")[-1] <= stop or tree.n_leaves == n_before
@@ -446,10 +444,9 @@ def run_sp(
         v = condition_on_group(ds, grow)
         eta_round = np.full(ds.n, 0.5)
         eta_round[v.indices] = score_means[ref]
-        grown, trace = topdown(
+        tree, trace = topdown(
             v, eta_round, ds.scores, ds.clip_B, tree, spec.induction,
-            trace=trace, iteration_start=it,
+            trace=trace, iteration_start=it, leaf_ids=leaf_ids,
         )
-        leaf_ids, tree = reroute(tree, grown, ds.columns, leaf_ids), grown
         it = trace.last_iteration() + 1
     return tree, trace

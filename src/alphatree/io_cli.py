@@ -390,16 +390,16 @@ def _require_keys(obj: dict, keys: set, where: str) -> None:
         raise ModelFormatError(f"{where}: unknown keys {sorted(extra)}")
 
 
-def _finite_number(value, what: str) -> float:
-    """A JSON number as a finite float; ModelFormatError naming what otherwise."""
+def _finite_number(value, what: str, error: type[ValueError] = ModelFormatError) -> float:
+    """A JSON number (not a bool or a string) as a finite float; an `error` naming what otherwise."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ModelFormatError(f"{what} must be a number")
+        raise error(f"{what} must be a number")
     try:
         value = float(value)
     except OverflowError:  # an integer literal beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise ModelFormatError(f"{what} must be finite")
+        raise error(f"{what} must be finite")
     return value
 
 

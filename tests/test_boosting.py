@@ -706,14 +706,16 @@ def test_topdown_incremental_leaf_ids_match_full_routing(
     # after iteration 0 and after every split, the carried state equals the
     # from-scratch values bit for bit
     steps = []
+    leaf_ids = route_rows(tree0, ds.columns, ds.n)
     with mock.patch.object(boosting, "best_split", recording_best_split):
-        for grown in boosting._grow(v, eta, ds.scores, B, tree0, cfg):
+        for grown in boosting._grow(v, eta, ds.scores, B, tree0, cfg, leaf_ids):
             tree = grown.tree
-            routed = route_rows(tree, ds.columns, ds.n)[v.indices]
-            np.testing.assert_array_equal(grown.leaf_ids, routed)
+            # every base row's id, outside the view too, where a leaf of tree0 holds both
+            routed = route_rows(tree, ds.columns, ds.n)
+            np.testing.assert_array_equal(leaf_ids, routed)
             fresh = leaf_stats(v, tree, eta, ds.scores, B)
             assert grown.stats == fresh and list(grown.stats) == sorted(fresh)
-            assert_stats_match(grown.stats, masked_leaf_stats(v, routed, eta, ds.scores, B))
+            assert_stats_match(grown.stats, masked_leaf_stats(v, routed[v.indices], eta, ds.scores, B))
             assert relabel_leaves(tree, fresh, scoring, B).leaves() == tree.leaves()
             assert grown.entropy == sum(st.mass * st.entropy for st in fresh.values())
             loss = log_loss(wrapped_scores(tree, ds.columns, ds.scores)[v.indices], eta[v.indices])
@@ -725,10 +727,49 @@ def test_topdown_incremental_leaf_ids_match_full_routing(
     tree, trace = topdown(v, eta, ds.scores, B, tree0, cfg)
     assert [(r.event, r.value) for r in trace.rows if r.metric == "tree_entropy"] == [s[:2] for s in steps]
     assert trace.values("risk") == [s[2] for s in steps]
+    # carried ids give the same run, and are left as a route of the tree it returns
+    carried = route_rows(tree0, ds.columns, ds.n)
+    tree_c, trace_c = topdown(v, eta, ds.scores, B, tree0, cfg, leaf_ids=carried)
+    assert tree_c.root == tree.root and repr(trace_c.rows) == repr(trace.rows)
+    np.testing.assert_array_equal(carried, route_rows(tree, ds.columns, ds.n))
     expected = rerouting_topdown(v, eta, ds.scores, B, tree0, cfg)
     assert tree_shape(tree.root) == tree_shape(expected.root)
     for leaf in tree.leaves():
         assert leaf.alpha == pytest.approx(expected.alpha_of(leaf.leaf_id), rel=1e-9, abs=1e-9)
+
+
+def test_topdown_refuses_leaf_ids_it_cannot_update_in_place():
+    rng = np.random.default_rng(14)
+    ds, eta = random_dataset(rng, n_min=120, n_max=120)
+    tree0 = stump(SplitTest("x0", "numeric", 0.0, None), 1.0, 1.0)
+    cfg = InductionConfig(max_iterations=2, min_child_count=5)
+    ids = route_rows(tree0, ds.columns, ds.n)
+
+    def run(leaf_ids):
+        return topdown(full_view(ds), eta, ds.scores, ds.clip_B, tree0, cfg, leaf_ids=leaf_ids)
+
+    for bad in (2, -1, 9):  # a leaf of a grown tree only, negative, past the table
+        wrong = ids.copy()
+        wrong[7] = bad
+        with pytest.raises(DomainError, match=f"^leaf id {bad} names no leaf of the tree$"):
+            run(wrong)
+    # each would be read as a copy, whose updates the caller never sees
+    for bad, got in ((ids[1:], rf"int64 and shape \({ds.n - 1},\)"), (np.array(0), r"int64 and shape \(\)"),
+                     (ids.astype(float), rf"float64 and shape \({ds.n},\)")):
+        with pytest.raises(DomainError, match=rf"^leaf ids must be {ds.n} int64 values, got dtype {got}$"):
+            run(bad)
+    for bad, got in ((0, "int"), (ids.tolist(), "list")):
+        with pytest.raises(DomainError, match=f"^leaf ids must be an int64 array, got {got}$"):
+            run(bad)
+    read_only = ids.copy()
+    read_only.flags.writeable = False
+    with pytest.raises(DomainError, match="^leaf ids must be writeable: topdown updates them in place$"):
+        run(read_only)
+    # no refusal touched the ids, and a good array is updated in place
+    np.testing.assert_array_equal(ids, route_rows(tree0, ds.columns, ds.n))
+    tree, _ = run(ids)
+    assert tree.n_leaves > tree0.n_leaves
+    np.testing.assert_array_equal(ids, route_rows(tree, ds.columns, ds.n))
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,7 +3,6 @@
 import math
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -601,7 +600,7 @@ def _outcome(call):
 
 BAD_VALUES = {"nan": math.nan, "None": None, "abc": "abc", "int": 1}
 # the bad values a column of each kind refuses; the rest are routed
-UNROUTABLE = {"numeric": {"nan", "None", "abc"}, "categorical": {"nan", "int"}}
+UNROUTABLE = {"numeric": {"nan", "None", "abc"}, "categorical": {"nan", "None", "int"}}
 
 
 @settings(max_examples=150, deadline=None)
@@ -633,13 +632,31 @@ def test_a_record_routes_and_fails_as_its_row_does(seed, n, bad):
     else:
         assert by_record == by_row
     assert (by_record[0] == "error") == (bad in UNROUTABLE[kinds[name]])
-    if kinds[name] == "numeric":
-        # the whole column fails as its bad row does
-        by_column = _outcome(lambda: core.route_rows(tree, {**cols, name: column}, n))
-        if by_record[0] == "error":
-            assert by_column == by_record
-        else:
-            assert by_column[1][i] == by_record[1][0]
+    # the whole column fails as its bad row does
+    by_column = _outcome(lambda: core.route_rows(tree, {**cols, name: column}, n))
+    if by_record[0] == "value":
+        assert by_column[1][i] == by_record[1][0]
+    elif kinds[name] == "numeric":
+        assert by_column == by_record
+    else:
+        # an object column names its bad row; a record's lone int is a numeric column
+        assert by_column[:2] == by_record[:2]
+        assert by_column[2] == (f"feature {name!r} is tested as categorical but row {i} holds "
+                                f"{column[i]!r}, not a string")
+
+
+def test_a_categorical_column_holds_only_strings():
+    # each non-string compared unequal to the modality, and so routed right in silence
+    tree = stump(SplitTest("g", "categorical", None, "1"), 2.0, 0.5)
+    holds = "^feature 'g' is tested as categorical but row {} holds {}, not a string$"
+    with pytest.raises(SchemaError, match=holds.format(1, 1)):
+        core.route_rows(tree, {"g": np.array(["1", 1, math.nan, None], dtype=object)}, 4)
+    for value, shown in ((None, "None"), (b"1", re.escape("b'1'")), (True, "True")):
+        with pytest.raises(SchemaError, match=holds.format(0, shown)):
+            evaluate_tree(tree, {"g": value})
+    # str subclasses, as numpy's, are strings
+    assert core.route_rows(tree, {"g": np.array([np.str_("1"), "2"], dtype=object)}, 2).tolist() == [0, 1]
+    assert core.route_rows(tree, {"g": np.array(["1", "2"])}, 2).tolist() == [0, 1]
 
 
 def test_given_leaf_ids_replace_routing(monkeypatch):
@@ -671,64 +688,3 @@ def test_a_leaf_id_that_names_no_leaf_is_a_domain_error():
     with pytest.raises(DomainError, match=r"^leaf ids has shape \(3,\) for 2 rows$"):
         wrapped_scores(grown, {}, q, [1, 3, 3])
 
-
-def _grow_randomly(rng, tree, splits):
-    """tree with `splits` random leaves replaced by random stumps, as topdown numbers them."""
-    for _ in range(splits):
-        leaf = tree.leaves()[int(rng.integers(tree.n_leaves))]
-        if rng.random() < 0.7:
-            test = SplitTest(f"x{int(rng.integers(0, 2))}", "numeric", float(np.round(rng.normal(), 2)), None)
-        else:
-            test = SplitTest("c0", "categorical", None, str(rng.choice(list("abc"))))
-        top = tree.max_leaf_id()
-        tree = tree.replace_leaf(leaf.leaf_id, Node(test, Leaf(top + 1, 1.5), Leaf(top + 2, 0.5)))
-    return tree
-
-
-@settings(max_examples=120, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), rounds=st.integers(1, 6),
-       scalar_c0=st.booleans())
-def test_reroute_equals_a_full_route_of_the_grown_tree(seed, n, rounds, scalar_c0):
-    rng = np.random.default_rng(seed)
-    tree = random_tree(rng, max_depth=3)
-    cols = probe_columns(rng, n)
-    if scalar_c0:
-        cols["c0"] = "b"  # one value for every row
-    real = core.read_columns
-    read = []
-
-    def counting(columns, kinds, n, noun="column"):
-        read.append(n)
-        return real(columns, kinds, n, noun)
-
-    ids = core.route_rows(tree, cols, n)
-    for _ in range(rounds):
-        grown = _grow_randomly(rng, tree, int(rng.integers(0, 4)))
-        leaves = {leaf.leaf_id for leaf in grown.leaves()}
-        stale = sum(i not in leaves for i in ids.tolist())
-        read.clear()
-        # reroute walks the subtrees that replaced leaves, never the tree from its root
-        with mock.patch.object(core, "read_columns", counting), mock.patch.object(core, "route_rows", None):
-            out = core.reroute(tree, grown, cols, ids)
-        assert out.dtype == np.int64 and out is not ids
-        np.testing.assert_array_equal(out, core.route_rows(grown, cols, n))
-        # only the rows of replaced leaves are read again
-        assert read == ([stale] if stale else [])
-        tree, ids = grown, out
-
-
-def test_reroute_refuses_ids_and_trees_it_cannot_carry():
-    grown = STUMP_X.replace_leaf(0, Node(SplitTest("y", "numeric", 0.2, None), Leaf(2, 3.0), Leaf(3, 4.0)))
-    cols = {"x": [0.1, 0.9, 0.3], "y": [0.1, 0.5, 0.9]}
-    assert core.reroute(STUMP_X, grown, cols, [0, 1, 0]).tolist() == [2, 1, 3]
-    for bad in (2, -1, 9):  # a leaf of the grown tree only, negative, past the table
-        with pytest.raises(DomainError, match=f"^leaf id {bad} names no leaf of the tree$"):
-            core.reroute(STUMP_X, grown, cols, [0, bad, 0])
-    # trees that no replace_leaf of STUMP_X gives: another test at the root, or a leaf there
-    other = stump(SplitTest("x", "numeric", 0.7, None), 2.0, 0.5)
-    for tree in (other, single_leaf_tree()):
-        with pytest.raises(DomainError, match="^the tree was not grown from the tree the leaf ids were routed by$"):
-            core.reroute(STUMP_X, tree, cols, [0, 1, 0])
-    # growing the other way round is not growth either
-    with pytest.raises(DomainError, match="^the tree was not grown from the tree the leaf ids were routed by$"):
-        core.reroute(grown, STUMP_X, cols, [2, 1, 3])

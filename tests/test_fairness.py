@@ -680,5 +680,5 @@ def test_each_driver_routes_every_row_once(monkeypatch):
         routed.clear()
         tree, _ = run(None)
         assert tree.n_leaves > 3, driver  # the run grew the stump, so its rows were re-routed
-        # one full route, first; later, topdown routes its view and reroute walks only new subtrees
-        assert routed.count(ds.n) == 1 and routed[0] == ds.n, (driver, routed)
+        # one full route, first; topdown then keeps the driver's ids current and routes nothing
+        assert routed == [ds.n], (driver, routed)

@@ -1039,6 +1039,34 @@ def test_cli_schema_file(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def test_cli_schema_value_of_the_wrong_type_exits_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_csv(data, ["x", "group", "label", "score"],
+              [[i % 7, "ab"[i % 2], 1 if i % 3 else -1, 0.3 + 0.002 * i] for i in range(60)])
+    schema = tmp_path / "schema.json"
+    model = tmp_path / "m.json"
+    args = ["train", "--data", str(data), "--schema", str(schema), "--strategy", "sp", "--split", "all",
+            "--rounds", "1", "--iterations", "1", "--out", str(model)]
+    # a list of kinds was a traceback from load_dataset, and a bool or a string clip_B trained in silence
+    for entry, message in (
+        ({"feature_kinds": ["x"]}, "schema feature_kinds must be an object"),
+        ({"clip_B": True}, "schema clip_B must be a number"),
+        ({"clip_B": "2"}, "schema clip_B must be a number"),
+        ({"clip_B": math.inf}, "schema clip_B must be finite"),  # json writes and reads it as Infinity
+        ({"label_column": 3}, "schema label_column must be a string"),
+        ({"weight_column": None}, "schema weight_column must be a string"),
+        ({"group_column": ["group"]}, "schema group_column must be a string"),
+    ):
+        schema.write_text(json.dumps(entry), encoding="utf-8")
+        assert main(args) == 2, entry
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()
+    # an integer clip_B is a number
+    schema.write_text(json.dumps({"clip_B": 2}), encoding="utf-8")
+    assert main(args) == 0
+    assert load_model(model)[1].clip_B == 2.0
+
+
 def test_cli_schema_kind_for_a_missing_column_exits_2(tmp_path, capsys):
     # "cdoe" is a typo for "code": silently ignored, it would leave code numeric
     data = tmp_path / "d.csv"
