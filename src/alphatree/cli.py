@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -466,7 +467,13 @@ def main(argv=None) -> int:
         "trace": _cmd_trace,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()  # output that fit the buffer meets a closed stdout here
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: not a user error; fd 1 goes to devnull so the final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,9 +72,10 @@ ALPHA_ZERO_TOL = 1e-12
 # |edge| = 1.
 EDGE_EPS = 1e-9
 
-# Most tests on one path of a tree.  Routing, an edit and a model file's write
-# and read recurse once per level; at this depth all fit Python's default
-# recursion limit in a command (under Python 3.11 a write first fails at 989).
+# Most tests on one path of a tree.  An edit and a model file's read recurse
+# once per level (routing and the write walk with a stack); at this depth both
+# fit Python's default recursion limit in a command (under Python 3.11 a read
+# first fails at 987).
 _MAX_DEPTH = 960
 
 
@@ -256,6 +257,9 @@ class SplitTest:
     modality: str | None = None
 
     def __post_init__(self):
+        # a model file holds a feature as a JSON string, and so does a CSV header
+        if not isinstance(self.feature, str):
+            raise SchemaError(f"test feature must be a string, got {self.feature!r}")
         if self.kind == "numeric":
             if self.threshold is None or not math.isfinite(float(self.threshold)):
                 raise SchemaError("numeric test needs a finite threshold")
@@ -549,17 +553,16 @@ def route_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int) -> np
     """
     tested = read_columns(columns, tree.feature_kinds(), n)
     out = np.empty(n, dtype=np.int64)
-    _route_rows(tree.root, tested, np.arange(n), out)
+    rows = [np.arange(n)]  # the rows of each node on the walk's stack, in its order
+    for node, _, _ in _walk(tree.root):
+        idx = rows.pop()
+        if isinstance(node, Leaf):
+            out[idx] = node.leaf_id
+        else:
+            mask = node.test.passes_rows(tested[node.test.feature][idx])
+            rows.append(idx[~mask])
+            rows.append(idx[mask])
     return out
-
-
-def _route_rows(node, columns, idx, out):
-    if isinstance(node, Leaf):
-        out[idx] = node.leaf_id
-        return
-    mask = node.test.passes_rows(columns[node.test.feature][idx])
-    _route_rows(node.left, columns, idx[mask], out)
-    _route_rows(node.right, columns, idx[~mask], out)
 
 
 def alpha_table(tree: AlphaTree) -> np.ndarray:

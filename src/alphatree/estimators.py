@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import (AlphaTree, DomainError, Leaf, Node, SplitTest, dot, expit, per_row, read_columns, route_rows,
-                   row_count, single_leaf_tree)
+from .core import (_MAX_DEPTH, AlphaTree, DomainError, Leaf, Node, SchemaError, SplitTest, dot, expit, per_row,
+                   read_columns, route_rows, row_count, single_leaf_tree)
 from .data import levels, read_labels
 
 __all__ = [
@@ -214,7 +214,8 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     modality in sorted order.  A node splits only when that beats its own
     weighted entropy by more than 1e-12.  groups set the row count; every
     column in kinds is read against it as routing reads it (see
-    `core.read_columns`).
+    `core.read_columns`).  A split below a path of _MAX_DEPTH (960) tests
+    is a SchemaError, as a tree that deep is (see `core.AlphaTree`).
     """
     if max_depth < 0:
         raise DomainError(f"proxy group tree depth must be >= 0, got {max_depth}")
@@ -253,6 +254,9 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
         found = _kernels.split_search(node_columns, kinds, stats, _kernels.class_score, min_leaf)
         if found is None or found[0] >= parent_h - 1e-12:
             return leaf(idx)
+        if depth >= _MAX_DEPTH:
+            raise SchemaError(f"proxy group tree grows past {_MAX_DEPTH} tests deep; a model file holds at "
+                              f"most {_MAX_DEPTH}")
         test = found[1]
         go_left = test.passes_rows(node_columns[test.feature])
         return Node(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, per_row
+from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, _walk, per_row
 from .data import Dataset, make_dataset
 
 __all__ = [
@@ -341,30 +341,21 @@ class ModelMeta:
             raise DomainError("iterations must be >= 0")
 
 
-def _node_to_obj(node: Node | Leaf):
-    if isinstance(node, Leaf):
-        return {
-            "alpha": float(node.alpha),
-            "edge": float(node.edge),
-            "kind": "leaf",
-            "leaf_id": int(node.leaf_id),
-            "mass": float(node.mass),
-        }
-    test: dict = {"feature": node.test.feature, "kind": node.test.kind}
-    if node.test.kind == "numeric":
-        test["threshold"] = float(node.test.threshold)
-    else:
-        test["modality"] = node.test.modality
-    return {
-        "kind": "node",
-        "left": _node_to_obj(node.left),
-        "right": _node_to_obj(node.right),
-        "test": test,
-    }
+_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+
+
+def _nested(obj: dict, pad: str) -> str:
+    """obj as canonical JSON, its lines after the first indented by pad: a value nested that deep."""
+    return _CANONICAL.encode(obj).replace("\n", "\n" + pad)
 
 
 def model_to_json(tree: AlphaTree, meta: ModelMeta) -> str:
-    obj = {
+    """The model file's text, as json.dumps(sort_keys=True, indent=2) writes the nested model.
+
+    The tree is written in one pass of `_walk`: each open node's closing
+    text waits on a stack until the walk leaves its subtree.
+    """
+    head = {
         "clip_B": float(meta.clip_B),
         "format_version": FORMAT_VERSION,
         "provenance": {
@@ -373,12 +364,31 @@ def model_to_json(tree: AlphaTree, meta: ModelMeta) -> str:
             "strategy": str(meta.strategy),
         },
         "scoring": meta.scoring,
-        "tree": _node_to_obj(tree.root),
     }
+    closing: list[str] = []
     try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        # "tree" sorts after every other key, so it is the last member
+        out = [_nested(head, "")[:-2], ',\n  "tree": ']
+        for node, depth, side in _walk(tree.root):
+            while len(closing) > depth:
+                out.append(closing.pop())
+            pad = "  " * (depth + 1)
+            if side == "right":
+                out.append(f',\n{pad}"right": ')
+            if isinstance(node, Leaf):
+                out.append(_nested({"alpha": float(node.alpha), "edge": float(node.edge), "kind": "leaf",
+                                    "leaf_id": int(node.leaf_id), "mass": float(node.mass)}, pad))
+                continue
+            test: dict = {"feature": node.test.feature, "kind": node.test.kind}
+            if node.test.kind == "numeric":
+                test["threshold"] = float(node.test.threshold)
+            else:
+                test["modality"] = node.test.modality
+            out.append(f'{{\n{pad}  "kind": "node",\n{pad}  "left": ')
+            closing.append(f',\n{pad}  "test": {_nested(test, pad + "  ")}\n{pad}}}')
     except ValueError as exc:
         raise ModelFormatError(f"model holds a non-finite value: {exc}") from None
+    return "".join(out + closing[::-1] + ["\n}\n"])
 
 
 def _require_keys(obj: dict, keys: set, where: str) -> None:
@@ -420,17 +430,18 @@ def _obj_to_node(obj, where: str):
         if not isinstance(test, dict):
             raise ModelFormatError(f"{where}: test must be an object")
         tkind = test.get("kind")
+        if tkind not in ("numeric", "categorical"):
+            raise ModelFormatError(f"{where}: unknown test kind {tkind!r}")
+        _require_keys(test, {"feature", "kind", "threshold" if tkind == "numeric" else "modality"}, f"{where}.test")
+        if not isinstance(test["feature"], str):
+            raise ModelFormatError(f"{where}: feature must be a string")
         if tkind == "numeric":
-            _require_keys(test, {"feature", "kind", "threshold"}, f"{where}.test")
             threshold = _finite_number(test["threshold"], f"{where}: threshold")
-            st = SplitTest(feature=str(test["feature"]), kind="numeric", threshold=threshold)
-        elif tkind == "categorical":
-            _require_keys(test, {"feature", "kind", "modality"}, f"{where}.test")
+            st = SplitTest(feature=test["feature"], kind="numeric", threshold=threshold)
+        else:
             if not isinstance(test["modality"], str):
                 raise ModelFormatError(f"{where}: modality must be a string")
-            st = SplitTest(feature=str(test["feature"]), kind="categorical", modality=test["modality"])
-        else:
-            raise ModelFormatError(f"{where}: unknown test kind {tkind!r}")
+            st = SplitTest(feature=test["feature"], kind="categorical", modality=test["modality"])
         return Node(
             st,
             _obj_to_node(obj["left"], where + ".left"),

@@ -99,6 +99,41 @@ def random_tree(rng, max_depth=4, alpha_of=None):
     return AlphaTree(build(0))
 
 
+def chain_tree(depth):
+    """A tree `depth` tests deep: test i sends group g{i} to leaf i, and the rest on to the deepest leaf."""
+    root = Leaf(depth, 1.0)
+    for i in range(depth - 1, -1, -1):
+        root = Node(SplitTest("g", "categorical", None, f"g{i}"), Leaf(i, 0.5), root)
+    return AlphaTree(root)
+
+
+def node_to_obj_reference(node):
+    """A tree node as the nested dict that `json.dumps` writes as its part of a model file.
+
+    The writer's recursion before `io_cli.model_to_json` wrote the tree in
+    one pass of the walk.
+    """
+    if isinstance(node, Leaf):
+        return {
+            "alpha": float(node.alpha),
+            "edge": float(node.edge),
+            "kind": "leaf",
+            "leaf_id": int(node.leaf_id),
+            "mass": float(node.mass),
+        }
+    test = {"feature": node.test.feature, "kind": node.test.kind}
+    if node.test.kind == "numeric":
+        test["threshold"] = float(node.test.threshold)
+    else:
+        test["modality"] = node.test.modality
+    return {
+        "kind": "node",
+        "left": node_to_obj_reference(node.left),
+        "right": node_to_obj_reference(node.right),
+        "test": test,
+    }
+
+
 def evaluate_tree_reference(tree: AlphaTree, x) -> tuple[int, float]:
     """Per-record walk with scalar tests: the routing reference for `route_rows`.
 

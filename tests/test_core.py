@@ -287,6 +287,14 @@ def test_a_categorical_test_needs_a_string_modality():
     assert SplitTest("g", "categorical", None, np.str_("a")).modality == "a"
 
 
+def test_a_test_feature_is_a_string():
+    # a model file holds a feature as a JSON string: SplitTest(3, ...) would be written as "feature": 3
+    for feature in (3, None, True, ("x",)):
+        with pytest.raises(SchemaError, match=re.escape(f"test feature must be a string, got {feature!r}")):
+            SplitTest(feature, "numeric", 1.0)
+    assert SplitTest(np.str_("x"), "numeric", 1.0).feature == "x"
+
+
 def test_leaf_validation():
     with pytest.raises(DomainError):
         Leaf(0, math.nan)

@@ -1,12 +1,17 @@
 """Posterior estimators and tree initializers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alphatree
 from alphatree import (
     DomainError,
     Leaf,
@@ -303,3 +308,24 @@ def test_the_estimators_name_a_missing_column():
         gaussian_plugin_eval(mixed_plugin(), {"c": ["a", "b"]})
     with pytest.raises(SchemaError, match=message):
         proxy_group_tree({"c": ["a", "b"]}, {"x": "numeric"}, ["a", "b"], min_leaf=1)
+
+
+def test_proxy_tree_deeper_than_a_model_file_holds_is_a_schema_error():
+    # build recurses once per level, and the bound must be met before the recursion limit is; a fresh
+    # process has a command's stack, where pytest's frames would use up part of it
+    code = (
+        "import numpy as np\n"
+        "from alphatree import SchemaError, proxy_group_tree\n"
+        "x = {'x': np.arange(1000.0)}\n"
+        "groups = np.array(['a', 'b'] * 500, dtype=object)\n"
+        "print(proxy_group_tree(x, {'x': 'numeric'}, groups, max_depth=960, min_leaf=1).tree.n_leaves)\n"
+        "try:\n"
+        "    proxy_group_tree(x, {'x': 'numeric'}, groups, max_depth=5000, min_leaf=1)\n"
+        "except SchemaError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(alphatree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "961\nproxy group tree grows past 960 tests deep; a model file holds at most 960\n"

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,8 @@ from alphatree.cli import _write_trace, main
 from alphatree.core import expit
 from alphatree.io_cli import read_csv
 
-from helpers import parse_column_reference, probe_columns, random_tree, read_csv_reference
+from helpers import (chain_tree, node_to_obj_reference, parse_column_reference, probe_columns, random_tree,
+                     read_csv_reference)
 
 
 def write_csv(path, header, rows):
@@ -452,6 +454,105 @@ def test_model_rejects_non_finite_values():
     text = model_to_json(demo_tree(), ModelMeta(clip_B=1.0))
     with pytest.raises(ModelFormatError, match="non-finite constant 'NaN'"):
         model_from_json(text.replace("1.0", "NaN", 1))
+
+
+def model_json_reference(tree, meta):
+    """The model file as json.dumps writes the nested model object."""
+    nested = {
+        "clip_B": float(meta.clip_B),
+        "format_version": "1",
+        "provenance": {
+            "config_digest": str(meta.config_digest),
+            "iterations": int(meta.iterations),
+            "strategy": str(meta.strategy),
+        },
+        "scoring": meta.scoring,
+        "tree": node_to_obj_reference(tree.root),
+    }
+    return json.dumps(nested, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 6), feature=st.text(max_size=6),
+       modality=st.text(max_size=6), strategy=st.text(max_size=6), digest=st.text(max_size=6),
+       iterations=st.integers(0, 10**6), clip_B=st.floats(1e-3, 1e3),
+       scoring=st.sampled_from(("conservative", "audacious")),
+       annotations=st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                             st.floats(allow_nan=False, allow_infinity=False)),
+       bad=st.tuples(st.integers(0, 2**16), st.sampled_from(("edge", "mass")),
+                     st.sampled_from((math.nan, math.inf, -math.inf))))
+@settings(max_examples=200, deadline=None)
+def test_model_to_json_writes_what_json_dumps_writes(seed, depth, feature, modality, strategy, digest,
+                                                     iterations, clip_B, scoring, annotations, bad):
+    rng = np.random.default_rng(seed)
+    grown = random_tree(rng, max_depth=depth)
+    k = grown.n_leaves
+    # a root test and a last leaf whose strings and annotations hypothesis draws
+    tree = AlphaTree(Node(SplitTest(feature, "categorical", None, modality), grown.root,
+                          Leaf(k, -1.5, edge=annotations[0], mass=annotations[1])))
+    tree = tree.with_leaf_updates({leaf.leaf_id: replace(leaf, edge=float(rng.uniform(-1.0, 1.0)),
+                                                         mass=float(rng.random()))
+                                   for leaf in tree.leaves()[:k]})
+    meta = ModelMeta(clip_B=clip_B, scoring=scoring, strategy=strategy, config_digest=digest,
+                     iterations=iterations)
+    assert model_to_json(tree, meta) == model_json_reference(tree, meta)
+
+    at, field, value = bad
+    leaf = tree.leaves()[at % (k + 1)]
+    tree = tree.with_leaf_updates({leaf.leaf_id: replace(leaf, **{field: value})})
+    with pytest.raises(ValueError) as want:
+        model_json_reference(tree, meta)
+    with pytest.raises(ModelFormatError) as got:
+        model_to_json(tree, meta)
+    assert str(got.value) == f"model holds a non-finite value: {want.value}"
+
+
+def test_model_to_json_writes_the_deepest_tree_as_json_dumps_does():
+    tree = chain_tree(960)
+    meta = ModelMeta(clip_B=1.0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)  # the reference's encoder nests one generator per level
+    try:
+        want = model_json_reference(tree, meta)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert model_to_json(tree, meta) == want
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_routing_and_the_model_writer_take_no_stack_per_level():
+    tree = chain_tree(960)
+    groups = np.array([f"g{i}" for i in range(961)], dtype=object)  # no test names g960
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        ids = route_rows(tree, {"g": groups}, groups.shape[0])
+        text = model_to_json(tree, ModelMeta(clip_B=1.0))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ids.tolist() == list(range(961))
+    assert text.count('"kind": "node"') == 960
+
+
+def test_model_file_test_feature_must_be_a_string():
+    # str() of any other value would load as a test on a column named None, 3 or ['x'],
+    # and saving the loaded model would write other bytes
+    good = json.loads(model_to_json(demo_tree(), ModelMeta(clip_B=1.0)))
+    for value in (None, 3, True, ["x"], {"x": 1}):
+        for path, where in (([], "tree"), (["right"], "tree.right")):
+            obj = json.loads(json.dumps(good))
+            node = obj["tree"]
+            for side in path:
+                node = node[side]
+            node["test"]["feature"] = value
+            with pytest.raises(ModelFormatError) as exc:
+                model_from_json(json.dumps(obj))
+            assert str(exc.value) == f"{where}: feature must be a string"
 
 
 def test_model_from_json_top_level_errors():
@@ -1504,8 +1605,8 @@ def test_cli_refuses_a_tree_deeper_than_a_model_file_holds(tmp_path, capsys):
 
 
 def test_cli_trains_evaluates_and_inspects_a_tree_at_the_depth_bound(tmp_path):
-    # 961 groups give a stump exactly 960 tests deep; every recursive walk of it
-    # (routing, an edit, the model write and read) must fit a command-line process
+    # 961 groups give a stump exactly 960 tests deep; each recursion over it
+    # (an edit and the model read) must fit a command-line process
     data = tmp_path / "g.csv"
     many_groups_csv(data, 961)
     model = tmp_path / "m.json"
@@ -1517,6 +1618,27 @@ def test_cli_trains_evaluates_and_inspects_a_tree_at_the_depth_bound(tmp_path):
                              text=True, timeout=120)
         assert run.returncode == 0, run.stderr
     assert "depth: 960\n" in run.stdout
+
+
+def test_cli_exits_1_with_no_error_line_when_stdout_is_closed(tmp_path):
+    # a reader such as `head -1` may exit before the command writes: a pipe whose read end is closed
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    model = tmp_path / "m.json"
+    assert main(train_args(data, model)) == 0
+    src = str(Path(alphatree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # trace writes as it goes; inspect's few lines wait in the buffer until the final flush
+    for args in (["trace", "--data", str(data), "--strategy", "sp", "--split", "all", "--iterations", "2"],
+                 ["inspect", "--model", str(model)]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run([sys.executable, "-m", "alphatree.cli", *args], env=env, stdout=write,
+                                 stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (1, ""), args[0]
 
 
 MUTATIONS = ("drop", "duplicate", "swap", b'"', b"\r", b"\x00", b"\xe9", b"\xef\xbb\xbf", b"a" * 200_000)
