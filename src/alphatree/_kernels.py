@@ -12,10 +12,19 @@ with its own score:
 The search sums per-row statistics over each candidate's children; a
 score maps those sums to one figure per candidate, inf where it rejects
 one.  The numeric features of a node are scanned together: their columns
-are stacked into one (features, rows) array, sorted by one stable argsort
-along the rows, summed by one prefix sum of the statistics in each
-feature's order, and scored by one `numeric_split_scan` call over every
-qualifying (feature, boundary) pair at once.
+are stacked into one (features, rows) array, put in the order of one
+stable argsort along the rows, summed by one prefix sum of the statistics
+in each feature's order, and scored by one `numeric_split_scan` call over
+every qualifying (feature, boundary) pair at once.
+
+A node need not sort: a tree sorts its root (`numeric_order`) and hands
+each child its parent's order filtered to the child's rows
+(`child_order`), as SPRINT's attribute lists are split with their node
+(Shafer, Agrawal & Mehta, VLDB 1996).  A filtered stable order is the
+child's own stable order, so the search is the same bit for bit.  A
+categorical feature is searched as `data.Codes`, whose modalities are one
+stable argsort of small integer codes; a tree builds the codes of a
+column once and takes them at each node's rows.
 """
 
 from __future__ import annotations
@@ -23,13 +32,15 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SplitTest
-from .data import levels
+from .data import Codes, category_codes
 
 __all__ = [
     "alignment_score",
     "class_entropy",
     "class_score",
+    "child_order",
     "midpoint_threshold",
+    "numeric_order",
     "numeric_split_scan",
     "split_search",
 ]
@@ -71,26 +82,58 @@ def numeric_split_scan(values, prefix, score, min_count):
     return int(feature[k]), int(i[k]) + 1, float(post[k])
 
 
-def split_search(columns, kinds, stats, score, min_count):
+def _numeric(kinds) -> list:
+    return [name for name, kind in kinds.items() if kind == "numeric"]
+
+
+def _numeric_block(columns, numeric) -> np.ndarray:
+    return np.stack([np.asarray(columns[name], dtype=float) for name in numeric])
+
+
+def numeric_order(columns, kinds):
+    """The order `split_search` takes: a stable argsort along the rows of the
+    node's numeric columns, one row per numeric feature in kinds order; None
+    when kinds holds no numeric feature."""
+    numeric = _numeric(kinds)
+    return np.argsort(_numeric_block(columns, numeric), axis=1, kind="stable") if numeric else None
+
+
+def child_order(order, mask):
+    """A child's `numeric_order` from its parent's, for the parent's rows where mask holds.
+
+    Filtering keeps a stable order stable: ties stay in ascending row order,
+    and renumbering the kept rows keeps that order, so this equals the
+    child's own stable argsort bit for bit.  None stays None.
+    """
+    if order is None:
+        return None
+    rank = np.cumsum(mask) - 1
+    return rank[order[mask[order]]].reshape(order.shape[0], int(rank[-1]) + 1)
+
+
+def split_search(columns, kinds, stats, score, min_count, order=None):
     """Lowest-score test of a node: (score, SplitTest, left sums), or None.
 
     columns maps each feature to its values at the node's rows, and kinds
-    lists the features in search order.  stats is a C-contiguous (k, rows)
-    array of per-row statistics; score(left, right) takes the (k, m) sums
-    of m candidates' children and returns their m scores.  Candidates are
-    the midpoints between consecutive distinct values of a numeric feature
-    and each observed modality of a categorical one (its rows go left);
-    each child holds at least min_count rows.  Ties go to the earliest
-    feature, then the lowest threshold or the first modality in sorted
-    order.
+    lists the features in search order; a categorical feature's values may
+    come as their `data.Codes`, and are coded here when they do not.  stats
+    is a C-contiguous (k, rows) array of per-row statistics; score(left,
+    right) takes the (k, m) sums of m candidates' children and returns
+    their m scores.  order is the node's `numeric_order`, sorted here when
+    None.  Candidates are the midpoints between consecutive distinct values
+    of a numeric feature and each observed modality of a categorical one
+    (its rows go left); each child holds at least min_count rows.  Ties go
+    to the earliest feature, then the lowest threshold or the first
+    modality in sorted order.
     """
     n = stats.shape[1]
     # (score, position in kinds, SplitTest, left sums) of each feature kind's best
     found = []
-    numeric = [name for name, kind in kinds.items() if kind == "numeric"]
+    numeric = _numeric(kinds)
     if numeric:
-        values = np.stack([np.asarray(columns[name], dtype=float) for name in numeric])
-        order = np.argsort(values, axis=1, kind="stable")
+        values = _numeric_block(columns, numeric)
+        if order is None:
+            order = np.argsort(values, axis=1, kind="stable")
         # one flat take gathers every feature's sorted values; take_along_axis is slower
         sv = values.take(order + np.arange(0, values.size, n)[:, None])
         # take keeps the gathered block C-contiguous; stats[:, order] does not
@@ -104,9 +147,10 @@ def split_search(columns, kinds, stats, score, min_count):
     for position, (name, kind) in enumerate(kinds.items()):
         if kind == "numeric":
             continue
+        col = columns[name]
         kept = []
         sums = []
-        for m, idx in levels(columns[name]).items():
+        for m, idx in (col if isinstance(col, Codes) else category_codes(col)).levels().items():
             if idx.size >= min_count and n - idx.size >= min_count:
                 kept.append(m)
                 # row sums of a C-contiguous block, as stats.sum sums them
@@ -161,11 +205,19 @@ def class_entropy(counts):
         return float(class_entropy(counts[None])[0])
     total = counts.sum(axis=1)
     nonzero = counts > 0
+    if counts.shape[1] < 8:
+        # numpy sums fewer than 8 terms one after the other, so an absent
+        # class's 0.0 term leaves every partial sum as it was: one pass
+        p = counts / np.where(total > 0, total, 1.0)[:, None]
+        out = -(p * np.log(np.where(nonzero, p, 1.0))).sum(axis=1)
+        out[total == 0] = 0.0
+        return out
     if nonzero.all():
         p = counts / total[:, None]
         return -(p * np.log(p)).sum(axis=1)
-    # rows with the same number of nonzero classes share one (rows, width)
-    # block, so each row sums exactly its nonzero terms, in class order
+    # from 8 terms on numpy sums in blocks, so rows with the same number of
+    # nonzero classes share one (rows, width) block, and each row sums
+    # exactly its nonzero terms, in class order
     width = nonzero.sum(axis=1)
     out = np.zeros(counts.shape[0])
     for k in np.unique(width[width > 0]):

@@ -236,11 +236,13 @@ def audacious_leaf_bound(e_pos: float, e_neg: float) -> float:
 class _RowSignals(NamedTuple):
     """Per-row alignment signals of a view, aligned with its rows.
 
-    wy, wpos and wneg are the view weight times (2*eta - 1) * nlogit and
-    times the aligned / misaligned parts of |nlogit|: the per-row terms
-    whose per-leaf sums give the edge and its signed parts.
+    nl is the normalized logit of the scores.  wy, wpos and wneg are the
+    view weight times (2*eta - 1) * nlogit and times the aligned /
+    misaligned parts of |nlogit|: the per-row terms whose per-leaf sums give
+    the edge and its signed parts.
     """
 
+    nl: np.ndarray
     eta: np.ndarray
     w: np.ndarray
     wy: np.ndarray
@@ -255,6 +257,7 @@ def _row_signals(v: View, eta_t, scores, B: float) -> _RowSignals:
     pos = np.maximum(nl, 0.0)
     neg = np.maximum(-nl, 0.0)
     return _RowSignals(
+        nl=nl,
         eta=eta,
         w=w,
         wy=w * ((2.0 * eta - 1.0) * nl),
@@ -360,12 +363,20 @@ def relabel_leaves(
 # ---------------------------------------------------------------------------
 
 
+def _leaf_columns(base, rows, kinds) -> dict:
+    """The features of kinds at base rows, categorical ones as their codes."""
+    codes = base.feature_codes
+    return {name: codes[name].take(rows) if name in codes else base.columns[name][rows] for name in kinds}
+
+
 def best_split(
     v_at_leaf: View,
     eta_t,
     scores,
     B: float,
     cfg: InductionConfig,
+    signals: _RowSignals | None = None,
+    order: np.ndarray | None = None,
 ) -> SplitCandidate | None:
     """Best axis-aligned split of a leaf view, or None.
 
@@ -376,18 +387,20 @@ def best_split(
     two-child entropy and must beat the leaf's own entropy by more than
     ENTROPY_IMPROVEMENT_TOL.  Ties resolve to the earliest feature in
     declaration order, then the lowest threshold / first modality in sorted
-    order.
+    order.  signals (the view's per-row signals) and order (the
+    `_kernels.numeric_order` of the view's features) skip their computation
+    when the caller already holds them, as topdown does.
     """
-    nl = nlogit(v_at_leaf.pick(scores), B)
-    eta = _eta_rows(v_at_leaf, eta_t)
+    if signals is None:
+        signals = _row_signals(v_at_leaf, eta_t, scores, B)
     w = v_at_leaf.weights
-    stats = np.stack([w, w * (2.0 * eta - 1.0) * nl])
+    stats = np.stack([w, w * (2.0 * signals.eta - 1.0) * signals.nl])
     total_w, total_a = stats.sum(axis=1).tolist()
     parent_h = leaf_entropy(total_a / total_w) * total_w
     kinds = v_at_leaf.base.feature_kinds()
-    columns = {name: v_at_leaf.base.columns[name][v_at_leaf.indices] for name in kinds}
+    columns = _leaf_columns(v_at_leaf.base, v_at_leaf.indices, kinds)
     score = _kernels.alignment_score(cfg.min_child_fraction * total_w)
-    found = _kernels.split_search(columns, kinds, stats, score, cfg.min_child_count)
+    found = _kernels.split_search(columns, kinds, stats, score, cfg.min_child_count, order)
     if found is None:
         return None
     post, test, left = found
@@ -430,9 +443,14 @@ def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConf
     state: its rows' log-loss, and the two children's stats and labels.
     The rows of a leaf are found once, the first time it is searched, and
     split with it; a leaf whose search finds no split is not searched again.
+    So is the numeric order of a leaf's rows (see `_kernels.numeric_order`):
+    a leaf of tree0 is sorted the first time it is searched, and a child
+    derives its order from its parent's only when it is searched itself.
     """
     scores_rows = v.pick(scores)
     signals = _row_signals(v, eta_t, scores, B)
+    kinds = v.base.feature_kinds()
+    numeric = {name: kind for name, kind in kinds.items() if kind == "numeric"}
     ids0 = leaf_ids[v.indices]  # the view's ids under tree0, read for leaves of tree0 alone
     # base rows outside the view in a leaf that it reaches: a split of that leaf re-ids them too
     reached = np.zeros(tree0.max_leaf_id() + 1, dtype=bool)
@@ -444,6 +462,8 @@ def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConf
     tree = relabel_leaves(tree0, stats, cfg.scoring, B)
     loss = log_loss(apply_alpha(scores_rows, alpha_table(tree)[ids0]), signals.eta)
     rows_of: dict[int, np.ndarray] = {}
+    # a child's parent order and the mask of its rows there, until the child is searched
+    inherited: dict[int, tuple] = {}
     unsplittable: set[int] = set()
     for it in range(cfg.max_iterations + 1):
         event = ""
@@ -455,7 +475,12 @@ def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConf
                 if rows is None:  # a leaf of tree0: a child gets its rows from the split
                     rows = rows_of[st.leaf_id] = np.flatnonzero(ids0 == st.leaf_id)
                 leaf_v = make_view(v.base, v.indices[rows], raw_weights=v.weights[rows])
-                cand = best_split(leaf_v, eta_t, scores, B, cfg)
+                leaf_signals = signals._make(a[rows] for a in signals)
+                if st.leaf_id in inherited:
+                    order = _kernels.child_order(*inherited.pop(st.leaf_id))
+                else:  # a leaf of tree0
+                    order = _kernels.numeric_order(_leaf_columns(v.base, leaf_v.indices, numeric), numeric)
+                cand = best_split(leaf_v, eta_t, scores, B, cfg, leaf_signals, order)
                 if cand is not None:
                     break
                 unsplittable.add(st.leaf_id)
@@ -470,14 +495,14 @@ def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConf
             mine = strays[leaf_ids[strays] == st.leaf_id]
             leaf_ids[mine] = np.where(test.passes_rows(column[mine]), left_id, left_id + 1)
             # bincount adds each leaf's rows in row order, as over the whole view
-            children = leaf_stats(leaf_v, tree, eta_t, scores, B, leaf_ids_rows=split_ids,
-                                  signals=signals._make(a[rows] for a in signals))
+            children = leaf_stats(leaf_v, tree, eta_t, scores, B, leaf_ids_rows=split_ids, signals=leaf_signals)
             left, right = (_relabelled(Leaf(i, 1.0), children, cfg.scoring, B)
                            for i in (left_id, left_id + 1))
             tree = tree.replace_leaf(st.leaf_id, Node(test, left, right))
             del stats[st.leaf_id], rows_of[st.leaf_id]
             stats.update(children)  # child ids top every other, so ids stay ascending
             rows_of[left_id], rows_of[left_id + 1] = rows[passes], rows[~passes]
+            inherited[left_id], inherited[left_id + 1] = (order, passes), (order, ~passes)
             alpha_rows = np.where(passes, left.alpha, right.alpha)
             loss[rows] = log_loss(apply_alpha(scores_rows[rows], alpha_rows), signals.eta[rows])
             event = f"split leaf={st.leaf_id} {test.describe()}"

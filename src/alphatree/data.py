@@ -37,6 +37,8 @@ __all__ = [
     "target_posterior",
     "full_view",
     "levels",
+    "Codes",
+    "category_codes",
     "condition_on_group",
     "log_loss",
     "empirical_risk",
@@ -61,6 +63,39 @@ def levels(values) -> dict:
 
 
 @dataclass(frozen=True)
+class Codes:
+    """A categorical column as integer codes: row i holds names[codes[i]].
+
+    names lists the distinct values of the whole column in sorted order, so
+    code order is value order; codes take the smallest unsigned dtype that
+    holds them, which numpy sorts stably by radix.
+    """
+
+    names: tuple
+    codes: np.ndarray
+
+    def take(self, rows) -> Codes:
+        """The column at rows, as ndarray.take gives a plain column's."""
+        return Codes(self.names, self.codes[rows])
+
+    def levels(self) -> dict:
+        """`levels` of the values: one stable argsort of the codes, cut where each code's run ends."""
+        counts = np.bincount(self.codes, minlength=len(self.names))
+        order = np.argsort(self.codes, kind="stable")
+        ends = np.cumsum(counts)
+        return {self.names[c]: order[ends[c] - counts[c]:ends[c]] for c in np.flatnonzero(counts).tolist()}
+
+
+def category_codes(values) -> Codes:
+    """The Codes of a column, its names sorted as `levels` sorts them."""
+    values = np.asarray(values).tolist()
+    names = tuple(sorted(set(values)))
+    code = {name: c for c, name in enumerate(names)}
+    return Codes(names, np.fromiter(map(code.__getitem__, values), np.min_scalar_type(max(len(names) - 1, 0)),
+                                    len(values)))
+
+
+@dataclass(frozen=True)
 class Dataset:
     """Immutable desk-scale dataset.
 
@@ -68,8 +103,8 @@ class Dataset:
     fixes split tie-breaking; groups holds the groups a run measures,
     schedules and routes on.  columns, every routable column, is derived
     from both as {**features, group_column: groups}, so a re-grouped
-    dataclasses.replace(ds, groups=g) routes on g; columns, group_rows and
-    positive_rows are built on first read.
+    dataclasses.replace(ds, groups=g) routes on g; columns, group_rows,
+    feature_codes and positive_rows are built on first read.
 
     labels set the row count n and must be one-dimensional.  groups,
     scores, weights, target (when given) and every feature are read by
@@ -113,6 +148,12 @@ class Dataset:
     @cached_property
     def group_rows(self) -> dict:
         return levels(self.groups)
+
+    @cached_property
+    def feature_codes(self) -> dict[str, Codes]:
+        """The Codes of every categorical feature, built on first read."""
+        return {name: category_codes(col) for name, col in self.features.items()
+                if self.kinds[name] == "categorical"}
 
     @cached_property
     def positive_rows(self) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .core import (_MAX_DEPTH, AlphaTree, DomainError, Leaf, Node, SchemaError, SplitTest, dot, expit, per_row,
                    read_columns, route_rows, row_count, single_leaf_tree)
-from .data import levels, read_labels
+from .data import category_codes, levels, read_labels
 
 __all__ = [
     "label_plugin",
@@ -216,9 +216,15 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     column in kinds is read against it as routing reads it (see
     `core.read_columns`).  A split below a path of _MAX_DEPTH (960) tests
     is a SchemaError, as a tree that deep is (see `core.AlphaTree`).
+    max_depth below 0 or min_leaf below 1 is a DomainError.
+
+    The numeric columns are sorted once, at the root; each searched child
+    filters its parent's order to its own rows (see `_kernels.child_order`).
     """
     if max_depth < 0:
         raise DomainError(f"proxy group tree depth must be >= 0, got {max_depth}")
+    if min_leaf < 1:
+        raise DomainError(f"proxy group tree min_leaf must be >= 1, got {min_leaf}")
     groups = per_row(groups, None, "groups", object)
     rows = levels(groups)
     classes = tuple(rows)
@@ -231,6 +237,9 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     if not kinds:
         raise DomainError("no feature columns to grow the proxy group tree on")
     columns = read_columns(columns, kinds, n, "feature")
+    # the search reads categorical features as codes, built once here
+    searched = {name: category_codes(col) if kinds[name] == "categorical" else col
+                for name, col in columns.items()}
     one_hot = np.eye(len(classes), dtype=np.int64)
 
     def counts_of(idx):
@@ -243,24 +252,30 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
         labels.append(classes[int(np.argmax(counts_of(idx)))])
         return Leaf(len(labels) - 1, 1.0)
 
-    def build(idx: np.ndarray, depth: int):
+    def build(idx: np.ndarray, depth: int, parent_order=None, mask=None):
+        """The subtree of rows idx; a child gets its parent's numeric order and the
+        mask of its rows there, and derives its own only when it is searched."""
         counts = counts_of(idx)
         if depth >= max_depth or len(idx) < 2 * min_leaf or np.count_nonzero(counts) <= 1:
             return leaf(idx)
         parent_h = _kernels.class_entropy(counts) * len(idx)
-        node_columns = {name: col[idx] for name, col in columns.items()}
+        node_columns = {name: col.take(idx) for name, col in searched.items()}
+        if mask is None:  # the root: the one sort of the fit
+            order = _kernels.numeric_order(node_columns, kinds)
+        else:
+            order = _kernels.child_order(parent_order, mask)
         # the identity is symmetric, so its columns at y are the one-hot rows, transposed
         stats = one_hot.take(y[idx], axis=1)
-        found = _kernels.split_search(node_columns, kinds, stats, _kernels.class_score, min_leaf)
+        found = _kernels.split_search(node_columns, kinds, stats, _kernels.class_score, min_leaf, order)
         if found is None or found[0] >= parent_h - 1e-12:
             return leaf(idx)
         if depth >= _MAX_DEPTH:
             raise SchemaError(f"proxy group tree grows past {_MAX_DEPTH} tests deep; a model file holds at "
                               f"most {_MAX_DEPTH}")
         test = found[1]
-        go_left = test.passes_rows(node_columns[test.feature])
-        return Node(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
+        go_left = test.passes_rows(columns[test.feature][idx])
+        return Node(test, build(idx[go_left], depth + 1, order, go_left),
+                    build(idx[~go_left], depth + 1, order, ~go_left))
 
     root = build(np.arange(n), 0)
     return ProxyTree(tree=AlphaTree(root), labels=tuple(labels))
-

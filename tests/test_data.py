@@ -28,7 +28,7 @@ from alphatree import (
     stump,
 )
 import alphatree.data as data_module
-from alphatree.data import View, levels, read_labels
+from alphatree.data import View, category_codes, levels, read_labels
 
 from helpers import evaluate_tree_reference, probe_columns, random_dataset, random_tree
 
@@ -408,3 +408,24 @@ def test_make_dataset_reads_features_as_routing_does():
     ds = make_dataset({"x": ["0.5", 1], "c": "k"}, {"x": "numeric", "c": "categorical"}, labels, "a", scores, 2.0)
     assert ds.features["x"].tolist() == [0.5, 1.0] and ds.features["c"].tolist() == ["k", "k"]
     assert ds.features["c"].dtype == object
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    names=st.lists(st.text(max_size=4), min_size=1, max_size=8, unique=True),
+    data=st.data(),
+)
+def test_codes_give_the_levels_of_any_row_subset(names, data):
+    # drawn text, non-ASCII and empty strings included, exercises the string sort order
+    picks = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=60))
+    column = np.array([names[i] for i in picks], dtype=object)
+    codes = category_codes(column)
+    assert codes.names == tuple(levels(column))
+    assert [codes.names[c] for c in codes.codes.tolist()] == column.tolist()
+    rows = np.array(data.draw(st.lists(st.integers(0, len(column) - 1), max_size=60)), dtype=np.int64)
+    for subset in (rows, np.unique(rows)):
+        got = codes.take(subset).levels()
+        expected = levels(column[subset])
+        assert list(got) == list(expected)
+        for (m, idx), (m_ref, idx_ref) in zip(got.items(), expected.items()):
+            assert m == m_ref and idx.dtype == idx_ref.dtype and np.array_equal(idx, idx_ref)

@@ -200,6 +200,14 @@ def test_proxy_tree_min_leaf_blocks_splits():
     assert isinstance(proxy.tree.root, Leaf)
 
 
+@pytest.mark.parametrize("min_leaf", [0, -1, -30])
+def test_proxy_tree_min_leaf_below_one_is_a_domain_error(min_leaf):
+    x = np.array([0.0] * 4 + [1.0] * 4)
+    groups = np.array(["a"] * 4 + ["b"] * 4, dtype=object)
+    with pytest.raises(DomainError, match=rf"^proxy group tree min_leaf must be >= 1, got {min_leaf}$"):
+        proxy_group_tree({"x": x}, {"x": "numeric"}, groups, max_depth=3, min_leaf=min_leaf)
+
+
 def test_alpha_tree_from_proxy_identity_partition():
     rng = np.random.default_rng(2)
     n = 200

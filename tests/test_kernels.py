@@ -1,15 +1,24 @@
 """The split scan and search under each tree's score against their loop references, and
 the scan's boundary rules."""
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alphatree._kernels as kernels
+from alphatree import InductionConfig, full_view, make_dataset, proxy_group_tree, route_rows, single_leaf_tree
+from alphatree.boosting import _grow
+from alphatree.core import expit
 from alphatree._kernels import (
     alignment_score,
+    child_order,
     class_entropy,
     class_score,
     midpoint_threshold,
+    numeric_order,
     numeric_split_scan,
     split_search,
 )
@@ -124,6 +133,18 @@ def test_class_entropy_rows_match_scalar_bitwise():
             assert class_entropy(counts[1]) == expected[1]
 
 
+@pytest.mark.parametrize("k", [7, 8])
+def test_class_entropy_with_an_absent_class_matches_scalar_bitwise(k):
+    # 7 classes take the one-pass path and 8 the grouped one; every row lacks one class
+    rng = np.random.default_rng(6)
+    counts = rng.integers(1, 1000, (600, k))
+    counts[np.arange(600), rng.integers(0, k, 600)] = 0
+    rows = class_entropy(counts)
+    expected = np.array([_class_entropy(c.astype(float)) for c in counts])
+    assert rows.tobytes() == expected.tobytes()
+    assert all(np.float64(class_entropy(c)).tobytes() == e.tobytes() for c, e in zip(counts[:50], expected))
+
+
 def test_class_score_scan_scores_every_boundary():
     values = np.array([0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
     labels = np.array([0, 0, 1, 1, 1, 1])
@@ -199,3 +220,67 @@ def test_split_search_matches_per_feature_loop_bitwise(
         return
     assert got[0] == expected[0] and got[1] == expected[1]
     assert got[2].dtype == expected[2].dtype and np.array_equal(got[2], expected[2])
+
+
+def test_child_order_is_the_childs_own_stable_order():
+    rng = np.random.default_rng(7)
+    values = np.round(rng.normal(0.0, 1.0, (3, 200)), 0)  # many ties
+    columns = {f"x{j}": values[j] for j in range(3)}
+    kinds = dict.fromkeys(columns, "numeric")
+    order = numeric_order(columns, kinds)
+    for mask in (rng.random(200) < 0.4, np.zeros(200, dtype=bool), np.ones(200, dtype=bool)):
+        child = child_order(order, mask)
+        expected = numeric_order({name: col[mask] for name, col in columns.items()}, kinds)
+        assert child.dtype == expected.dtype and np.array_equal(child, expected)
+    assert numeric_order({"c": np.array(["a"], dtype=object)}, {"c": "categorical"}) is None
+    assert child_order(None, np.ones(1, dtype=bool)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    n_numeric=st.integers(1, 3),
+    with_categorical=st.booleans(),
+    decimals=st.integers(0, 1),
+    min_count=st.integers(1, 12),
+)
+def test_every_inherited_order_is_a_fresh_stable_argsort(seed, n, n_numeric, with_categorical, decimals, min_count):
+    """Both trees hand each searched node an order; it must be the node's own stable argsort."""
+    rng = np.random.default_rng(seed)
+    features, kinds = {}, {}
+    for j in range(n_numeric):
+        # few decimals force ties, which a stable order breaks by row
+        features[f"x{j}"] = np.round(rng.normal(0.0, 1.0, n), decimals)
+        kinds[f"x{j}"] = "numeric"
+    if with_categorical:
+        features["c"] = rng.choice(np.array(list("abc"), dtype=object), n)
+        kinds["c"] = "categorical"
+    real_search = kernels.split_search
+    orders = []
+
+    def checking_search(columns, search_kinds, stats, score, count, order=None):
+        numeric = [name for name, kind in search_kinds.items() if kind == "numeric"]
+        fresh = np.argsort(np.stack([np.asarray(columns[name], dtype=float) for name in numeric]),
+                           axis=1, kind="stable")
+        assert order is not None and np.array_equal(order, fresh)
+        orders.append(order.shape[1])
+        return real_search(columns, search_kinds, stats, score, count, order)
+
+    groups = np.where(features["x0"] + rng.normal(0.0, 0.5, n) > 0, "g1", "g0").astype(object)
+    with mock.patch.object(kernels, "split_search", checking_search):
+        proxy = proxy_group_tree(features, kinds, groups, max_depth=6, min_leaf=min_count)
+    # every internal node was searched once, and so were some leaves
+    assert len(orders) >= proxy.tree.n_leaves - 1
+
+    B = 2.0
+    scores = expit(B * rng.uniform(-1.0, 1.0, n))
+    eta = rng.uniform(0.05, 0.95, n)
+    labels = np.where(rng.random(n) < eta, 1, -1)
+    ds = make_dataset(features, kinds, labels, groups, scores, B)
+    cfg = InductionConfig(max_iterations=12, min_child_count=min_count, min_child_fraction=0.05)
+    leaf_ids = route_rows(single_leaf_tree(), ds.columns, ds.n)
+    orders.clear()
+    with mock.patch.object(kernels, "split_search", checking_search):
+        grown = list(_grow(full_view(ds), eta, ds.scores, B, single_leaf_tree(), cfg, leaf_ids))
+    assert len(orders) >= len(grown) - 1
