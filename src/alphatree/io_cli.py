@@ -1,9 +1,20 @@
 """Dataset ingest, model files, and the split plan.
 
-Ingest reads every numeric column role by one rule, `_parse_numbers`: a
-score or target cell must lie in [0, 1], a weight must be finite and >= 0,
-and a numeric feature value must be finite.  A cell that breaks its role's
-rule is a LoadError naming its 1-based data row, the cell and the rule.
+Ingest reads a CSV file as bytes.  Two tokenizers give one `Table`: a
+UTF-8 buffer and every cell's span in it.  Plain text (no quote, no CR)
+is split by one numpy pass over its own bytes in blocks of about 2^16
+lines; other text goes through the csv module, whose cells are packed
+into a buffer of their own.  One converter reads the spans.  A cell
+`[+-]digits[.digits]` of 1 to 15 digits is mantissa / 10**k, one IEEE
+division of two exact doubles, which is float(cell) bit for bit (Clinger,
+PLDI 1990); any other cell goes through float() itself.  Level names are
+coded by np.unique over the cells' bytes, whose order is code-point order,
+so codes follow sorted(set(...)) of the str cells.
+
+Every numeric column role is read by one rule, `_parse_numbers`: a score
+or target cell must lie in [0, 1], a weight must be finite and >= 0, and a
+numeric feature value must be finite.  A cell that breaks its role's rule
+is a LoadError naming its 1-based data row, the cell and the rule.
 
 Model files are canonical JSON: sorted keys, two-space indent, no NaN, one
 trailing newline.  Loading a file and saving it again reproduces the bytes
@@ -12,19 +23,21 @@ exactly, which is what makes model diffs trustworthy.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .core import AlphaTree, DomainError, Leaf, Node, SplitTest, _walk, per_row
-from .data import Dataset, make_dataset
+from .data import Codes, Dataset, category_codes, make_dataset
 
 __all__ = [
     "LoadError",
@@ -56,140 +69,137 @@ class ModelFormatError(ValueError):
     """A model file violates the canonical layout."""
 
 
-def read_text(path, error: type[ValueError]) -> str:
-    """A UTF-8 file's text, less the byte-order mark it may start with.
+def _read_utf8(path, error: type[ValueError]) -> bytes:
+    """A UTF-8 file's bytes, less the byte-order mark it may start with.
 
     Bytes that are not UTF-8 are an `error` naming the first bad byte, its
     offset in the file and its line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        at = exc.start
-        line = data.count(b"\n", 0, at) + 1
-        raise error(f"{path}: not UTF-8 text: byte {data[at]:#04x} at offset {at} (line {line})") from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at = exc.start
+            line = data.count(b"\n", 0, at) + 1
+            raise error(f"{path}: not UTF-8 text: byte {data[at]:#04x} at offset {at} (line {line})") from None
+    return data.removeprefix(codecs.BOM_UTF8)
+
+
+def read_text(path, error: type[ValueError]) -> str:
+    """A UTF-8 file's text, less the byte-order mark it may start with; see `_read_utf8`."""
+    return _read_utf8(path, error).decode("utf-8")
 
 
 # ---------------------------------------------------------------------------
-# CSV ingest
+# CSV ingest: two tokenizers give a Table of byte spans, one converter reads them
 # ---------------------------------------------------------------------------
 
 
+_BLOCK = 1 << 16  # the rows of a converter block; a tokenizer block is 64 bytes a row
 _LABELS = {"1": 1, "+1": 1, "0": -1, "-1": -1}
 
 
-def _parse_label(raw: str, row: int) -> int:
-    v = _LABELS.get(raw.strip())
-    if v is None:
-        raise LoadError(f"row {row}: label {raw!r} is not one of +1, 1, 0, -1")
-    return v
-
-
-def _parse_labels(raw: list[str]) -> list[int]:
-    labels = list(map(_LABELS.get, raw))
-    if None in labels:
-        # padded cells such as " 1" are labels too; a bad cell raises here
-        labels = [_parse_label(v, r) for r, v in enumerate(raw, start=1)]
-    return labels
-
-
-def _in_unit_interval(values: np.ndarray) -> np.ndarray:
-    return (values >= 0.0) & (values <= 1.0)
-
-
-def _finite_nonnegative(values: np.ndarray) -> np.ndarray:
-    return (values >= 0.0) & (values < math.inf)
-
-
-def _parse_numbers(raw: list[str], noun: str, ok, unparsed: str | None, failed: str) -> np.ndarray | None:
-    """The cells of a column as floats, when every one parses and passes `ok`.
-
-    `ok` maps floats to booleans, elementwise, and is False at NaN.  The
-    first bad cell is a LoadError "row r: {noun} {cell!r} {phrase}", with
-    `unparsed` as the phrase for a cell that does not parse and `failed`
-    for one that fails `ok`.  With `unparsed` None, a column with a cell
-    that does not parse is None instead.  Only a bad column is read cell
-    by cell.
-    """
-    try:
-        values = np.fromiter(map(float, raw), dtype=float, count=len(raw))
-        if np.all(ok(values)):
-            return values
-    except ValueError:
-        if unparsed is None:
-            return None
-    for r, cell in enumerate(raw, start=1):
-        try:
-            value = float(cell)
-        except ValueError:
-            raise LoadError(f"row {r}: {noun} {cell!r} {unparsed}") from None
-        if not ok(value):
-            raise LoadError(f"row {r}: {noun} {cell!r} {failed}")
-
-
-def _parse_feature(name: str, raw: list[str], kind: str | None) -> tuple[np.ndarray, str]:
-    """One feature column from its cells: (values, kind).
-
-    With kind None the column is numeric when every cell parses as a float,
-    else categorical.  A numeric cell that does not parse or is not finite
-    is a LoadError naming its 1-based data row and the column.
-    """
-    if kind in (None, "numeric"):
-        unparsed = None if kind is None else "is not numeric"
-        values = _parse_numbers(raw, f"feature {name!r} value", np.isfinite, unparsed, "is not finite")
-        if values is not None:
-            return values, "numeric"
-        kind = "categorical"
-    if kind == "categorical":
-        return np.array(raw, dtype=object), kind
-    raise LoadError(f"feature {name!r} has unknown kind {kind!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """A headed CSV file as one list of cells per header column.
+    """A headed CSV file: its header and every data cell as a span of one UTF-8 buffer.
 
-    `lines` holds each data row's raw text when the file was split as plain
-    text, and is None when the csv module read it.
+    Data cell k, counted row by row, is data[bounds[k] + 1 : bounds[k + 1]].
+    When the file was split as plain text, data is the file itself and
+    `lines` holds each data line's text; when the csv module read it, data
+    is the cells joined by commas and `lines` is None.  `column` and
+    `columns` decode the cells to str.
     """
 
     header: list[str]
-    columns: list[list[str]]
-    lines: list[str] | None
+    data: bytes
+    bounds: np.ndarray
+    plain: bool
+
+    def spans(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, ends) of column `name`'s cells in `data`."""
+        j, width = self.header.index(name), len(self.header)
+        return self.bounds[j:-1:width] + 1, self.bounds[j + 1::width]
 
     def column(self, name: str) -> list[str]:
-        return self.columns[self.header.index(name)]
+        data = self.data
+        return [data[s:e].decode("utf-8") for s, e in zip(*(a.tolist() for a in self.spans(name)))]
+
+    @property
+    def columns(self) -> list[list[str]]:
+        return [self.column(name) for name in self.header]
+
+    @cached_property
+    def lines(self) -> list[str] | None:
+        if not self.plain:
+            return None
+        return self.data[self.bounds[0] + 1:self.bounds[-1]].decode("utf-8").split("\n")
+
+    @cached_property
+    def _windows(self) -> np.ndarray:
+        """The 8 bytes from every offset of `data`, as little-endian words."""
+        data = self.data.ljust(8, b"\0")
+        return np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+
+    def words(self, at: np.ndarray) -> np.ndarray:
+        """The 8 bytes from each offset in `at`, as little-endian words; bytes outside `data` read as 0."""
+        last = self._windows.size - 1
+        if at.min() >= 0 and at.max() <= last:
+            return self._windows[at]
+        inside = np.clip(at, 0, last)
+        # a word ahead of the data is shifted up by the missing bytes, one past its end down
+        return self._windows[inside] << ((inside - at).clip(0) * 8).astype(np.uint64) \
+            >> ((at - inside).clip(0) * 8).astype(np.uint64)
 
 
-def _split_plain(text: str) -> tuple[list[str], list[list[str]], list[str]] | None:
-    """(header, columns, data lines) of text the csv module would read as plain splits.
+def _split_bytes(data: bytes) -> Table | None:
+    """The Table of text the csv module would read as plain splits, from its bytes.
 
     That is text with no quote and no CR, a header line and at least one
     data line, every data line holding one comma fewer than the header has
     fields, and no field over the csv module's size limit.  Any other text
-    is None: the csv module reads it, and names the row at fault.
+    is None: the csv module reads it, and names the row at fault.  Each
+    comma and line end is found once, in blocks of `_BLOCK` * 64 bytes
+    (about `_BLOCK` lines), so the temporaries stay that small.
     """
-    if '"' in text or "\r" in text:
+    if b'"' in data or b"\r" in data:
         return None
-    head, _, body = text.partition("\n")
-    if body.endswith("\n"):
-        body = body[:-1]
-    if not head or not body:
+    head = data.find(b"\n")
+    end = len(data) - data.endswith(b"\n")  # where the last data line ends
+    if head <= 0 or end <= head + 1:
         return None
-    header = head.split(",")
+    header = data[:head].decode("utf-8").split(",")
     width = len(header)
-    lines = body.split("\n")
     # a blank line is an empty row to the csv module, also at width 1
-    if not all(lines) or set(map(str.count, lines, repeat(","))) != {width - 1}:
+    if width == 1 and data.find(b"\n\n", head) >= 0:
         return None
-    cells = body.replace("\n", ",").split(",")
-    # only a line over the limit can hold a field over it
+    buf = np.frombuffer(data, np.uint8)
+    dtype = np.int32 if len(data) < 2**31 else np.int64
+    step = _BLOCK * 64
+    parts, line_ends = [np.array([head], dtype)], 0
+    for a in range(head + 1, end, step):
+        chunk = buf[a:min(a + step, end)]
+        line_end = chunk == 10
+        line_ends += int(np.count_nonzero(line_end))
+        parts.append((np.flatnonzero(line_end | (chunk == 44)) + a).astype(dtype))
+    parts.append(np.array([end], dtype))
+    bounds = np.concatenate(parts)
+    del parts
+    # with rows - 1 line ends in all, each row ends at one exactly when every line holds width - 1 commas
+    rows = line_ends + 1
+    if bounds.size != rows * width + 1 or not np.all(buf[bounds[width:-1:width]] == 10):
+        return None
+    # only a field of more bytes than the limit can hold more characters
     limit = csv.field_size_limit()
-    if max(len(head), max(map(len, lines))) > limit and max(map(len, chain(header, cells))) > limit:
+    if max(map(len, header)) > limit:
         return None
-    return header, [cells[j::width] for j in range(width)], lines
+    for a in range(0, bounds.size - 1, step):
+        sizes = np.diff(bounds[a:a + step + 1]) - 1
+        for k in np.flatnonzero(sizes > limit).tolist():
+            if len(data[bounds[a + k] + 1:bounds[a + k + 1]].decode("utf-8")) > limit:
+                return None
+    return Table(header, data, bounds, True)
 
 
 def _csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
@@ -206,6 +216,19 @@ def _csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def _pack(header: list[str], rows: list[list[str]]) -> Table:
+    """The Table of rows as wide as the header: their cells joined by commas, and the spans."""
+    cells = list(chain.from_iterable(rows))
+    text = ",".join(cells)
+    data = text.encode("utf-8")
+    sizes = map(len, cells) if len(data) == len(text) else (len(c.encode("utf-8")) for c in cells)
+    bounds = np.empty(len(cells) + 1, np.int64)
+    bounds[0] = -1
+    np.cumsum(np.fromiter(sizes, np.int64, len(cells)) + 1, out=bounds[1:])
+    bounds[1:] -= 1
+    return Table(header, data, bounds, False)
+
+
 def read_csv(path, required: Iterable[str], features: Iterable[str] = ()) -> Table:
     """A headed CSV file as a Table, every row as wide as the header.
 
@@ -217,30 +240,211 @@ def read_csv(path, required: Iterable[str], features: Iterable[str] = ()) -> Tab
     the same cells and the same errors.  A leading byte-order mark is
     dropped, and bytes that are not UTF-8 are a LoadError.
     """
-    text = read_text(path, LoadError)
-    plain = _split_plain(text)
-    if plain is None:
-        header, rows = _csv_rows(text)
+    data = _read_utf8(path, LoadError)
+    table = _split_bytes(data)
+    if table is None:
+        header, rows = _csv_rows(data.decode("utf-8"))
     else:
-        header, columns, lines = plain
+        header = table.header
 
     if len(set(header)) != len(header):
         raise LoadError("duplicate column names in header")
     for name in required:
         if name not in header:
             raise LoadError(f"missing required column {name!r}")
-    if plain is None:
+    if table is None:
         if not rows:
             raise LoadError("file has no data rows")
         for r, row in enumerate(rows, start=1):
             if len(row) != len(header):
                 raise LoadError(f"row {r}: expected {len(header)} fields, got {len(row)}")
-        columns = [list(col) for col in zip(*rows)]
-        lines = None
+        table = _pack(header, rows)
     for name in features:
         if name not in header:
             raise LoadError(f"missing feature column {name!r}")
-    return Table(header, columns, lines)
+    return table
+
+
+def _repeat(byte: int) -> np.uint64:
+    return np.uint64(int.from_bytes(bytes([byte]) * 8, "little"))
+
+
+_ONES, _LOW7, _HIGH, _SIX = _repeat(0x01), _repeat(0x7F), _repeat(0x80), _repeat(0x76)
+_ZERO, _DOT = _repeat(ord("0")), _repeat(ord(".") ^ ord("0"))
+# _FIRST[c] keeps the first c bytes of a word, _LAST[c] its last c
+_FIRST = np.array([(1 << 8 * c) - 1 for c in range(9)], np.uint64)
+_LAST = np.array([(1 << 64) - (1 << 8 * (8 - c)) for c in range(9)], np.uint64)
+_POW10 = np.array([float(10**k) for k in range(16)])
+_POW10_INT = np.array([10**k for k in range(16)], np.uint64)
+
+
+def _count(x: np.ndarray) -> np.ndarray:
+    """The sum of the bytes of each word whose bytes are each 0 or 1."""
+    return ((x * _ONES) >> np.uint64(56)).view(np.int64)
+
+
+def _eight_digits(x: np.ndarray) -> np.ndarray:
+    """Words of 8 digit values 0-9, the first in the low byte, as integers (Lemire 2021)."""
+    x = (x * np.uint64(2561)) >> np.uint64(8)
+    x = ((x & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(6553601)) >> np.uint64(16)
+    return ((x & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(42949672960001)) >> np.uint64(32)
+
+
+def _decimals(table: Table, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's value as mantissa / 10**k, and the cells where that is float(cell).
+
+    Those are the cells `[+-]digits[.digits]` of 1 to 15 digits: the
+    mantissa is below 2**53 and 10**k at most 10**15, so both are exact
+    doubles and their one IEEE division is the correctly rounded value of
+    the decimal, as float() gives it (Clinger, PLDI 1990).  Each cell is
+    read as one or two words that end where it ends, eight digits per word
+    at once (Lemire, Software: Practice and Experience, 2021).
+    """
+    size = ends - starts
+    lead = table.words(starts) & np.uint64(0xFF)
+    neg = lead == ord("-")
+    signed = neg | (lead == ord("+"))
+    words = 1 if (size - signed).max() <= 8 else 2  # a sign may lie ahead of the words
+    width = 8 * words
+    nondigits = dots = after = 0
+    mantissa = np.zeros(size.size, np.uint64)
+    for j in range(words):
+        # the cell's bytes are the last `size` of the words; the rest read as "0"
+        x = (table.words(ends - width + 8 * j) ^ _ZERO) & _LAST[np.clip(size - (width - 8 - 8 * j), 0, 8)]
+        nondigit = ((x & _LOW7) + _SIX | x) & _HIGH
+        dot = ~(((x ^ _DOT) & _LOW7) + _LOW7 | (x ^ _DOT)) & _HIGH
+        nondigits = nondigits + _count(nondigit >> 7)
+        dots = dots + _count(dot >> 7)
+        # the bytes after the dot: the window ends at byte width - 1, the dot is byte 8 * j + (bytes below it)
+        after = np.where(dot > 0, width - 1 - 8 * j - _count((dot >> 7) - 1 & _ONES), after)
+        mantissa = mantissa * 10**8 + _eight_digits(x & ~((nondigit >> 7) * 255))
+    count = size - dots - signed  # digits, when the rest is one sign and one dot
+    exact = ((nondigits == dots + (signed & (size <= width))) & (dots <= 1) & (size <= width + signed)
+             & (count >= 1) & (count <= 15))
+    # the dot reads as a 0 digit: take it out of the mantissa
+    after = np.where(exact, after, 0)
+    fraction = mantissa % _POW10_INT[after]
+    mantissa = np.where(dots > 0, (mantissa - fraction) // 10 + fraction, mantissa)
+    values = mantissa.astype(np.float64) / _POW10[after]
+    values *= 1.0 - 2.0 * neg
+    return values, exact
+
+
+def _float(cell: bytes) -> float | None:
+    """float() of a cell, or None where it raises."""
+    # float() reads no ASCII text without a digit or the "n" of inf and nan
+    if cell.isascii() and len(cell.translate(None, b"0123456789nN")) == len(cell):
+        return None
+    try:
+        return float(cell.decode("utf-8"))
+    except ValueError:
+        return None
+
+
+def _numbers(table: Table, name: str) -> np.ndarray | None:
+    """Column `name` as float() reads each cell, or None when a cell does not parse.
+
+    Blocks of `_BLOCK` cells are read by `_decimals`; only the cells it
+    cannot read exactly go through float(), one at a time.
+    """
+    starts, ends = table.spans(name)
+    values = np.empty(starts.size)
+    for a in range(0, starts.size, _BLOCK):
+        s, e = starts[a:a + _BLOCK], ends[a:a + _BLOCK]
+        block, exact = _decimals(table, s, e)
+        values[a:a + _BLOCK] = block
+        for i in np.flatnonzero(~exact).tolist():
+            value = _float(table.data[s[i]:e[i]])
+            if value is None:
+                return None
+            values[a + i] = value
+    return values
+
+
+def _codes(table: Table, name: str) -> Codes:
+    """The Codes of column `name`: its distinct cells in sorted order, and each row's code.
+
+    UTF-8 byte order is code-point order, so a column of cells of at most 7
+    bytes is coded by np.unique over one integer per cell: its bytes,
+    zero-padded, then its length, big-endian.  A wider column is decoded
+    and coded as str.
+    """
+    starts, ends = table.spans(name)
+    size = ends - starts
+    if size.max() > 7:
+        return category_codes(np.array(table.column(name), dtype=object))
+    keys = table.words(starts) & _FIRST[size] | size.astype(np.uint64) << 56
+    uniq, codes = np.unique(keys.byteswap(), return_inverse=True)
+    names = tuple(k.to_bytes(8, "big")[:k & 0xFF].decode("utf-8") for k in uniq.tolist())
+    return Codes(names, codes.astype(np.min_scalar_type(len(names) - 1)))
+
+
+def _categorical(table: Table, name: str) -> np.ndarray:
+    """Column `name` as an object array whose rows share one str per distinct cell."""
+    column = _codes(table, name)
+    return np.array(column.names, dtype=object)[column.codes]
+
+
+def _parse_labels(table: Table, name: str) -> np.ndarray:
+    """Column `name` as labels ±1; a cell that is no label is a LoadError naming its row."""
+    column = _codes(table, name)
+    # padded cells such as " 1" are labels too
+    labels = [_LABELS.get(v, _LABELS.get(v.strip())) for v in column.names]
+    if None in labels:
+        r = int(np.array([v is None for v in labels])[column.codes].argmax())
+        raise LoadError(f"row {r + 1}: label {column.names[column.codes[r]]!r} is not one of +1, 1, 0, -1")
+    return np.array(labels, np.int64)[column.codes]
+
+
+def _in_unit_interval(values: np.ndarray) -> np.ndarray:
+    return (values >= 0.0) & (values <= 1.0)
+
+
+def _finite_nonnegative(values: np.ndarray) -> np.ndarray:
+    return (values >= 0.0) & (values < math.inf)
+
+
+def _parse_numbers(table: Table, name: str, noun: str, ok, unparsed: str | None, failed: str) -> np.ndarray | None:
+    """Column `name` as floats, when every cell parses and passes `ok`.
+
+    `ok` maps floats to booleans, elementwise, and is False at NaN.  The
+    first bad cell is a LoadError "row r: {noun} {cell!r} {phrase}", with
+    `unparsed` as the phrase for a cell that does not parse and `failed`
+    for one that fails `ok`.  With `unparsed` None, a column with a cell
+    that does not parse is None instead.  Only a bad column is read cell
+    by cell.
+    """
+    values = _numbers(table, name)
+    if values is None:
+        if unparsed is None:
+            return None
+    elif np.all(ok(values)):
+        return values
+    for r, cell in enumerate(table.column(name), start=1):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise LoadError(f"row {r}: {noun} {cell!r} {unparsed}") from None
+        if not ok(value):
+            raise LoadError(f"row {r}: {noun} {cell!r} {failed}")
+
+
+def _parse_feature(table: Table, name: str, kind: str | None) -> tuple[np.ndarray, str]:
+    """One feature column: (values, kind).
+
+    With kind None the column is numeric when every cell parses as a float,
+    else categorical.  A numeric cell that does not parse or is not finite
+    is a LoadError naming its 1-based data row and the column.
+    """
+    if kind in (None, "numeric"):
+        unparsed = None if kind is None else "is not numeric"
+        values = _parse_numbers(table, name, f"feature {name!r} value", np.isfinite, unparsed, "is not finite")
+        if values is not None:
+            return values, "numeric"
+        kind = "categorical"
+    if kind == "categorical":
+        return _categorical(table, name), kind
+    raise LoadError(f"feature {name!r} has unknown kind {kind!r}")
 
 
 def parse_features(
@@ -254,7 +458,7 @@ def parse_features(
     features: dict[str, np.ndarray] = {}
     out_kinds: dict[str, str] = {}
     for name, kind in kinds.items():
-        features[name], out_kinds[name] = _parse_feature(name, table.column(name), kind)
+        features[name], out_kinds[name] = _parse_feature(table, name, kind)
     return features, out_kinds
 
 
@@ -263,7 +467,7 @@ def parse_probabilities(table: Table, name: str, noun: str) -> np.ndarray:
 
     A bad cell is a LoadError that names its 1-based row and calls it the `noun`.
     """
-    return _parse_numbers(table.column(name), noun, _in_unit_interval, "is not a number", "must lie in [0, 1]")
+    return _parse_numbers(table, name, noun, _in_unit_interval, "is not a number", "must lie in [0, 1]")
 
 
 def load_dataset(
@@ -290,12 +494,12 @@ def load_dataset(
     required += [name for name in (weight_column, target_column) if name is not None]
     table = read_csv(path, required, kinds)
 
-    labels = _parse_labels(table.column(label_column))
+    labels = _parse_labels(table, label_column)
     scores = parse_probabilities(table, score_column, "score")
-    groups = table.column(group_column)
+    groups = _categorical(table, group_column)
     weights = None
     if weight_column is not None:
-        weights = _parse_numbers(table.column(weight_column), "weight", _finite_nonnegative,
+        weights = _parse_numbers(table, weight_column, "weight", _finite_nonnegative,
                                  "is not a number", "must be finite and >= 0")
     target = None
     if target_column is not None:

@@ -61,7 +61,8 @@ from alphatree import (
 )
 from alphatree.cli import _write_trace, main
 from alphatree.core import expit
-from alphatree.io_cli import read_csv
+from alphatree import io_cli
+from alphatree.io_cli import parse_features, parse_probabilities, read_csv
 
 from helpers import (chain_tree, node_to_obj_reference, parse_column_reference, probe_columns, random_tree,
                      read_csv_reference)
@@ -405,6 +406,183 @@ def test_load_dataset_reads_numeric_columns_as_the_per_cell_parsers(tmp_path, ro
             assert values.tolist() == want.tolist()
         else:
             assert values.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the converter: one rule per cell, whichever tokenizer split the file
+# ---------------------------------------------------------------------------
+
+
+def write_table(path, header, rows, quoted):
+    """rows under header with LF ends; quoted puts every cell in quotes, so the csv module reads it."""
+    field = (lambda v: '"' + v.replace('"', '""') + '"') if quoted else (lambda v: v)
+    path.write_bytes("".join(",".join(map(field, row)) + "\n" for row in [header] + rows).encode("utf-8"))
+
+
+@st.composite
+def decimal_cells(draw):
+    """A cell that float() may or may not read: a drawn decimal of 1 to 17 digits,
+    maybe signed, dotted or with an exponent, or one of the odd forms."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from([
+            "-0.0", "-0.00", "+.5", "5.", ".", "-", "+", "", "1_000", " 1.5", "1.5 ", " 2", "\t-3.25",
+            "１２.５", "١٢.٥", "inf", "-Infinity", "nan", "NaN", "1e5", "1E-3", "-2.5e+300", "1e999", "0x10",
+            "abc", "1.2.3", "--1", "+-1", "1-", "0001.5000", "999999999999999", "9999999999999999",
+            "98765432109876.5", "-12345678901234.5", "0.000000000000001", "1e-3",
+        ]))
+    digits = draw(st.sampled_from([1, 2, 6, 9, 14, 15, 15, 16, 17]))
+    text = "".join(draw(st.sampled_from("0123456789")) for _ in range(digits))
+    point = draw(st.integers(-1, digits))
+    if point >= 0:
+        text = text[:point] + "." + text[point:]
+    sign = draw(st.sampled_from(["", "", "-", "+"]))
+    exponent = draw(st.sampled_from(["", "", "", "e-7", "E+2", "e300"]))
+    return sign + text + exponent
+
+
+def first_float_failure(cells):
+    """The values of float() over the cells, or None when one raises."""
+    try:
+        return np.array([float(cell) for cell in cells])
+    except ValueError:
+        return None
+
+
+def finite(cell):
+    values = first_float_failure([cell])
+    return values is not None and bool(np.isfinite(values[0]))
+
+
+@example(cells=["-0.00", "+.5", "5.", "0.123456789012345", "98765432109876.5"])
+@example(cells=["1.5", "1e-3", "abc"])
+@example(cells=["0.5", "inf"])
+@given(cells=st.lists(decimal_cells(), min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_number_converter_is_float_on_both_tokenizers(tmp_path, cells):
+    want = first_float_failure(cells)
+    want_numeric = outcome(lambda: parse_column_reference("numeric", "x", cells))
+    want_score = outcome(lambda: parse_column_reference("score", "x", cells))
+    path = tmp_path / "d.csv"
+    for quoted in (False, True):
+        write_table(path, ["x", "y"], [[cell, "0"] for cell in cells], quoted)
+        table = read_csv(path, ["x"])
+        assert table.plain is not quoted
+        got = io_cli._numbers(table, "x")
+        if want is None:
+            assert got is None
+        else:
+            assert got.tobytes() == want.tobytes()
+        # the column's role rules fail on the cell and with the message of the per-cell parsers
+        numeric = outcome(lambda: parse_features(table, {"x": "numeric"})[0]["x"])
+        score = outcome(lambda: parse_probabilities(table, "x", "score"))
+        for got_role, want_role in ((numeric, want_numeric), (score, want_score)):
+            if isinstance(want_role, str):
+                assert got_role == want_role
+            else:
+                assert got_role.tobytes() == want_role.tobytes()
+
+
+LEVELS = st.text(alphabet="aZé€日\x00 ", max_size=9)
+
+
+@st.composite
+def datasets_as_rows(draw):
+    """Rows of a labeled file with numeric and text features; text levels hold
+    non-ASCII characters, NUL, empty strings and more than 7 bytes; maybe one bad cell."""
+    n = draw(st.integers(1, 25))
+    levels = draw(st.lists(LEVELS, min_size=1, max_size=5))
+    groups = draw(st.lists(st.sampled_from(["a", "b", "", "ü", "groupé-long"]), min_size=1, max_size=3))
+    header = ["label", "group", "score", "x", "c", "k"]
+    rows = [[draw(st.sampled_from(["1", "0", "+1", "-1", " 1"])),
+             draw(st.sampled_from(groups)),
+             draw(st.sampled_from(["0.5", "0.125", "1", "0", "1e-3", "0.999999"])),
+             draw(decimal_cells().filter(finite)),
+             draw(st.sampled_from(levels)),
+             draw(st.sampled_from(["7", "-2.25", "１", "3e1"]))] for _ in range(n)]
+    bad = draw(st.sampled_from([None, ("label", "2"), ("score", "1.5"), ("x", "nan"), ("k", "abc"),
+                                ("score", "é")]))
+    if bad is not None:
+        column, cell = bad
+        rows[draw(st.integers(0, n - 1))][header.index(column)] = cell
+    return header, rows
+
+
+@given(table=datasets_as_rows())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_both_tokenizers_feed_one_converter(tmp_path, table):
+    header, rows = table
+    path = tmp_path / "d.csv"
+    loaded = []
+    for quoted in (False, True):
+        write_table(path, header, rows, quoted)
+        parsed = read_csv(path, ["label"])
+        assert parsed.plain is not quoted
+        for name in ("group", "c"):
+            # codes number the levels in the order sorted() gives their str
+            codes = io_cli._codes(parsed, name)
+            cells = [row[header.index(name)] for row in rows]
+            assert list(codes.names) == sorted(set(cells))
+            assert [codes.names[c] for c in codes.codes.tolist()] == cells
+        loaded.append(outcome(lambda: load_dataset(path, 1.0, kinds={"x": "numeric"})))
+    plain, quoted = loaded
+    if isinstance(plain, str):
+        assert quoted == plain
+        return
+    assert plain.kinds == quoted.kinds
+    for a, b in [(plain.labels, quoted.labels), (plain.scores, quoted.scores), (plain.weights, quoted.weights),
+                 (plain.groups, quoted.groups), *((plain.columns[k], quoted.columns[k]) for k in plain.columns)]:
+        assert a.dtype == b.dtype
+        assert (a.tolist() == b.tolist()) if a.dtype == object else (a.tobytes() == b.tobytes())
+    assert plain.groups.tolist() == [row[1] for row in rows]
+    assert plain.columns["c"].tolist() == [row[4] for row in rows]
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_the_field_size_limit_counts_characters_on_the_byte_path(tmp_path, quoted):
+    limit = csv.field_size_limit()
+    path = tmp_path / "t.csv"
+    for size, error in [(limit, None), (limit + 1, f"row 2: field larger than field limit ({limit})")]:
+        long = "é" * size  # two bytes a character
+        write_table(path, ["a", "b"], [["1", "2"], ["3", long], ["5", "6"]], quoted)
+        if error is None:
+            table = read_csv(path, ["a"])
+            assert table.plain is not quoted
+            assert table.columns == [["1", "3", "5"], ["2", long, "6"]]
+        else:
+            with pytest.raises(LoadError) as info:
+                read_csv(path, ["a"])
+            assert str(info.value) == error
+
+
+def test_bench_style_cells_never_reach_float(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_float(value):
+        calls.append(value)
+        return float(value)
+
+    rng = np.random.default_rng(5)
+    n = 700
+    x = np.round(rng.normal(size=(n, 3)) * 2, 2)
+    x[0] = -0.001  # "-0.00"
+    # and cells of 9 to 17 characters, which take two words
+    wide = rng.normal(size=n) * 10.0 ** rng.integers(-2, 8, n)
+    rows = [[str(rng.integers(2)), "012"[i % 3], "%.6f" % rng.random(),
+             *("%.2f" % v for v in x[i]), "ABCDEFGH"[i % 8], "%.7f" % rng.random(), "%.7f" % wide[i]]
+            for i in range(n)]
+    header = ["label", "group", "score", "x0", "x1", "x2", "cat", "p7", "wide"]
+    path = tmp_path / "bench.csv"
+    write_table(path, header, rows, quoted=False)
+    monkeypatch.setattr(io_cli, "float", counting_float, raising=False)
+    ds = load_dataset(path, 1.0)
+    assert calls == []
+    assert ds.kinds["cat"] == "categorical"
+    assert ds.columns["x0"][0] == 0.0 and math.copysign(1.0, ds.columns["x0"][0]) == -1.0
+    rows[123][4] = "1e-3"
+    write_table(path, header, rows, quoted=False)
+    ds = load_dataset(path, 1.0)
+    assert calls == ["1e-3"]
+    assert ds.columns["x1"][123] == 0.001
 
 
 # ---------------------------------------------------------------------------
