@@ -351,6 +351,9 @@ def _cmd_apply(args) -> int:
     # read only the columns the model tests, each as the kind of its tests
     kinds = tree.feature_kinds()
     table = read_csv(args.data, [args.score_column], kinds)
+    for name in ("q_fair", "pred"):  # the output would name it twice, which no reader takes
+        if name in table.header:
+            raise LoadError(f"input already has column {name!r}, which apply writes")
     columns, _ = parse_features(table, kinds)
     scores = parse_probabilities(table, args.score_column, "score")
     q_f = wrapped_scores(tree, columns, clip_score(scores, clip_B))

@@ -36,7 +36,6 @@ __all__ = [
     "read_labels",
     "target_posterior",
     "full_view",
-    "levels",
     "Codes",
     "category_codes",
     "condition_on_group",
@@ -56,19 +55,14 @@ class InfiniteRiskError(ValueError):
     """A score of exactly 0 or 1 met opposing target mass."""
 
 
-def levels(values) -> dict:
-    """Each distinct value in sorted order, mapped to its ascending row indices."""
-    values = np.asarray(values)
-    return {v: np.flatnonzero(values == v) for v in sorted(set(values.tolist()))}
-
-
 @dataclass(frozen=True)
 class Codes:
     """A categorical column as integer codes: row i holds names[codes[i]].
 
-    names lists the distinct values of the whole column in sorted order, so
-    code order is value order; codes take the smallest unsigned dtype that
-    holds them, which numpy sorts stably by radix.
+    The package's one level index.  names lists the distinct values of the
+    whole column in sorted order, so code order is value order; codes take
+    the smallest unsigned dtype that holds them, which numpy sorts stably by
+    radix.
     """
 
     names: tuple
@@ -79,7 +73,8 @@ class Codes:
         return Codes(self.names, self.codes[rows])
 
     def levels(self) -> dict:
-        """`levels` of the values: one stable argsort of the codes, cut where each code's run ends."""
+        """Each name some row holds, in sorted order, mapped to its ascending row indices:
+        one stable argsort of the codes, cut where each code's run ends, so O(rows) up to 65,536 names."""
         counts = np.bincount(self.codes, minlength=len(self.names))
         order = np.argsort(self.codes, kind="stable")
         ends = np.cumsum(counts)
@@ -87,9 +82,14 @@ class Codes:
 
 
 def category_codes(values) -> Codes:
-    """The Codes of a column, its names sorted as `levels` sorts them."""
+    """The Codes of a column: sorted(set(...)) of its values, then one dict lookup per row.
+
+    A value that does not equal itself, such as a float NaN, is a DomainError."""
     values = np.asarray(values).tolist()
     names = tuple(sorted(set(values)))
+    for name in names:
+        if name != name:
+            raise DomainError(f"level {name!r} does not equal itself")
     code = {name: c for c, name in enumerate(names)}
     return Codes(names, np.fromiter(map(code.__getitem__, values), np.min_scalar_type(max(len(names) - 1, 0)),
                                     len(values)))
@@ -147,7 +147,7 @@ class Dataset:
 
     @cached_property
     def group_rows(self) -> dict:
-        return levels(self.groups)
+        return category_codes(self.groups).levels()
 
     @cached_property
     def feature_codes(self) -> dict[str, Codes]:

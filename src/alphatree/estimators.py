@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .core import (_MAX_DEPTH, AlphaTree, DomainError, Leaf, Node, SchemaError, SplitTest, dot, expit, per_row,
                    read_columns, route_rows, row_count, single_leaf_tree)
-from .data import category_codes, levels, read_labels
+from .data import category_codes, read_labels
 
 __all__ = [
     "label_plugin",
@@ -83,9 +83,10 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
 
     Numeric features get a weighted Gaussian with variance floored at
     1e-9 * range^2 (1e-12 if the feature is constant); categorical ones get
-    add-one smoothing (w_count + 1) / (W_class + |domain| + 1).  labels set
-    the row count (see `data.read_labels`); weights are read by `per_row`,
-    and the columns as routing reads them (see `core.read_columns`).
+    add-one smoothing (w_count + 1) / (W_class + |domain| + 1) over the
+    levels of `data.Codes.levels`.  labels set the row count (see
+    `data.read_labels`); weights are read by `per_row`, and the columns as
+    routing reads them (see `core.read_columns`).
     """
     y = read_labels(labels)
     w = per_row(weights, y.shape[0], "weights", float)
@@ -109,16 +110,13 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
             mn, vn = _weighted_gaussian(values[neg], w[neg], floor)
             features[name] = _NumericFeature(mp, vp, mn, vn)
         else:
-            domain = levels(values)
+            domain = category_codes(values).levels()
             d = len(domain)
-            logp_pos = {}
-            logp_neg = {}
-            for m, idx in domain.items():
-                logp_pos[m] = math.log((float(w[idx][pos[idx]].sum()) + 1.0) / (w_pos + d + 1.0))
-                logp_neg[m] = math.log((float(w[idx][neg[idx]].sum()) + 1.0) / (w_neg + d + 1.0))
             features[name] = _CategoricalFeature(
-                logp_pos=logp_pos,
-                logp_neg=logp_neg,
+                logp_pos={m: math.log((float(w[idx][pos[idx]].sum()) + 1.0) / (w_pos + d + 1.0))
+                          for m, idx in domain.items()},
+                logp_neg={m: math.log((float(w[idx][neg[idx]].sum()) + 1.0) / (w_neg + d + 1.0))
+                          for m, idx in domain.items()},
                 floor_pos=math.log(1.0 / (w_pos + d + 1.0)),
                 floor_neg=math.log(1.0 / (w_neg + d + 1.0)),
             )
@@ -137,7 +135,8 @@ def gaussian_plugin_eval(model: GaussianPlugin, columns) -> np.ndarray:
 
     The first one-dimensional column of the model sets the row count (see
     `core.row_count`), and the columns are read as routing reads them (see
-    `core.read_columns`).
+    `core.read_columns`).  Each level of a categorical column is looked up
+    once, and every row takes its entry by code (see `data.category_codes`).
     """
     n = row_count(columns, model.kinds)
     margin = np.full(n, model.log_prior_pos - model.log_prior_neg)
@@ -147,8 +146,9 @@ def gaussian_plugin_eval(model: GaussianPlugin, columns) -> np.ndarray:
             lp = -0.5 * (np.log(2.0 * math.pi * feat.var_pos) + (values - feat.mean_pos) ** 2 / feat.var_pos)
             ln = -0.5 * (np.log(2.0 * math.pi * feat.var_neg) + (values - feat.mean_neg) ** 2 / feat.var_neg)
         else:
-            lp = np.array([feat.logp_pos.get(m, feat.floor_pos) for m in values.tolist()])
-            ln = np.array([feat.logp_neg.get(m, feat.floor_neg) for m in values.tolist()])
+            codes = category_codes(values)
+            lp = np.array([feat.logp_pos.get(m, feat.floor_pos) for m in codes.names])[codes.codes]
+            ln = np.array([feat.logp_neg.get(m, feat.floor_neg) for m in codes.names])[codes.codes]
         margin += lp - ln
     eta = expit(margin)
     return np.clip(eta, ETA_CLAMP, 1.0 - ETA_CLAMP)
@@ -218,20 +218,18 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     is a SchemaError, as a tree that deep is (see `core.AlphaTree`).
     max_depth below 0 or min_leaf below 1 is a DomainError.
 
-    The numeric columns are sorted once, at the root; each searched child
-    filters its parent's order to its own rows (see `_kernels.child_order`).
+    The classes, the groups in sorted order, and each row's class id are
+    the group column's codes (see `data.category_codes`).  The numeric
+    columns are sorted once, at the root; each searched child filters its
+    parent's order to its own rows (see `_kernels.child_order`).
     """
     if max_depth < 0:
         raise DomainError(f"proxy group tree depth must be >= 0, got {max_depth}")
     if min_leaf < 1:
         raise DomainError(f"proxy group tree min_leaf must be >= 1, got {min_leaf}")
-    groups = per_row(groups, None, "groups", object)
-    rows = levels(groups)
-    classes = tuple(rows)
-    n = groups.shape[0]
-    y = np.empty(n, dtype=np.int64)
-    for i, idx in enumerate(rows.values()):
-        y[idx] = i
+    group_codes = category_codes(per_row(groups, None, "groups", object))
+    classes, y = group_codes.names, group_codes.codes
+    n = y.shape[0]
     if n == 0:
         raise DomainError("need at least one row")
     if not kinds:

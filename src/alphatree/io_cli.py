@@ -744,32 +744,30 @@ def resolve_seed(flag_value: int | None) -> int:
 def split_plan(labels, groups, seed: int) -> np.ndarray:
     """Assign rows to train/cal/test at 40:40:20, stratified by (label, group).
 
-    Within each stratum rows are shuffled by the seeded generator and counts
-    are apportioned by largest remainder, ties resolved toward the earlier
-    role, so every stratum lands as close to 2:2:1 as integers allow.
+    The strata's rows come from one coding of the (label, group) pairs (see
+    `data.Codes.levels`), visited in the order of the str of their (label,
+    group) tuple.  Within each stratum rows are shuffled by the seeded
+    generator and counts are apportioned by largest remainder, ties
+    resolved toward the earlier role, so every stratum lands as close to
+    2:2:1 as integers allow.
     """
     y = per_row(labels, None, "labels")
-    g = per_row(groups, y.shape[0], "groups", object)
+    group_codes = category_codes(per_row(groups, y.shape[0], "groups", object))
     if y.shape[0] == 0:
         raise DomainError("split plan needs at least one row")
     rng = np.random.default_rng(seed)
     out = np.empty(y.shape[0], dtype=object)
-    strata = sorted({(int(yy), gg) for yy, gg in zip(y.tolist(), g.tolist())}, key=str)
-    for ylab, grp in strata:
-        idx = np.flatnonzero((y == ylab) & (g == grp))
-        idx = idx[rng.permutation(idx.shape[0])]
-        n = idx.shape[0]
-        raw = [f * n for f in SPLIT_FRACTIONS]
+    width = len(group_codes.names)
+    labels = np.fromiter(map(int, y.tolist()), np.int64, y.shape[0])  # int() refuses a NaN label
+    strata = category_codes(labels * width + group_codes.codes).levels()  # one code per pair
+    for pair in sorted(strata, key=lambda pair: str((pair // width, group_codes.names[pair % width]))):
+        idx = strata[pair][rng.permutation(strata[pair].shape[0])]
+        raw = [f * idx.shape[0] for f in SPLIT_FRACTIONS]
         base = [math.floor(r) for r in raw]
-        short = n - sum(base)
-        remainders = sorted(
-            range(len(SPLIT_FRACTIONS)), key=lambda i: (-(raw[i] - base[i]), i)
-        )
-        for i in remainders[:short]:
+        for i in sorted(range(len(raw)), key=lambda i: (-(raw[i] - base[i]), i))[:idx.shape[0] - sum(base)]:
             base[i] += 1
-        start = 0
-        for role, count in zip(SPLIT_ROLES, base):
-            out[idx[start : start + count]] = role
-            start += count
+        bounds = np.cumsum([0, *base])
+        for role, start, stop in zip(SPLIT_ROLES, bounds, bounds[1:]):
+            out[idx[start:stop]] = role
     return out
 

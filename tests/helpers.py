@@ -4,6 +4,7 @@ import csv
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from alphatree import (
     AlphaTree,
@@ -19,10 +20,48 @@ from alphatree import (
     wrapped_scores,
 )
 from alphatree._kernels import midpoint_threshold
-from alphatree.data import levels
 from alphatree.boosting import ENTROPY_IMPROVEMENT_TOL, SplitCandidate, _eta_rows, _nlogit_rows, leaf_entropy
 from alphatree.core import dot, expit
-from alphatree.estimators import ProxyTree
+from alphatree.estimators import ETA_CLAMP, GaussianPlugin, ProxyTree, _CategoricalFeature
+from alphatree.io_cli import SPLIT_FRACTIONS, SPLIT_ROLES
+
+
+def levels(values) -> dict:
+    """Each distinct value in sorted order, mapped to its ascending row indices.
+
+    One scan of the whole column per value: the reference that the level
+    index, `data.Codes.levels`, must reproduce exactly.  The scan compares
+    by Python ==, as numpy's == on an object column converts a str to its
+    own string type, which drops trailing NULs: 'a\\0' would match 'a'.
+    """
+    values = np.asarray(values, dtype=object).tolist()
+    return {v: np.flatnonzero([value == v for value in values]) for v in sorted(set(values))}
+
+
+@st.composite
+def level_names(draw) -> list:
+    """1 to 300 distinct names: drawn text, empty and non-ASCII included, then numbered non-ASCII ones.
+
+    Half the draws hold more than 256 names, whose codes take uint16 in place of uint8.
+    """
+    k = draw(st.integers(1, 256) | st.integers(257, 300))
+    names = draw(st.lists(st.text(max_size=3), max_size=min(k, 8), unique=True))
+    filler = (f"é{i}" for i in range(600))
+    names += [name for name in filler if name not in names][:k - len(names)]
+    return names
+
+
+def assert_same_levels(got: dict, expected: dict) -> None:
+    """Both index the same levels in the same order, each with equal rows of one dtype."""
+    assert list(got) == list(expected)
+    for idx, ref in zip(got.values(), expected.values()):
+        assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
+
+
+def level_column(rng, names, extra: int) -> np.ndarray:
+    """An object column that holds every name at least once, then `extra` more drawn rows, shuffled."""
+    picks = np.concatenate([np.arange(len(names)), rng.integers(0, len(names), extra)])
+    return np.array(names, dtype=object)[rng.permutation(picks)]
 
 
 def random_dataset(rng, n_min=80, n_max=400, b_range=(0.5, 3.0), plugin_prob=0.4):
@@ -361,12 +400,16 @@ def _class_entropy(counts: np.ndarray) -> float:
 
 
 def proxy_group_tree_reference(columns, kinds, groups, max_depth: int = 8, min_leaf: int = 30) -> ProxyTree:
-    """Row-by-row proxy tree search that `proxy_group_tree` must reproduce exactly."""
+    """Row-by-row proxy tree search that `proxy_group_tree` must reproduce exactly.
+
+    Each class's rows come from the per-level scan, `levels`."""
     groups = np.asarray(groups, dtype=object)
-    classes = tuple(sorted(set(groups.tolist())))
-    class_index = {c: i for i, c in enumerate(classes)}
-    y = np.array([class_index[g] for g in groups.tolist()])
-    n = len(y)
+    rows = levels(groups)
+    classes = tuple(rows)
+    n = groups.shape[0]
+    y = np.empty(n, dtype=np.int64)
+    for i, idx in enumerate(rows.values()):
+        y[idx] = i
     if n == 0:
         raise DomainError("need at least one row")
 
@@ -447,6 +490,52 @@ def proxy_predict_reference(proxy: ProxyTree, columns) -> np.ndarray:
 
     fill(proxy.tree.root, np.arange(n))
     return out
+
+
+def split_plan_reference(labels, groups, seed: int) -> np.ndarray:
+    """`io_cli.split_plan` with each (label, group) stratum found by one scan of both columns."""
+    pairs = list(zip(np.asarray(labels).tolist(), np.asarray(groups, dtype=object).tolist()))
+    rng = np.random.default_rng(seed)
+    out = np.empty(len(pairs), dtype=object)
+    for ylab, grp in sorted({(int(yy), gg) for yy, gg in pairs}, key=str):
+        idx = np.flatnonzero([yy == ylab and gg == grp for yy, gg in pairs])
+        idx = idx[rng.permutation(idx.shape[0])]
+        raw = [f * idx.shape[0] for f in SPLIT_FRACTIONS]
+        base = [math.floor(r) for r in raw]
+        for i in sorted(range(len(raw)), key=lambda i: (-(raw[i] - base[i]), i))[:idx.shape[0] - sum(base)]:
+            base[i] += 1
+        bounds = np.cumsum([0, *base])
+        for role, start, stop in zip(SPLIT_ROLES, bounds, bounds[1:]):
+            out[idx[start:stop]] = role
+    return out
+
+
+def categorical_tables_reference(values, labels, weights) -> _CategoricalFeature:
+    """The Gaussian plug-in's add-one smoothed tables of one categorical column, level by level."""
+    pos = np.asarray(labels) == 1
+    neg = ~pos
+    w = np.asarray(weights, dtype=float)
+    w_pos, w_neg = float(w[pos].sum()), float(w[neg].sum())
+    domain = levels(values)
+    d = len(domain)
+    return _CategoricalFeature(
+        logp_pos={m: math.log((float(w[idx][pos[idx]].sum()) + 1.0) / (w_pos + d + 1.0)) for m, idx in domain.items()},
+        logp_neg={m: math.log((float(w[idx][neg[idx]].sum()) + 1.0) / (w_neg + d + 1.0)) for m, idx in domain.items()},
+        floor_pos=math.log(1.0 / (w_pos + d + 1.0)),
+        floor_neg=math.log(1.0 / (w_neg + d + 1.0)),
+    )
+
+
+def categorical_posterior_reference(model: GaussianPlugin, columns) -> np.ndarray:
+    """`gaussian_plugin_eval` of a model of categorical features only, with two table lookups per row."""
+    n = len(next(iter(columns.values())))
+    margin = np.full(n, model.log_prior_pos - model.log_prior_neg)
+    for name in model.kinds:
+        feat = model.features[name]
+        values = np.asarray(columns[name], dtype=object).tolist()
+        margin += (np.array([feat.logp_pos.get(m, feat.floor_pos) for m in values])
+                   - np.array([feat.logp_neg.get(m, feat.floor_neg) for m in values]))
+    return np.clip(expit(margin), ETA_CLAMP, 1.0 - ETA_CLAMP)
 
 
 # ---------------------------------------------------------------------------

@@ -14,32 +14,46 @@ import pytest
 from alphatree import (
     CvarSpec,
     DegenerateLeafError,
+    DomainError,
+    EmptyMeasureError,
     EooSpec,
     InductionConfig,
     ModelMeta,
+    SchemaError,
+    SpSpec,
+    SplitTest,
     advantage_rate,
     apply_alpha,
     audacious_leaf_bound,
     balanced_weights,
     clip_bounds,
+    clip_score,
+    compose_alpha,
+    cvar_quantile,
+    cvar_value,
     decrease_certificate,
     edge,
     empirical_kl,
     empirical_risk,
     full_view,
+    init_stump,
     invert_tree,
     kl_bound_s1,
     kl_bound_s2,
     leaf_entropy,
     leaf_stats,
     load_model,
+    logit,
     make_dataset,
     make_view,
     metric_cvar,
     metric_eoo_gap,
+    nlogit,
+    proxy_group_tree,
     pushup_posterior,
     run_cvar,
     run_eoo,
+    s1_applicable,
     save_model,
     single_leaf_tree,
     subgroup_risks,
@@ -50,6 +64,7 @@ from alphatree import (
     wrapped_scores,
 )
 from alphatree.core import expit
+from alphatree.fairness import _raise_k, _rates
 from alphatree.io_cli import model_to_json
 
 from helpers import probe_columns, random_dataset, random_tree, saturated_dataset
@@ -315,3 +330,50 @@ def test_criterion_12_model_round_trip_bitwise(tmp_path):
         assert meta2 == meta
         assert np.array_equal(wrapped_scores(tree, cols, q),
                               wrapped_scores(tree2, cols, q))
+
+
+def _one_group_dataset():
+    return make_dataset({"x": np.array([0.1, 0.2])}, {"x": "numeric"}, [1, 1], "a", [0.6, 0.4], 1.0)
+
+
+# (call, error type, exact message): each validation branch fails loudly with its own message
+VALIDATION_ERRORS = {
+    "CvarSpec beta": (lambda: CvarSpec(beta=1.0), DomainError, "beta must lie in [0, 1)"),
+    "CvarSpec outer_rounds": (lambda: CvarSpec(beta=0.5, outer_rounds=-1), DomainError,
+                              "outer_rounds must be >= 0"),
+    "SpSpec outer_rounds": (lambda: SpSpec(eps=0.1, outer_rounds=-1), DomainError, "outer_rounds must be >= 0"),
+    "cvar_quantile beta": (lambda: cvar_quantile({"a": 1.0}, 1.0), DomainError, "beta must lie in [0, 1)"),
+    "cvar_quantile no risks": (lambda: cvar_quantile({}, 0.5), EmptyMeasureError, "no subgroup risks given"),
+    "cvar_value weightless tail": (lambda: cvar_value({"a": 1.0}, 0.0, {"a": 0.0}), EmptyMeasureError,
+                                   "tail groups carry no weight"),
+    "_rates one group": (lambda: _rates(_one_group_dataset(), single_leaf_tree()), EmptyMeasureError,
+                         "equal opportunity needs >= 2 groups with positives"),
+    "_raise_k rate 1": (lambda: _raise_k(2.0, 0.5, 1.0), DomainError,
+                        "reference group already predicts every positive; quota infeasible"),
+    "_raise_k past the cap": (lambda: _raise_k(2.0, 0.5, 0.999), DomainError,
+                              "no K <= 100 makes the push-up quota feasible"),
+    "clip_score non-finite": (lambda: clip_score(math.nan, 1.0), DomainError, "score must be finite"),
+    "logit at 0": (lambda: logit(0.0), DomainError, "logit requires 0 < u < 1"),
+    "nlogit outside I(B)": (lambda: nlogit(0.9, 1.0), DomainError,
+                            "score outside clipped interval [0.2689414213699951, 0.7310585786300049] for B=1.0"),
+    "apply_alpha alpha": (lambda: apply_alpha(0.5, math.inf), DomainError, "alpha must be finite"),
+    "apply_alpha q": (lambda: apply_alpha(0.0, 1.0), DomainError, "apply_alpha requires 0 < q < 1"),
+    "compose_alpha": (lambda: compose_alpha(1e200, 1e200), DomainError, "composed alpha is not finite"),
+    "numeric SplitTest modality": (lambda: SplitTest("x", "numeric", 0.5, "m"), SchemaError,
+                                   "numeric test cannot carry a modality"),
+    "categorical SplitTest threshold": (lambda: SplitTest("x", "categorical", 0.5, "m"), SchemaError,
+                                        "categorical test cannot carry a threshold"),
+    "init_stump no modality": (lambda: init_stump([]), DomainError, "need at least one group modality"),
+    "proxy_group_tree no row": (lambda: proxy_group_tree({"x": []}, {"x": "numeric"}, []), DomainError,
+                                "need at least one row"),
+    "s1_applicable clip level": (lambda: s1_applicable(single_leaf_tree(), 0.0), DomainError,
+                                 "clip level must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_ERRORS))
+def test_validation_branches_raise_their_exact_message(name):
+    call, error, message = VALIDATION_ERRORS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -1,9 +1,11 @@
 """Train outputs stay byte-identical: a change that moves any result fails here.
 
-Three `train` commands (cvar, eoo, and sp from a proxy group tree) run
+Five `train` commands (cvar, eoo, sp from a proxy group tree, cvar on the
+seeded plan's train role, and eoo on the Gaussian plug-in's target) run
 through `cli.main` on one seeded 3,000-row file.  The sha256 of each model
 file and trace CSV is pinned, and so are those of `apply`'s output file and
-`eval`'s stdout for the cvar model on the same file.  A change meant to keep results, such as a
+`eval`'s stdout for the cvar model on the same file, and of `eval`'s stdout
+for the split cvar model on the plan's test role.  A change meant to keep results, such as a
 speed-up, must leave every digest as it is; a change meant to move them
 updates the digests and says why.
 """
@@ -17,18 +19,24 @@ from alphatree.cli import main
 
 N_ROWS = 3000
 
-# first 16 hex digits of sha256 of (model JSON, trace CSV); the runs grow
-# 63, 16 and 14 splits (the sp run's proxy tree has 61 leaves)
+# first 16 hex digits of sha256 of (model JSON, trace CSV); the first three
+# runs grow 63, 16 and 14 splits (the sp run's proxy tree has 61 leaves).
+# cvar-split reads the plan's (label, group) strata, and eoo-gaussian the
+# plug-in's tables of the categorical column `cat`.
 DIGESTS = {
     "cvar": ("dc4a85bbff725c8a", "1e3402ac35eec381"),
     "eoo": ("4efc42556840c920", "9ea3b65878bdf8a2"),
     "sp-proxy": ("d43f34671e7a7836", "2eecd49953854a54"),
+    "cvar-split": ("784569656a6e94f9", "9b3aa5c4c05868d4"),
+    "eoo-gaussian": ("3655251ac60eff36", "1016307df4f4529e"),
 }
 
 FLAGS = {
     "cvar": ["--strategy", "cvar"],
     "eoo": ["--strategy", "eoo", "--epsilon", "0.001", "--iterations", "16"],
     "sp-proxy": ["--strategy", "sp", "--init", "proxy", "--epsilon", "0.001", "--iterations", "4"],
+    "cvar-split": ["--strategy", "cvar", "--split", "train", "--seed", "7"],
+    "eoo-gaussian": ["--strategy", "eoo", "--epsilon", "0.001", "--iterations", "16", "--estimator", "gaussian"],
 }
 
 
@@ -86,3 +94,19 @@ def test_apply_and_eval_outputs_are_byte_identical(data, tmp_path, monkeypatch, 
     assert main(["eval", "--data", str(data), "--model", str(model)]) == 0
     report = capsys.readouterr().out.encode("utf-8")
     assert (digest(applied), hashlib.sha256(report).hexdigest()[:16]) == SCORE_DIGESTS
+
+
+# first 16 hex digits of sha256 of `eval`'s stdout for the cvar-split model
+# of DIGESTS, run on the plan's test role of the same seed
+SPLIT_EVAL_DIGEST = "52d76cda27b6bb9e"
+
+
+def test_split_eval_output_is_byte_identical(data, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ALPHATREE_SEED", raising=False)
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), *FLAGS["cvar-split"], "--out", str(model)]) == 0
+    assert digest(model) == DIGESTS["cvar-split"][0]
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--model", str(model), "--split", "test", "--seed", "7"]) == 0
+    report = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(report).hexdigest()[:16] == SPLIT_EVAL_DIGEST

@@ -22,15 +22,19 @@ from alphatree import (
     full_view,
     gaussian_plugin_fit,
     label_plugin,
+    load_dataset,
     make_dataset,
     make_view,
+    proxy_group_tree,
     route_rows,
+    split_plan,
     stump,
 )
 import alphatree.data as data_module
-from alphatree.data import View, category_codes, levels, read_labels
+from alphatree.data import View, category_codes, read_labels
 
-from helpers import evaluate_tree_reference, probe_columns, random_dataset, random_tree
+from helpers import (assert_same_levels, evaluate_tree_reference, level_column, level_names, levels, probe_columns,
+                     random_dataset, random_tree, split_plan_reference)
 
 LOG2 = math.log(2.0)
 
@@ -171,20 +175,6 @@ def test_condition_on_group_selects_rows():
     assert np.array_equal(va.indices, [0, 1, 2])
     with pytest.raises(EmptyMeasureError):
         condition_on_group(ds, "zzz")
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_levels_equals_one_scan_per_sorted_value(data):
-    names = data.draw(st.lists(st.text(max_size=3), min_size=1, max_size=6, unique=True))
-    picks = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=80))
-    values = np.array([names[i] for i in picks], dtype=object)
-    expect = {v: np.flatnonzero(values == v) for v in sorted(set(values.tolist()))}
-    got = levels(values)
-    assert list(got) == list(expect)
-    for v, idx in expect.items():
-        assert got[v].dtype == idx.dtype
-        assert np.array_equal(got[v], idx)
 
 
 def test_group_rows_index_the_groups_of_each_dataset():
@@ -424,8 +414,46 @@ def test_codes_give_the_levels_of_any_row_subset(names, data):
     assert [codes.names[c] for c in codes.codes.tolist()] == column.tolist()
     rows = np.array(data.draw(st.lists(st.integers(0, len(column) - 1), max_size=60)), dtype=np.int64)
     for subset in (rows, np.unique(rows)):
-        got = codes.take(subset).levels()
-        expected = levels(column[subset])
-        assert list(got) == list(expected)
-        for (m, idx), (m_ref, idx_ref) in zip(got.items(), expected.items()):
-            assert m == m_ref and idx.dtype == idx_ref.dtype and np.array_equal(idx, idx_ref)
+        assert_same_levels(codes.take(subset).levels(), levels(column[subset]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=level_names(), seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 400))
+def test_group_rows_match_the_per_level_scan(names, seed, extra):
+    rng = np.random.default_rng(seed)
+    groups = level_column(rng, names, extra)
+    n = groups.shape[0]
+    labels = rng.choice([-1, 1], n)
+    ds = make_dataset({"x": rng.normal(size=n)}, {"x": "numeric"}, labels, groups, np.full(n, 0.5), 1.0)
+    assert category_codes(groups).codes.dtype == (np.uint8 if len(names) <= 256 else np.uint16)
+    assert_same_levels(ds.group_rows, levels(groups))
+    positive = {g: idx[labels[idx] == 1] for g, idx in levels(groups).items() if (labels[idx] == 1).any()}
+    assert_same_levels(ds.positive_rows, positive)
+
+
+def test_a_level_that_does_not_equal_itself_is_a_domain_error():
+    # a NaN group once indexed no rows (NaN != NaN); every level index now refuses it
+    groups = np.array([0.0, math.nan, 1.0, 2.0], dtype=object)
+    message = "^level nan does not equal itself$"
+    with pytest.raises(DomainError, match=message):
+        category_codes(groups)
+    ds = make_dataset({"x": np.arange(4.0)}, {"x": "numeric"}, [1, -1, 1, -1], groups, np.full(4, 0.5), 1.0)
+    with pytest.raises(DomainError, match=message):
+        ds.group_rows
+    with pytest.raises(DomainError, match=message):
+        split_plan([1, -1, 1, -1], groups, 0)
+    with pytest.raises(DomainError, match=message):
+        proxy_group_tree({"x": np.arange(4.0)}, {"x": "numeric"}, groups)
+
+
+def test_levels_whose_names_end_in_nul_index_their_own_rows(tmp_path):
+    # numpy's == drops a str's trailing NULs, so a scan per level gave the group
+    # 'a\0' the rows of 'a', and the split plan left its rows with no role
+    path = tmp_path / "nul.csv"
+    path.write_bytes(b"x,c,group,label,score\n0.1,a\0,a,1,0.6\n0.2,a,a\0,-1,0.4\n0.3,b,a,1,0.5\n")
+    ds = load_dataset(path, 1.0)
+    assert_same_levels(ds.group_rows, {"a": np.array([0, 2]), "a\0": np.array([1])})
+    assert_same_levels(category_codes(ds.features["c"]).levels(),
+                       {"a": np.array([1]), "a\0": np.array([0]), "b": np.array([2])})
+    roles = split_plan(ds.labels, ds.groups, 0)
+    assert None not in roles.tolist() and roles.tolist() == split_plan_reference(ds.labels, ds.groups, 0).tolist()

@@ -27,7 +27,8 @@ from alphatree import (
     stump,
 )
 from alphatree.estimators import ProxyTree
-from helpers import proxy_group_tree_reference, proxy_predict_reference
+from helpers import (categorical_posterior_reference, categorical_tables_reference, level_column, level_names,
+                     proxy_group_tree_reference, proxy_predict_reference)
 
 
 def test_label_plugin_maps_signs():
@@ -272,6 +273,40 @@ def test_proxy_tree_matches_row_loop_reference(
     ref = proxy_group_tree_reference(columns, kinds, groups, max_depth=max_depth, min_leaf=min_leaf)
     assert fast == ref
     assert fast.predict(columns).tolist() == proxy_predict_reference(ref, columns).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(names=level_names(), seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 200),
+       min_leaf=st.sampled_from([1, 5]), max_depth=st.sampled_from([0, 1, 4]))
+def test_proxy_tree_classes_match_the_per_level_scan(names, seed, extra, min_leaf, max_depth):
+    rng = np.random.default_rng(seed)
+    groups = level_column(rng, names, extra)
+    n = groups.shape[0]
+    rank = {name: i for i, name in enumerate(sorted(names))}
+    columns = {"x": np.round(np.array([rank[g] for g in groups]) + rng.normal(0.0, 20.0, n), 0),
+               "c": rng.choice(np.array(list("abc"), dtype=object), n)}
+    kinds = {"x": "numeric", "c": "categorical"}
+    fast = proxy_group_tree(columns, kinds, groups, max_depth=max_depth, min_leaf=min_leaf)
+    ref = proxy_group_tree_reference(columns, kinds, groups, max_depth=max_depth, min_leaf=min_leaf)
+    assert fast.tree == ref.tree and fast.labels == ref.labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=level_names(), seed=st.integers(0, 2**32 - 1), extra=st.integers(1, 400))
+def test_gaussian_categorical_tables_match_the_per_level_scan(names, seed, extra):
+    rng = np.random.default_rng(seed)
+    column = level_column(rng, names, extra)
+    n = column.shape[0]
+    columns = {"c": column, "d": rng.choice(np.array(["", "ü", "z"], dtype=object), n)}
+    labels = rng.permutation(np.resize([1, -1], n))
+    weights = rng.uniform(0.5, 2.0, n)
+    model = gaussian_plugin_fit(columns, {"c": "categorical", "d": "categorical"}, labels, weights)
+    for name, values in columns.items():
+        ref = categorical_tables_reference(values, labels, weights)
+        assert model.features[name] == ref and list(model.features[name].logp_pos) == list(ref.logp_pos)
+    # rows of levels unseen at fit time take the floor entries
+    probe = {name: np.concatenate([col, np.array(["unseen", "é"], dtype=object)]) for name, col in columns.items()}
+    assert gaussian_plugin_eval(model, probe).tolist() == categorical_posterior_reference(model, probe).tolist()
 
 
 def mixed_plugin():

@@ -36,6 +36,8 @@ from alphatree import (
     clip_score,
     empirical_kl,
     full_view,
+    gaussian_plugin_eval,
+    gaussian_plugin_fit,
     label_plugin,
     load_dataset,
     load_model,
@@ -64,8 +66,8 @@ from alphatree.core import expit
 from alphatree import io_cli
 from alphatree.io_cli import parse_features, parse_probabilities, read_csv
 
-from helpers import (chain_tree, node_to_obj_reference, parse_column_reference, probe_columns, random_tree,
-                     read_csv_reference)
+from helpers import (chain_tree, level_column, level_names, node_to_obj_reference, parse_column_reference,
+                     probe_columns, random_tree, read_csv_reference, split_plan_reference)
 
 
 def write_csv(path, header, rows):
@@ -950,6 +952,22 @@ def test_split_plan_deterministic_in_seed():
         split_plan([1, 1], ["a"], seed=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(names=level_names(), labels=st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True),
+       seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 400))
+def test_split_plan_matches_one_mask_per_stratum(names, labels, seed, extra):
+    rng = np.random.default_rng(seed)
+    groups = level_column(rng, names, extra)
+    y = rng.choice(labels, groups.shape[0])
+    assert split_plan(y, groups, seed).tolist() == split_plan_reference(y, groups, seed).tolist()
+
+
+def test_split_plan_gives_every_row_a_role():
+    # a stratum's rows were those equal to int() of its label, so the row of
+    # label 1.5 fell in no stratum's mask and kept no role
+    assert split_plan([1.5, 1, 1, -1], ["a"] * 4, 0).tolist().count(None) == 0
+
+
 def test_resolve_seed_precedence(monkeypatch):
     monkeypatch.delenv("ALPHATREE_SEED", raising=False)
     assert resolve_seed(None) == 0
@@ -1464,6 +1482,115 @@ def test_cli_rejects_a_file_without_feature_columns(tmp_path, capsys, flags, mes
     assert main(args + flags) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not model.exists()
+
+
+def estimator_csv(path):
+    """Two groups, a numeric and a 3-level categorical feature, and a posterior column eta."""
+    rng = np.random.default_rng(17)
+    n = 400
+    x = np.round(rng.normal(size=n), 3)
+    c = rng.choice(np.array(["lo", "mid", "hi"]), n)
+    group = np.where(rng.random(n) < 0.4, "a", "b")
+    eta = np.round(expit(1.5 * x + np.where(c == "hi", 1.0, -0.5)), 4)
+    labels = np.where(rng.random(n) < eta, 1, -1)
+    scores = np.round(expit(x - 0.8 * (group == "a")), 4)
+    write_csv(path, ["x", "c", "group", "label", "score", "eta"], zip(x, c, group, labels, scores, eta))
+
+
+ESTIMATOR_RUNS = {
+    "cvar": (["--beta", "0.5"],
+             lambda ds, eta, cfg: run_cvar(ds, CvarSpec(beta=0.5, outer_rounds=2, induction=cfg), None, eta_t=eta)),
+    "eoo": (["--epsilon", "0.001"],
+            lambda ds, eta, cfg: run_eoo(ds, EooSpec(eps=0.001, induction=cfg), None, eta_estimate=eta)),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(ESTIMATOR_RUNS))
+@pytest.mark.parametrize("estimator", ["column", "gaussian"])
+def test_cli_estimators_give_the_library_run_on_their_target(tmp_path, capsys, strategy, estimator):
+    # column reads the --target-column; gaussian fits the plug-in on x and the categorical c
+    data = tmp_path / "d.csv"
+    estimator_csv(data)
+    model, trace = tmp_path / "m.json", tmp_path / "t.csv"
+    flags, run = ESTIMATOR_RUNS[strategy]
+    assert main(["train", "--data", str(data), "--strategy", strategy, "--estimator", estimator,
+                 "--target-column", "eta", "--rounds", "2", "--iterations", "4", *flags,
+                 "--out", str(model), "--trace-out", str(trace)]) == 0
+    capsys.readouterr()
+
+    ds = load_dataset(data, 1.0, target_column="eta")
+    assert ds.feature_kinds() == {"x": "numeric", "c": "categorical"}
+    if estimator == "column":
+        eta = ds.target
+    else:
+        eta = gaussian_plugin_eval(gaussian_plugin_fit(ds.features, ds.feature_kinds(), ds.labels, ds.weights),
+                                   ds.features)
+    cfg = InductionConfig(max_iterations=4)
+    tree, lib_trace = run(ds, eta, cfg)
+    _, meta = load_model(model)
+    lib_model = tmp_path / "lib.json"
+    save_model(lib_model, tree, meta)
+    assert model.read_bytes() == lib_model.read_bytes()
+    buf = io.StringIO(newline="")
+    _write_trace(lib_trace, buf)
+    assert trace.read_bytes() == buf.getvalue().encode("utf-8")
+    # the target moved the run: the labels' own target grows another one
+    assert run(ds, label_plugin(ds.labels), cfg)[1].rows != lib_trace.rows
+
+
+def test_cli_column_estimator_without_a_target_exits_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    estimator_csv(data)
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", str(data), "--strategy", "cvar", "--estimator", "column",
+                 "--out", str(model)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: estimator 'column' needs a target column in the schema or flags"]
+    assert not model.exists()
+
+
+def test_cli_trace_out_writes_the_bytes_of_train_trace_out(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    model, trace, traced = tmp_path / "m.json", tmp_path / "t.csv", tmp_path / "traced.csv"
+    assert main(train_args(data, model, ["--trace-out", str(trace)])) == 0
+    args = train_args(data, traced)
+    args[0] = "trace"
+    assert main(args) == 0
+    assert capsys.readouterr().out == f"wrote {model} ({load_model(model)[0].n_leaves} leaves)\n"
+    assert traced.read_bytes() == trace.read_bytes()
+
+
+def test_cli_split_role_with_no_rows_exits_2(tmp_path, capsys):
+    # one row per (label, group) stratum: largest remainder gives each row to train
+    data = tmp_path / "d.csv"
+    write_csv(data, ["x", "group", "label", "score"], [[0.1, "a", 1, 0.6], [0.2, "a", -1, 0.4]])
+    model = tmp_path / "m.json"
+    args = ["train", "--data", str(data), "--strategy", "cvar", "--iterations", "1", "--out", str(model)]
+    assert main(args + ["--split", "train"]) == 0
+    capsys.readouterr()
+    model.unlink()
+    assert main(args + ["--split", "test"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: selected split role has no rows"]
+    assert not model.exists()
+
+
+def test_cli_apply_refuses_an_input_that_holds_its_output_columns(tmp_path, capsys):
+    # applying to apply's own output once wrote a header no reader takes back
+    data = tmp_path / "d.csv"
+    cli_csv(data)
+    model, once, twice = tmp_path / "m.json", tmp_path / "once.csv", tmp_path / "twice.csv"
+    assert main(train_args(data, model)) == 0
+    assert main(["apply", "--data", str(data), "--model", str(model), "--out", str(once)]) == 0
+    capsys.readouterr()
+    assert main(["apply", "--data", str(once), "--model", str(model), "--out", str(twice)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: input already has column 'q_fair', which apply writes"]
+    assert not twice.exists()
+    header = once.read_text().splitlines()[0].split(",")
+    write_csv(data, header[:-2] + ["pred"], [line.split(",")[:-1] for line in once.read_text().splitlines()[1:]])
+    assert main(["apply", "--data", str(data), "--model", str(model), "--out", str(twice)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: input already has column 'pred', which apply writes"]
+    assert not twice.exists()
 
 
 @pytest.mark.parametrize("strategy", ["cvar", "sp"])

@@ -45,9 +45,9 @@ from alphatree import (
     wrapped_scores,
 )
 from alphatree.core import dot, per_row, xlogy
-from alphatree.data import levels, log_loss, target_posterior
+from alphatree.data import log_loss, target_posterior
 from alphatree.estimators import ProxyTree
-from helpers import evaluate_tree_reference
+from helpers import evaluate_tree_reference, levels
 
 B = 2.0
 KINDS = {"x": "numeric", "c": "categorical"}
