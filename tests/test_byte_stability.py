@@ -110,3 +110,24 @@ def test_split_eval_output_is_byte_identical(data, tmp_path, monkeypatch, capsys
     assert main(["eval", "--data", str(data), "--model", str(model), "--split", "test", "--seed", "7"]) == 0
     report = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(report).hexdigest()[:16] == SPLIT_EVAL_DIGEST
+
+
+# first 16 hex digits of sha256 of `apply`'s output file and `eval`'s stdout
+# for the cvar model of DIGESTS, run on a copy of its file whose `cat` column
+# holds F where the file holds A: the model tests cat == A, which no row now
+# holds, and no model test names F
+UNSEEN_DIGESTS = ("38f4dca5683cdb76", "297c7e928a26206b")
+
+
+def test_apply_and_eval_on_absent_and_unseen_levels_are_byte_identical(data, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ALPHATREE_SEED", raising=False)
+    model, applied, shifted = tmp_path / "model.json", tmp_path / "applied.csv", tmp_path / "shifted.csv"
+    assert main(["train", "--data", str(data), *FLAGS["cvar"], "--out", str(model)]) == 0
+    assert digest(model) == DIGESTS["cvar"][0]
+    assert '"modality": "A"' in model.read_text(encoding="utf-8")
+    shifted.write_text(data.read_text(encoding="utf-8").replace(",A\n", ",F\n"), encoding="utf-8")
+    assert main(["apply", "--data", str(shifted), "--model", str(model), "--out", str(applied)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", str(shifted), "--model", str(model)]) == 0
+    report = capsys.readouterr().out.encode("utf-8")
+    assert (digest(applied), hashlib.sha256(report).hexdigest()[:16]) == UNSEEN_DIGESTS
