@@ -22,9 +22,9 @@ each child its parent's order filtered to the child's rows
 (`child_order`), as SPRINT's attribute lists are split with their node
 (Shafer, Agrawal & Mehta, VLDB 1996).  A filtered stable order is the
 child's own stable order, so the search is the same bit for bit.  A
-categorical feature is searched as `data.Codes`, whose modalities are one
-stable argsort of small integer codes; a tree builds the codes of a
-column once and takes them at each node's rows.
+categorical feature is searched as its `core.Codes`, whose modalities are
+one stable argsort of small integer codes; a tree reads the codes of a
+column once (`core.read_columns`) and takes them at each node's rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SplitTest
-from .data import Codes, category_codes
 
 __all__ = [
     "alignment_score",
@@ -115,8 +114,8 @@ def split_search(columns, kinds, stats, score, min_count, order=None):
     """Lowest-score test of a node: (score, SplitTest, left sums), or None.
 
     columns maps each feature to its values at the node's rows, and kinds
-    lists the features in search order; a categorical feature's values may
-    come as their `data.Codes`, and are coded here when they do not.  stats
+    lists the features in search order; a categorical feature's values
+    come as their `core.Codes`, as `core.read_columns` reads them.  stats
     is a C-contiguous (k, rows) array of per-row statistics; score(left,
     right) takes the (k, m) sums of m candidates' children and returns
     their m scores.  order is the node's `numeric_order`, sorted here when
@@ -147,10 +146,9 @@ def split_search(columns, kinds, stats, score, min_count, order=None):
     for position, (name, kind) in enumerate(kinds.items()):
         if kind == "numeric":
             continue
-        col = columns[name]
         kept = []
         sums = []
-        for m, idx in (col if isinstance(col, Codes) else category_codes(col)).levels().items():
+        for m, idx in columns[name].levels().items():
             if idx.size >= min_count and n - idx.size >= min_count:
                 kept.append(m)
                 # row sums of a C-contiguous block, as stats.sum sums them

@@ -363,12 +363,6 @@ def relabel_leaves(
 # ---------------------------------------------------------------------------
 
 
-def _leaf_columns(base, rows, kinds) -> dict:
-    """The features of kinds at base rows, categorical ones as their codes."""
-    codes = base.feature_codes
-    return {name: codes[name].take(rows) if name in codes else base.columns[name][rows] for name in kinds}
-
-
 def best_split(
     v_at_leaf: View,
     eta_t,
@@ -398,7 +392,7 @@ def best_split(
     total_w, total_a = stats.sum(axis=1).tolist()
     parent_h = leaf_entropy(total_a / total_w) * total_w
     kinds = v_at_leaf.base.feature_kinds()
-    columns = _leaf_columns(v_at_leaf.base, v_at_leaf.indices, kinds)
+    columns = {name: v_at_leaf.base.columns[name].take(v_at_leaf.indices) for name in kinds}
     score = _kernels.alignment_score(cfg.min_child_fraction * total_w)
     found = _kernels.split_search(columns, kinds, stats, score, cfg.min_child_count, order)
     if found is None:
@@ -479,7 +473,8 @@ def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConf
                 if st.leaf_id in inherited:
                     order = _kernels.child_order(*inherited.pop(st.leaf_id))
                 else:  # a leaf of tree0
-                    order = _kernels.numeric_order(_leaf_columns(v.base, leaf_v.indices, numeric), numeric)
+                    order = _kernels.numeric_order({name: v.base.columns[name][leaf_v.indices] for name in numeric},
+                                                   numeric)
                 cand = best_split(leaf_v, eta_t, scores, B, cfg, leaf_signals, order)
                 if cand is not None:
                     break
@@ -489,11 +484,11 @@ def _grow(v: View, eta_t, scores, B: float, tree0: AlphaTree, cfg: InductionConf
             test = cand.test
             left_id = tree.max_leaf_id() + 1
             column = v.base.columns[test.feature]
-            passes = test.passes_rows(column[leaf_v.indices])
+            passes = test.passes_rows(column.take(leaf_v.indices))
             split_ids = np.where(passes, left_id, left_id + 1)
             leaf_ids[leaf_v.indices] = split_ids
             mine = strays[leaf_ids[strays] == st.leaf_id]
-            leaf_ids[mine] = np.where(test.passes_rows(column[mine]), left_id, left_id + 1)
+            leaf_ids[mine] = np.where(test.passes_rows(column.take(mine)), left_id, left_id + 1)
             # bincount adds each leaf's rows in row order, as over the whole view
             children = leaf_stats(leaf_v, tree, eta_t, scores, B, leaf_ids_rows=split_ids, signals=leaf_signals)
             left, right = (_relabelled(Leaf(i, 1.0), children, cfg.scoring, B)
@@ -607,7 +602,7 @@ def _indicator_rows(h, v: View) -> np.ndarray:
             raise DomainError("indicator values must be ±1")
         return arr
     test = h.test if isinstance(h, SplitCandidate) else h
-    values = v.base.columns[test.feature][v.indices]
+    values = v.base.columns[test.feature].take(v.indices)
     return np.where(test.passes_rows(values), 1.0, -1.0)
 
 

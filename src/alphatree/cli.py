@@ -245,8 +245,8 @@ def _eta(args, ds: Dataset) -> np.ndarray:
         if ds.target is None:
             raise DomainError("estimator 'column' needs a target column in the schema or flags")
         return ds.target
-    model = gaussian_plugin_fit(ds.features, ds.feature_kinds(), ds.labels, ds.weights)
-    return gaussian_plugin_eval(model, ds.features)
+    model = gaussian_plugin_fit(ds.columns, ds.feature_kinds(), ds.labels, ds.weights)
+    return gaussian_plugin_eval(model, ds.columns)
 
 
 def _run_driver(args) -> tuple[AlphaTree, RunTrace, Dataset]:
@@ -261,8 +261,8 @@ def _run_driver(args) -> tuple[AlphaTree, RunTrace, Dataset]:
     tree0 = None
     if args.init == "proxy":
         # the drivers measure, schedule and route on the proxy's groups
-        proxy = proxy_group_tree(ds.features, ds.feature_kinds(), ds.groups, max_depth=args.proxy_depth)
-        ds = dataclasses.replace(ds, groups=proxy.predict(ds.features))
+        proxy = proxy_group_tree(ds.columns, ds.feature_kinds(), ds.groups, max_depth=args.proxy_depth)
+        ds = dataclasses.replace(ds, groups=proxy.predict(ds.columns))
         tree0 = proxy.tree
     if args.strategy == "cvar":
         spec = CvarSpec(
@@ -414,7 +414,7 @@ def _cmd_eval(args) -> int:
         "sp_gap": metric_sp_gap(ds, tree, leaf_ids),
         "md": metric_md(ds, tree, leaf_ids),
         "cvar": metric_cvar(ds, tree, eta, args.beta, leaf_ids),
-        "subgroup_risks": {str(g): r for g, r in subgroup_risks(ds, tree, eta, leaf_ids).items()},
+        "subgroup_risks": subgroup_risks(ds, tree, eta, leaf_ids),
         # a wrapped score of exactly 0 or 1 leaves the drift undefined
         "empirical_kl": _undefined_as_none(empirical_kl, w, ds.scores, q_f),
         "kl_bound_s1": kl_bound_s1(clip_B) if s1_applicable(tree, clip_B) else None,

@@ -13,7 +13,8 @@ Conventions used throughout the package:
 
 * scores live in the clipped interval ``I(B) = [1/(1+e**B), 1/(1+e**-B)]``;
 * a numeric test routes a row LEFT iff ``value <= threshold``;
-* a categorical test routes a row LEFT iff ``value == modality``;
+* a categorical test routes a row LEFT iff ``value == modality`` (str
+  equality), by the integer codes of its column's `Codes`;
 * leaf ids are unique integers in [0, 2 * leaves], kept by serialization.
 
 All structures here are immutable after construction and every function is
@@ -23,6 +24,7 @@ pure, so concurrent readers are safe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
@@ -244,11 +246,54 @@ def compose_alpha(alpha: float, alpha2: float) -> float:
 
 
 @dataclass(frozen=True)
+class Codes:
+    """A categorical column as integer codes: row i holds names[codes[i]].
+
+    The package's one level index.  names lists the distinct values of the
+    whole column in sorted order, so code order is value order; codes take
+    the smallest unsigned dtype that holds them, which numpy sorts stably by
+    radix.
+    """
+
+    names: tuple
+    codes: np.ndarray
+
+    def take(self, rows) -> Codes:
+        """The column at rows, as ndarray.take gives a plain column's."""
+        return Codes(self.names, self.codes[rows])
+
+    def levels(self) -> dict:
+        """Each name some row holds, in sorted order, mapped to its ascending row indices:
+        one stable argsort of the codes, cut where each code's run ends, so O(rows) up to 65,536 names."""
+        counts = np.bincount(self.codes, minlength=len(self.names))
+        order = np.argsort(self.codes, kind="stable")
+        ends = np.cumsum(counts)
+        return {self.names[c]: order[ends[c] - counts[c]:ends[c]] for c in np.flatnonzero(counts).tolist()}
+
+
+def category_codes(values) -> Codes:
+    """The Codes of a column: sorted(set(...)) of its values, then one dict lookup per row.
+
+    Values that do not sort together (a str and an int) or equal themselves (a NaN) are a DomainError."""
+    values = np.asarray(values).tolist()
+    try:
+        names = tuple(sorted(set(values)))
+    except TypeError as exc:
+        raise DomainError(f"levels do not sort together: {exc}") from None
+    for name in names:
+        if name != name:
+            raise DomainError(f"level {name!r} does not equal itself")
+    code = {name: c for c, name in enumerate(names)}
+    return Codes(names, np.fromiter(map(code.__getitem__, values), np.min_scalar_type(max(len(names) - 1, 0)),
+                                    len(values)))
+
+
+@dataclass(frozen=True)
 class SplitTest:
     """A single-feature routing test.  Rows that pass go to the left child.
 
     kind "numeric": passes iff value <= threshold.
-    kind "categorical": passes iff value == modality.
+    kind "categorical": passes iff value == modality, read from its Codes.
     """
 
     feature: str
@@ -274,10 +319,11 @@ class SplitTest:
         else:
             raise SchemaError(f"unknown test kind {self.kind!r}")
 
-    def passes_rows(self, values: np.ndarray) -> np.ndarray:
+    def passes_rows(self, values) -> np.ndarray:
         if self.kind == "numeric":
             return np.asarray(values, dtype=float) <= float(self.threshold)
-        return np.asarray(values, dtype=object) == self.modality
+        code = bisect_left(values.names, self.modality)  # a modality no row holds passes none
+        return (values.codes == code) & (values.names[code:code + 1] == (self.modality,))
 
     def describe(self) -> str:
         if self.kind == "numeric":
@@ -500,15 +546,20 @@ def read_columns(columns: Mapping, kinds: Mapping[str, str], n: int, noun: str =
     A missing column is a SchemaError, and the shape is read by `per_row`
     as "{noun} 'x'".  A numeric column is read as float64: one that does
     not convert is a SchemaError, and a NaN or ±inf is a DomainError.  A
-    categorical column is read as an object array of strings; a numeric
-    one, or one holding any other value (None, nan, 1), is a SchemaError
-    naming its first such row, since a modality string never equals it.
+    categorical column is read as its `Codes`, given or coded here: a
+    numeric one, or one whose distinct values hold any but a str (None,
+    nan, 1), is a SchemaError naming its first such row, since a modality
+    string never equals it.  A str or list keeps its strs whole, NULs too.
     """
     out = {}
     for name, kind in kinds.items():
         if name not in columns:
             raise SchemaError(f"rows are missing feature {name!r}")
-        col = per_row(columns[name], n, f"{noun} {name!r}")
+        raw = columns[name]
+        if kind == "categorical" and isinstance(raw, Codes):
+            out[name] = Codes(raw.names, per_row(raw.codes, n, f"{noun} {name!r}"))
+            continue
+        col = per_row(raw, n, f"{noun} {name!r}")
         if kind == "numeric":
             try:
                 col = np.asarray(col, dtype=float)
@@ -519,9 +570,13 @@ def read_columns(columns: Mapping, kinds: Mapping[str, str], n: int, noun: str =
         elif kind == "categorical":
             if np.issubdtype(col.dtype, np.number):
                 raise SchemaError(f"feature {name!r} is tested as categorical but its column is numeric")
-            col = np.asarray(col, dtype=object)
-            values = col.tolist()
-            if any(not issubclass(t, str) for t in set(map(type, values))):
+            values = per_row(raw, n, f"{noun} {name!r}", object)
+            try:
+                col = category_codes(values)
+            except (DomainError, TypeError):  # values that do not sort, equal themselves or hash
+                col = None
+            if col is None or not all(isinstance(level, str) for level in col.names):
+                values = values.tolist()
                 row = next(i for i, value in enumerate(values) if not isinstance(value, str))
                 raise SchemaError(f"feature {name!r} is tested as categorical but row {row} holds "
                                   f"{values[row]!r}, not a string")
@@ -538,8 +593,10 @@ def row_count(columns: Mapping, names) -> int:
     columns of one value each are one row, as a record is.
     """
     for name in names:
-        if name in columns and np.ndim(columns[name]) == 1:
-            return len(columns[name])
+        col = columns.get(name)  # a missing column, None, sets no count
+        col = col.codes if isinstance(col, Codes) else col
+        if np.ndim(col) == 1:
+            return len(col)
     return 1
 
 
@@ -547,9 +604,9 @@ def route_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int) -> np
     """Leaf id for each of n rows of column arrays: the one routing of rows.
 
     Every column the tree tests is read once per call, as the kind of its
-    tests (see `read_columns`); columns it does not test are not read.  A
-    tree that tests a feature as both kinds is a SchemaError (see
-    AlphaTree.feature_kinds).
+    tests (see `read_columns`), so a categorical one as its `Codes`; columns
+    it does not test are not read.  A tree that tests a feature as both
+    kinds is a SchemaError (see AlphaTree.feature_kinds).
     """
     tested = read_columns(columns, tree.feature_kinds(), n)
     out = np.empty(n, dtype=np.int64)
@@ -559,7 +616,7 @@ def route_rows(tree: AlphaTree, columns: Mapping[str, np.ndarray], n: int) -> np
         if isinstance(node, Leaf):
             out[idx] = node.leaf_id
         else:
-            mask = node.test.passes_rows(tested[node.test.feature][idx])
+            mask = node.test.passes_rows(tested[node.test.feature].take(idx))
             rows.append(idx[~mask])
             rows.append(idx[mask])
     return out

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 # route_rows is not called here; it stays bound for perfbench/tracer.py, which swaps it by name
-from .core import DomainError, clip_score, dot, per_row, read_columns, route_rows, xlogy
+from .core import Codes, DomainError, category_codes, clip_score, dot, per_row, read_columns, route_rows, xlogy
 
 __all__ = [
     "EmptyMeasureError",
@@ -56,61 +56,22 @@ class InfiniteRiskError(ValueError):
 
 
 @dataclass(frozen=True)
-class Codes:
-    """A categorical column as integer codes: row i holds names[codes[i]].
-
-    The package's one level index.  names lists the distinct values of the
-    whole column in sorted order, so code order is value order; codes take
-    the smallest unsigned dtype that holds them, which numpy sorts stably by
-    radix.
-    """
-
-    names: tuple
-    codes: np.ndarray
-
-    def take(self, rows) -> Codes:
-        """The column at rows, as ndarray.take gives a plain column's."""
-        return Codes(self.names, self.codes[rows])
-
-    def levels(self) -> dict:
-        """Each name some row holds, in sorted order, mapped to its ascending row indices:
-        one stable argsort of the codes, cut where each code's run ends, so O(rows) up to 65,536 names."""
-        counts = np.bincount(self.codes, minlength=len(self.names))
-        order = np.argsort(self.codes, kind="stable")
-        ends = np.cumsum(counts)
-        return {self.names[c]: order[ends[c] - counts[c]:ends[c]] for c in np.flatnonzero(counts).tolist()}
-
-
-def category_codes(values) -> Codes:
-    """The Codes of a column: sorted(set(...)) of its values, then one dict lookup per row.
-
-    A value that does not equal itself, such as a float NaN, is a DomainError."""
-    values = np.asarray(values).tolist()
-    names = tuple(sorted(set(values)))
-    for name in names:
-        if name != name:
-            raise DomainError(f"level {name!r} does not equal itself")
-    code = {name: c for c, name in enumerate(names)}
-    return Codes(names, np.fromiter(map(code.__getitem__, values), np.min_scalar_type(max(len(names) - 1, 0)),
-                                    len(values)))
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Immutable desk-scale dataset.
 
     features holds the declared split candidates in schema order, which
     fixes split tie-breaking; groups holds the groups a run measures,
-    schedules and routes on.  columns, every routable column, is derived
-    from both as {**features, group_column: groups}, so a re-grouped
-    dataclasses.replace(ds, groups=g) routes on g; columns, group_rows,
-    feature_codes and positive_rows are built on first read.
+    schedules and routes on.  columns, the routing view, is read from both
+    by `core.read_columns` when the dataset is built, replaced or not: a
+    numeric feature as it is, a categorical one and the groups (under
+    group_column) as their `Codes`.  So dataclasses.replace(ds, groups=g)
+    routes on g; group_rows and positive_rows are built on first read.
 
     labels set the row count n and must be one-dimensional.  groups,
     scores, weights, target (when given) and every feature are read by
     `per_row` when the dataset is built, replaced or not: n values are kept
     as they are, one value becomes n copies, and another shape is a
-    DomainError naming it and n.  Their values are make_dataset's to check.
+    DomainError naming it and n.  Other values are make_dataset's to check.
     """
 
     features: dict[str, np.ndarray]
@@ -122,6 +83,7 @@ class Dataset:
     weights: np.ndarray
     target: np.ndarray | None = None
     group_column: str = "group"
+    columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = per_row(self.labels, None, "labels")
@@ -129,7 +91,10 @@ class Dataset:
         rows = {name: per_row(getattr(self, name), n, name) for name in ("groups", "scores", "weights")}
         if self.target is not None:
             rows["target"] = per_row(self.target, n, "target")
-        rows["features"] = {name: per_row(col, n, f"feature {name!r}") for name, col in self.features.items()}
+        kinds = {**self.feature_kinds(), self.group_column: "categorical"}
+        rows["columns"] = read_columns({**self.features, self.group_column: rows["groups"]}, kinds, n, "feature")
+        rows["features"] = {name: rows["columns"][name] if kinds[name] == "numeric"
+                            else per_row(col, n, name, object) for name, col in self.features.items()}
         for name, values in {"labels": labels, **rows}.items():
             object.__setattr__(self, name, values)
 
@@ -142,18 +107,8 @@ class Dataset:
         return tuple(self.features)
 
     @cached_property
-    def columns(self) -> dict[str, np.ndarray]:
-        return {**self.features, self.group_column: self.groups}
-
-    @cached_property
     def group_rows(self) -> dict:
-        return category_codes(self.groups).levels()
-
-    @cached_property
-    def feature_codes(self) -> dict[str, Codes]:
-        """The Codes of every categorical feature, built on first read."""
-        return {name: category_codes(col) for name, col in self.features.items()
-                if self.kinds[name] == "categorical"}
+        return self.columns[self.group_column].levels()
 
     @cached_property
     def positive_rows(self) -> dict:
@@ -208,11 +163,10 @@ def make_dataset(
 
     labels set the row count.  groups, scores, weights, target and every
     feature are n values or one value for every row; the Dataset checks
-    their shapes (see Dataset) and this function their values.  Each
-    feature is read as its kind by `core.read_columns`, the rule a tree
-    reads it by when it routes.  The groups are routed under group_column
-    as a categorical column but are never a split candidate: a feature of
-    that name is a DomainError.
+    their shapes and reads features and groups as a tree does when it
+    routes (see Dataset), and this function the other values.  The groups,
+    read as objects, are routed under group_column as a categorical column
+    but are never a split candidate: a feature of that name is a DomainError.
     """
     labels = read_labels(labels)
     n = labels.shape[0]
@@ -235,11 +189,10 @@ def make_dataset(
 
     if group_column in features:
         raise DomainError(f"feature {group_column!r} has the group column's name")
-    checked = read_columns(features, {name: kinds.get(name) for name in features}, n, "feature")
 
     return Dataset(
-        features=checked,
-        kinds={**{name: kinds[name] for name in checked}, group_column: "categorical"},
+        features=features,
+        kinds={**{name: kinds.get(name) for name in features}, group_column: "categorical"},
         labels=labels,
         groups=groups,
         scores=scores,

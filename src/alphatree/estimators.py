@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import (_MAX_DEPTH, AlphaTree, DomainError, Leaf, Node, SchemaError, SplitTest, dot, expit, per_row,
-                   read_columns, route_rows, row_count, single_leaf_tree)
-from .data import category_codes, read_labels
+from .core import (_MAX_DEPTH, AlphaTree, DomainError, Leaf, Node, SchemaError, SplitTest, category_codes, dot,
+                   expit, per_row, read_columns, route_rows, row_count, single_leaf_tree)
+from .data import read_labels
 
 __all__ = [
     "label_plugin",
@@ -84,9 +84,9 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
     Numeric features get a weighted Gaussian with variance floored at
     1e-9 * range^2 (1e-12 if the feature is constant); categorical ones get
     add-one smoothing (w_count + 1) / (W_class + |domain| + 1) over the
-    levels of `data.Codes.levels`.  labels set the row count (see
+    levels of `core.Codes.levels`.  labels set the row count (see
     `data.read_labels`); weights are read by `per_row`, and the columns as
-    routing reads them (see `core.read_columns`).
+    routing reads them, a categorical one as its Codes (`core.read_columns`).
     """
     y = read_labels(labels)
     w = per_row(weights, y.shape[0], "weights", float)
@@ -110,7 +110,7 @@ def gaussian_plugin_fit(columns, kinds, labels, weights) -> GaussianPlugin:
             mn, vn = _weighted_gaussian(values[neg], w[neg], floor)
             features[name] = _NumericFeature(mp, vp, mn, vn)
         else:
-            domain = category_codes(values).levels()
+            domain = values.levels()
             d = len(domain)
             features[name] = _CategoricalFeature(
                 logp_pos={m: math.log((float(w[idx][pos[idx]].sum()) + 1.0) / (w_pos + d + 1.0))
@@ -135,8 +135,8 @@ def gaussian_plugin_eval(model: GaussianPlugin, columns) -> np.ndarray:
 
     The first one-dimensional column of the model sets the row count (see
     `core.row_count`), and the columns are read as routing reads them (see
-    `core.read_columns`).  Each level of a categorical column is looked up
-    once, and every row takes its entry by code (see `data.category_codes`).
+    `core.read_columns`), a categorical one as its Codes: each level is
+    looked up once, and every row takes its entry by code.
     """
     n = row_count(columns, model.kinds)
     margin = np.full(n, model.log_prior_pos - model.log_prior_neg)
@@ -146,9 +146,8 @@ def gaussian_plugin_eval(model: GaussianPlugin, columns) -> np.ndarray:
             lp = -0.5 * (np.log(2.0 * math.pi * feat.var_pos) + (values - feat.mean_pos) ** 2 / feat.var_pos)
             ln = -0.5 * (np.log(2.0 * math.pi * feat.var_neg) + (values - feat.mean_neg) ** 2 / feat.var_neg)
         else:
-            codes = category_codes(values)
-            lp = np.array([feat.logp_pos.get(m, feat.floor_pos) for m in codes.names])[codes.codes]
-            ln = np.array([feat.logp_neg.get(m, feat.floor_neg) for m in codes.names])[codes.codes]
+            lp = np.array([feat.logp_pos.get(m, feat.floor_pos) for m in values.names])[values.codes]
+            ln = np.array([feat.logp_neg.get(m, feat.floor_neg) for m in values.names])[values.codes]
         margin += lp - ln
     eta = expit(margin)
     return np.clip(eta, ETA_CLAMP, 1.0 - ETA_CLAMP)
@@ -213,13 +212,13 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     the earliest feature in schema order, then the lowest threshold / first
     modality in sorted order.  A node splits only when that beats its own
     weighted entropy by more than 1e-12.  groups set the row count; every
-    column in kinds is read against it as routing reads it (see
-    `core.read_columns`).  A split below a path of _MAX_DEPTH (960) tests
-    is a SchemaError, as a tree that deep is (see `core.AlphaTree`).
+    column in kinds is read against it as routing reads it, a categorical
+    one as its Codes (`core.read_columns`).  A split below a path of 960
+    tests is a SchemaError, as a tree that deep is (see `core.AlphaTree`).
     max_depth below 0 or min_leaf below 1 is a DomainError.
 
     The classes, the groups in sorted order, and each row's class id are
-    the group column's codes (see `data.category_codes`).  The numeric
+    the group column's codes (see `core.category_codes`).  The numeric
     columns are sorted once, at the root; each searched child filters its
     parent's order to its own rows (see `_kernels.child_order`).
     """
@@ -235,9 +234,6 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
     if not kinds:
         raise DomainError("no feature columns to grow the proxy group tree on")
     columns = read_columns(columns, kinds, n, "feature")
-    # the search reads categorical features as codes, built once here
-    searched = {name: category_codes(col) if kinds[name] == "categorical" else col
-                for name, col in columns.items()}
     one_hot = np.eye(len(classes), dtype=np.int64)
 
     def counts_of(idx):
@@ -257,7 +253,7 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
         if depth >= max_depth or len(idx) < 2 * min_leaf or np.count_nonzero(counts) <= 1:
             return leaf(idx)
         parent_h = _kernels.class_entropy(counts) * len(idx)
-        node_columns = {name: col.take(idx) for name, col in searched.items()}
+        node_columns = {name: col.take(idx) for name, col in columns.items()}
         if mask is None:  # the root: the one sort of the fit
             order = _kernels.numeric_order(node_columns, kinds)
         else:
@@ -271,7 +267,7 @@ def proxy_group_tree(columns, kinds, groups, max_depth: int = 8, min_leaf: int =
             raise SchemaError(f"proxy group tree grows past {_MAX_DEPTH} tests deep; a model file holds at "
                               f"most {_MAX_DEPTH}")
         test = found[1]
-        go_left = test.passes_rows(columns[test.feature][idx])
+        go_left = test.passes_rows(columns[test.feature].take(idx))
         return Node(test, build(idx[go_left], depth + 1, order, go_left),
                     build(idx[~go_left], depth + 1, order, ~go_left))
 

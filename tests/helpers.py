@@ -58,6 +58,11 @@ def assert_same_levels(got: dict, expected: dict) -> None:
         assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
 
 
+def decoded(codes) -> list:
+    """The value of each row of a `Codes`, as a list."""
+    return [codes.names[c] for c in codes.codes.tolist()]
+
+
 def level_column(rng, names, extra: int) -> np.ndarray:
     """An object column that holds every name at least once, then `extra` more drawn rows, shuffled."""
     picks = np.concatenate([np.arange(len(names)), rng.integers(0, len(names), extra)])
@@ -190,6 +195,13 @@ def evaluate_tree_reference(tree: AlphaTree, x) -> tuple[int, float]:
     return node.leaf_id, node.alpha
 
 
+def passes_reference(test, values) -> np.ndarray:
+    """Whether each of values passes test, value by value, as `evaluate_tree_reference` tests one."""
+    if test.kind == "numeric":
+        return np.asarray(values, dtype=float) <= test.threshold
+    return np.array([value == test.modality for value in np.asarray(values, dtype=object).tolist()], dtype=bool)
+
+
 def probe_columns(rng, n):
     """Feature columns matching random_tree's tests."""
     return {
@@ -280,7 +292,7 @@ def best_split_reference(
     best = None
     n = v_at_leaf.n
     for feature, kind in v_at_leaf.base.feature_kinds().items():
-        values = v_at_leaf.base.columns[feature][v_at_leaf.indices]
+        values = v_at_leaf.base.features[feature][v_at_leaf.indices]
         if kind == "numeric":
             order = np.argsort(values, kind="stable")
             sv = np.ascontiguousarray(values[order].astype(float))
@@ -300,7 +312,7 @@ def best_split_reference(
                 best = cand
         elif kind == "categorical":
             for modality in sorted(set(values.tolist())):
-                mask = values == modality
+                mask = passes_reference(SplitTest(feature, "categorical", modality=modality), values)
                 cl = int(mask.sum())
                 if cl < cfg.min_child_count or (n - cl) < cfg.min_child_count:
                     continue
@@ -454,7 +466,7 @@ def proxy_group_tree_reference(columns, kinds, groups, max_depth: int = 8, min_l
                         best = (h, SplitTest(name, "numeric", float(thr), None))
             else:
                 for m in sorted(set(values.tolist())):
-                    mask = values == m
+                    mask = passes_reference(SplitTest(name, "categorical", None, m), values)
                     cl = int(mask.sum())
                     if cl < min_leaf or len(idx) - cl < min_leaf:
                         continue
@@ -465,8 +477,7 @@ def proxy_group_tree_reference(columns, kinds, groups, max_depth: int = 8, min_l
         if best is None or best[0] >= parent_h - 1e-12:
             return leaf(majority(idx))
         test = best[1]
-        values = np.asarray(columns[test.feature])[idx]
-        go_left = test.passes_rows(values)
+        go_left = passes_reference(test, np.asarray(columns[test.feature])[idx])
         return Node(test, build(idx[go_left], depth + 1), build(idx[~go_left], depth + 1))
 
     root = build(np.arange(n), 0)
@@ -483,8 +494,7 @@ def proxy_predict_reference(proxy: ProxyTree, columns) -> np.ndarray:
         if isinstance(node, Leaf):
             out[idx] = proxy.labels[node.leaf_id]
             return
-        values = np.asarray(columns[node.test.feature])[idx]
-        go_left = node.test.passes_rows(values)
+        go_left = passes_reference(node.test, np.asarray(columns[node.test.feature])[idx])
         fill(node.left, idx[go_left])
         fill(node.right, idx[~go_left])
 

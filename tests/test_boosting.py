@@ -490,7 +490,7 @@ def with_clip_end_rows(rng, ds, eta, k):
     sided = side if rng.random() < 0.5 else -side
     features = {}
     for name in ds.feature_names:
-        col = ds.columns[name]
+        col = ds.features[name]
         numeric = ds.kinds[name] == "numeric"
         extra = np.full(k, col.max() + 1.0) if numeric else np.full(k, "z", dtype=object)
         features[name] = np.concatenate([col, extra])

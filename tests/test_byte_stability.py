@@ -4,10 +4,11 @@ Five `train` commands (cvar, eoo, sp from a proxy group tree, cvar on the
 seeded plan's train role, and eoo on the Gaussian plug-in's target) run
 through `cli.main` on one seeded 3,000-row file.  The sha256 of each model
 file and trace CSV is pinned, and so are those of `apply`'s output file and
-`eval`'s stdout for the cvar model on the same file, and of `eval`'s stdout
-for the split cvar model on the plan's test role.  A change meant to keep results, such as a
-speed-up, must leave every digest as it is; a change meant to move them
-updates the digests and says why.
+`eval`'s stdout for the cvar model on the same file and on a copy whose
+categorical level A, which the model tests, is renamed to one it never saw,
+and of `eval`'s stdout for the split cvar model on the plan's test role.
+A change meant to keep results, such as a speed-up, must leave every digest
+as it is; a change meant to move them updates the digests and says why.
 """
 
 import hashlib

@@ -24,6 +24,7 @@ from alphatree import (
     clip_score,
     compose_alpha,
     evaluate_tree,
+    init_stump,
     invert_tree,
     logit,
     nlogit,
@@ -34,7 +35,7 @@ from alphatree import (
     wrapped_scores,
 )
 import alphatree.core as core
-from alphatree.core import expit, xlogy
+from alphatree.core import category_codes, expit, xlogy
 
 from helpers import evaluate_tree_reference, expit_reference, probe_columns, random_tree, xlogy_reference
 
@@ -665,6 +666,48 @@ def test_a_categorical_column_holds_only_strings():
     # str subclasses, as numpy's, are strings
     assert core.route_rows(tree, {"g": np.array([np.str_("1"), "2"], dtype=object)}, 2).tolist() == [0, 1]
     assert core.route_rows(tree, {"g": np.array(["1", "2"])}, 2).tolist() == [0, 1]
+
+
+def test_a_level_that_ends_in_nul_is_its_own_level():
+    # numpy's == drops a str's trailing NULs: route_rows gave [0, 2, 2] and evaluate_tree [0, 0, 2]
+    groups = ["a", "a\0", "b"]
+    tree = init_stump(groups)
+    assert core.route_rows(tree, {"group": np.array(groups, dtype=object)}, 3).tolist() == [0, 1, 2]
+    assert core.route_rows(tree, {"group": groups}, 3).tolist() == [0, 1, 2]
+    assert [evaluate_tree(tree, {"group": g})[0] for g in groups] == [0, 1, 2]
+
+
+# empty, non-ASCII and NUL-ending names, which numpy's string type would shorten
+LEVEL_NAMES = st.sampled_from(["", "a", "a\0", "\0", "é", "é\0", "b", "日本"]) | st.text(max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_route_rows_equals_the_per_record_walk(data):
+    names = data.draw(st.lists(LEVEL_NAMES, min_size=1, max_size=6, unique=True), "names")
+    # modalities that no row holds, and names that a Codes holds but no row does
+    absent = [m for m in data.draw(st.lists(LEVEL_NAMES, max_size=3), "absent") if m not in names]
+    n = data.draw(st.integers(1, 30), "n")
+    column = np.array([names[i] for i in data.draw(st.lists(st.integers(0, len(names) - 1), min_size=n,
+                                                            max_size=n), "rows")], dtype=object)
+    x = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5]), min_size=n, max_size=n), "x"))
+    leaf_ids = iter(range(64))
+
+    def build(depth):
+        if depth >= 4 or data.draw(st.booleans()):
+            return Leaf(next(leaf_ids), 1.0)
+        if data.draw(st.booleans()):
+            test = SplitTest("x", "numeric", data.draw(st.sampled_from([-0.5, 0.0, 0.25])), None)
+        else:
+            test = SplitTest("c", "categorical", None, data.draw(st.sampled_from(names + absent)))
+        return Node(test, build(depth + 1), build(depth + 1))
+
+    tree = AlphaTree(build(0))
+    expected = [evaluate_tree_reference(tree, {"c": column[i], "x": x[i]})[0] for i in range(n)]
+    wider = category_codes(np.concatenate([column, np.array(absent, dtype=object)])).take(np.arange(n))
+    for given_column in (column, column.tolist(), category_codes(column), wider):
+        assert core.route_rows(tree, {"c": given_column, "x": x}, n).tolist() == expected
+    assert [evaluate_tree(tree, {"c": column[i], "x": x[i]})[0] for i in range(n)] == expected
 
 
 def test_given_leaf_ids_replace_routing(monkeypatch):

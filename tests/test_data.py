@@ -33,8 +33,8 @@ from alphatree import (
 import alphatree.data as data_module
 from alphatree.data import View, category_codes, read_labels
 
-from helpers import (assert_same_levels, evaluate_tree_reference, level_column, level_names, levels, probe_columns,
-                     random_dataset, random_tree, split_plan_reference)
+from helpers import (assert_same_levels, decoded, evaluate_tree_reference, level_column, level_names, levels,
+                     probe_columns, random_dataset, random_tree, split_plan_reference)
 
 LOG2 = math.log(2.0)
 
@@ -103,7 +103,7 @@ def test_group_column_routable_but_not_a_feature():
     assert "group" in ds.columns
     assert "group" not in ds.feature_names
     assert ds.kinds["group"] == "categorical"
-    assert ds.columns["group"] is ds.groups
+    assert decoded(ds.columns["group"]) == ds.groups.tolist()
 
 
 def test_make_dataset_rejects_a_feature_named_like_the_group_column():
@@ -119,7 +119,7 @@ def test_make_dataset_rejects_a_feature_named_like_the_group_column():
     ds2 = make_dataset({"group": x}, {"group": "numeric"}, ds.labels, ds.groups, ds.scores, 1.0,
                        group_column="who")
     assert ds2.feature_names == ("group",)
-    assert ds2.columns["who"] is ds2.groups and ds2.columns["group"] is ds2.features["group"]
+    assert decoded(ds2.columns["who"]) == ds2.groups.tolist() and ds2.columns["group"] is ds2.features["group"]
 
 
 def test_default_weights_are_unit():
@@ -437,13 +437,38 @@ def test_a_level_that_does_not_equal_itself_is_a_domain_error():
     message = "^level nan does not equal itself$"
     with pytest.raises(DomainError, match=message):
         category_codes(groups)
-    ds = make_dataset({"x": np.arange(4.0)}, {"x": "numeric"}, [1, -1, 1, -1], groups, np.full(4, 0.5), 1.0)
-    with pytest.raises(DomainError, match=message):
-        ds.group_rows
+    # a dataset reads its groups as strings, so it names the first group that is none
+    holds = "^feature 'group' is tested as categorical but row 0 holds 0.0, not a string$"
+    with pytest.raises(SchemaError, match=holds):
+        make_dataset({"x": np.arange(4.0)}, {"x": "numeric"}, [1, -1, 1, -1], groups, np.full(4, 0.5), 1.0)
     with pytest.raises(DomainError, match=message):
         split_plan([1, -1, 1, -1], groups, 0)
     with pytest.raises(DomainError, match=message):
         proxy_group_tree({"x": np.arange(4.0)}, {"x": "numeric"}, groups)
+
+
+def test_groups_that_are_not_strings_fail_when_the_dataset_is_built():
+    # integer groups trained until a categorical test refused the modality 0, and
+    # None or mixed groups escaped from every level index as a bare TypeError
+    x = {"x": np.arange(4.0)}
+    labels = [1, -1, 1, -1]
+    holds = "^feature 'group' is tested as categorical but row {} holds {}, not a string$"
+    for groups, row, shown in (([0, 1, 0, 1], 0, "0"), (["a", None, "b", "a"], 1, "None"),
+                               (["a", "b", 2, "a"], 2, "2")):
+        with pytest.raises(SchemaError, match=holds.format(row, shown)):
+            make_dataset(x, {"x": "numeric"}, labels, groups, np.full(4, 0.5), 1.0)
+    ds = make_dataset(x, {"x": "numeric"}, labels, ["a", "b", "b", "a"], np.full(4, 0.5), 1.0)
+    mixed = np.array(["a", None, "b", 2], dtype=object)
+    with pytest.raises(SchemaError, match=holds.format(1, "None")):
+        dataclasses.replace(ds, groups=mixed)
+    # values that do not sort together have no level order
+    message = "^levels do not sort together: '<' not supported between instances of "
+    with pytest.raises(DomainError, match=message):
+        category_codes(mixed)
+    with pytest.raises(DomainError, match=message):
+        split_plan(labels, mixed, 0)
+    with pytest.raises(DomainError, match=message):
+        proxy_group_tree(x, {"x": "numeric"}, mixed)
 
 
 def test_levels_whose_names_end_in_nul_index_their_own_rows(tmp_path):

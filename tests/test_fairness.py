@@ -39,7 +39,7 @@ from alphatree import (
 )
 from alphatree.core import expit
 
-from helpers import group_means_reference, random_dataset
+from helpers import decoded, group_means_reference, random_dataset
 
 
 def test_cvar_quantile_oracle():
@@ -596,9 +596,7 @@ def test_regrouping_by_replace_equals_a_new_dataset(seed, names):
     replaced = dataclasses.replace(ds, groups=g)
     made = make_dataset(ds.features, ds.feature_kinds(), ds.labels, g, ds.scores, ds.clip_B,
                         weights=ds.weights)
-    assert replaced.columns[ds.group_column] is replaced.groups
-    assert made.columns[ds.group_column] is made.groups
-    assert np.array_equal(replaced.columns[ds.group_column], made.columns[ds.group_column])
+    assert decoded(replaced.columns[ds.group_column]) == decoded(made.columns[ds.group_column]) == g.tolist()
     assert list(replaced.group_rows) == list(made.group_rows)
     for s, idx in made.group_rows.items():
         assert np.array_equal(replaced.group_rows[s], idx)
@@ -617,11 +615,13 @@ def test_regrouping_by_replace_equals_a_new_dataset(seed, names):
 
 
 def test_a_tree_that_a_model_file_cannot_hold_cannot_be_grown():
-    # run_cvar trained on integer groups, and load_model refused the file save_model wrote
+    # run_cvar trained on integer groups, and load_model refused the file save_model wrote;
+    # integer groups are now refused when the dataset is built
     n = 40
     labels = np.resize([1, -1], n)
-    with pytest.raises(SchemaError, match="needs a string modality, got 0"):
-        run_cvar(make_dataset({}, {}, labels, np.resize([0, 1], n), 0.4, 2.0), CvarSpec(beta=0.5))
+    holds = "^feature 'group' is tested as categorical but row 0 holds 0, not a string$"
+    with pytest.raises(SchemaError, match=holds):
+        make_dataset({}, {}, labels, np.resize([0, 1], n), 0.4, 2.0)
     # an integer categorical feature is refused when the dataset is built
     codes = np.resize([0, 0, 1, 1], n)
     with pytest.raises(SchemaError, match="^feature 'c' is tested as categorical but its column is numeric$"):

@@ -33,6 +33,7 @@ from alphatree import (
     Node,
     SpSpec,
     SplitTest,
+    apply_alpha,
     clip_score,
     empirical_kl,
     full_view,
@@ -66,8 +67,8 @@ from alphatree.core import expit
 from alphatree import io_cli
 from alphatree.io_cli import parse_features, parse_probabilities, read_csv
 
-from helpers import (chain_tree, level_column, level_names, node_to_obj_reference, parse_column_reference,
-                     probe_columns, random_tree, read_csv_reference, split_plan_reference)
+from helpers import (chain_tree, evaluate_tree_reference, level_column, level_names, node_to_obj_reference,
+                     parse_column_reference, probe_columns, random_tree, read_csv_reference, split_plan_reference)
 
 
 def write_csv(path, header, rows):
@@ -101,8 +102,8 @@ def test_load_dataset_infers_kinds_and_clips(tmp_path):
     assert ds.kinds == {"x": "numeric", "c": "categorical",
                         "group": "categorical"}
     assert ds.feature_names == ("x", "c")
-    assert ds.columns["x"].dtype == float
-    assert ds.columns["c"].dtype == object
+    assert ds.features["x"].dtype == float and ds.columns["x"] is ds.features["x"]
+    assert ds.features["c"].dtype == object
     assert list(ds.labels) == [1, -1, 1, -1]
     assert list(ds.groups) == ["a", "a", "b", "b"]
     # ingest clips to I(B): 0.99 and 0.0 land exactly on the clip endpoints
@@ -117,7 +118,7 @@ def test_load_dataset_kind_override(tmp_path):
               [[1, "+1", "g", 0.5], [2, "-1", "g", 0.5]])
     ds = load_dataset(path, 1.0, kinds={"z": "categorical"})
     assert ds.kinds["z"] == "categorical"
-    assert list(ds.columns["z"]) == ["1", "2"]
+    assert list(ds.features["z"]) == ["1", "2"]
     with pytest.raises(LoadError, match="unknown kind"):
         load_dataset(path, 1.0, kinds={"z": "ordinal"})
 
@@ -363,8 +364,8 @@ def test_load_dataset_infers_kinds_the_same_on_both_paths(tmp_path, end):
     ds = load_dataset(path, 1.0)
     assert ds.kinds == {"x": "numeric", "c": "categorical", "code": "numeric",
                         "oops": "categorical", "group": "categorical"}
-    assert ds.columns["x"].tolist() == [0.5, 1000.0, -2.0]
-    assert ds.columns["oops"].tolist() == ["1", "oops", "2"]
+    assert ds.features["x"].tolist() == [0.5, 1000.0, -2.0]
+    assert ds.features["oops"].tolist() == ["1", "oops", "2"]
 
 
 ORACLE_COLUMNS = {"score": "score", "target": "t", "weight": "w", "numeric": "x", "inferred": "z"}
@@ -401,7 +402,7 @@ def test_load_dataset_reads_numeric_columns_as_the_per_cell_parsers(tmp_path, ro
             continue
         values = {"score": got.scores, "target": got.target, "weight": got.weights}.get(role)
         if values is None:
-            values = got.columns[column]
+            values = got.features[column]
             assert got.kinds[column] == ("categorical" if want.dtype == object else "numeric")
         assert values.dtype == want.dtype
         if want.dtype == object:
@@ -532,11 +533,11 @@ def test_both_tokenizers_feed_one_converter(tmp_path, table):
         return
     assert plain.kinds == quoted.kinds
     for a, b in [(plain.labels, quoted.labels), (plain.scores, quoted.scores), (plain.weights, quoted.weights),
-                 (plain.groups, quoted.groups), *((plain.columns[k], quoted.columns[k]) for k in plain.columns)]:
+                 (plain.groups, quoted.groups), *((plain.features[k], quoted.features[k]) for k in plain.features)]:
         assert a.dtype == b.dtype
         assert (a.tolist() == b.tolist()) if a.dtype == object else (a.tobytes() == b.tobytes())
     assert plain.groups.tolist() == [row[1] for row in rows]
-    assert plain.columns["c"].tolist() == [row[4] for row in rows]
+    assert plain.features["c"].tolist() == [row[4] for row in rows]
 
 
 @pytest.mark.parametrize("quoted", [False, True])
@@ -1377,6 +1378,41 @@ def test_cli_schema_kind_for_a_missing_column_exits_2(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_cli_routes_a_level_that_ends_in_nul_to_its_own_leaf(tmp_path, capsys):
+    # numpy's == dropped the NUL, so train, apply and eval put the rows of "a\0" in another level's leaf
+    rng = np.random.default_rng(8)
+    names = ["a", "a\0", "b"]
+    rows = []
+    for i in range(300):
+        x = round(float(rng.normal()), 3)
+        label = 1 if rng.random() < expit(2.0 * x + i % 3 - 1.0) else -1
+        rows.append((x, names[i % 3], label, round(float(expit(2.0 * x - (i % 3 == 1))), 4)))
+    outputs = {}
+    # "a\1" sorts between "a" and "b" as "a\0" does, and numpy keeps it whole
+    for tag, stand_in in (("nul", "\0"), ("soh", "\1")):
+        data, model, applied = (tmp_path / f"{tag}{suffix}" for suffix in (".csv", ".json", ".out.csv"))
+        write_csv(data, ["x", "group", "label", "score"],
+                  [(x, g.replace("\0", stand_in), y, q) for x, g, y, q in rows])
+        assert main(["train", "--data", str(data), "--strategy", "cvar", "--rounds", "1", "--out", str(model)]) == 0
+        assert main(["apply", "--data", str(data), "--model", str(model), "--out", str(applied)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data), "--model", str(model)]) == 0
+        outputs[tag] = [model.read_text(encoding="utf-8"), applied.read_text(encoding="utf-8"),
+                        capsys.readouterr().out]
+    model_text, applied_text, report = outputs["nul"]
+    assert '"modality": "a\\u0000"' in model_text
+    # each row is in its own level's leaf: the walk with Python == gives the alpha apply used
+    tree, meta = load_model(tmp_path / "nul.json")
+    out = list(csv.reader(io.StringIO(applied_text)))
+    assert len(out) == len(rows) + 1
+    for (x, g, _, q), cells in zip(rows, out[1:]):
+        _, alpha = evaluate_tree_reference(tree, {"x": x, "group": g})
+        assert cells[1] == g and float(cells[-2]) == apply_alpha(clip_score(q, meta.clip_B), alpha)
+    # and the file with "a\1" for "a\0" trains, applies and evaluates to the same bytes, renamed
+    assert [model_text.replace("\\u0000", "\\u0001"), applied_text.replace("\0", "\1"),
+            report.replace("\\u0000", "\\u0001")] == outputs["soh"]
+
+
 def test_cli_eval_reports_null_eoo_gap_for_a_group_without_positives(tmp_path, capsys):
     rng = np.random.default_rng(4)
     n = 600
@@ -1658,7 +1694,7 @@ def test_cli_proxy_init_runs_the_driver_on_the_proxy_groups(tmp_path, capsys, st
 
     # the library run: the driver on the dataset whose groups are the proxy's
     ds = load_dataset(data, 1.0)
-    features = {name: ds.columns[name] for name in ds.feature_names}
+    features = dict(ds.features)
     proxy = proxy_group_tree(features, ds.feature_kinds(), ds.groups, max_depth=3)
     estimated = proxy.predict(features)
     proxy_ds = make_dataset(features, ds.feature_kinds(), ds.labels, estimated, ds.scores, ds.clip_B)

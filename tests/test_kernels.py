@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import alphatree._kernels as kernels
 from alphatree import InductionConfig, full_view, make_dataset, proxy_group_tree, route_rows, single_leaf_tree
 from alphatree.boosting import _grow
-from alphatree.core import expit
+from alphatree.core import category_codes, expit
 from alphatree._kernels import (
     alignment_score,
     child_order,
@@ -213,7 +213,9 @@ def test_split_search_matches_per_feature_loop_bitwise(
     else:
         stats = np.eye(classes, dtype=np.int64).take(rng.integers(0, classes, n), axis=1)
         score = class_score
-    got = split_search(columns, kinds, stats, score, min_count)
+    # the search takes a categorical column as its codes, as Dataset.columns holds it
+    coded = {name: category_codes(col) if kinds[name] == "categorical" else col for name, col in columns.items()}
+    got = split_search(coded, kinds, stats, score, min_count)
     expected = split_search_reference(columns, kinds, stats, score, min_count)
     if expected is None:
         assert got is None
